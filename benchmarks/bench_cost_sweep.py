@@ -23,11 +23,6 @@ import pytest
 from _record import record
 from conftest import report
 
-from repro.constants import (
-    SUMMIT_INJECTION_BANDWIDTH,
-    SUMMIT_INJECTION_LATENCY,
-    SUMMIT_NODE_COUNT,
-)
 from repro.cost import (
     DataParallelCrossoverModel,
     crossover_nodes,
@@ -35,6 +30,7 @@ from repro.cost import (
     sweep,
     sweep_scalar,
 )
+from repro.machine.spec import SUMMIT
 
 SMOKE = bool(os.environ.get("REPRO_SMOKE"))
 
@@ -50,12 +46,12 @@ def _grid() -> dict[str, np.ndarray]:
     """Model size x node count x link bandwidth axes (>= 10k points full)."""
     if SMOKE:
         sizes = np.linspace(10e6, 2e9, 10)
-        nodes = np.array([2, 64, 1024, SUMMIT_NODE_COUNT])
+        nodes = np.array([2, 64, 1024, SUMMIT.node_count])
         bandwidths = np.linspace(12.5e9, 50e9, 4)
     else:
         sizes = np.linspace(10e6, 2e9, 100)
         nodes = np.unique(
-            np.geomspace(2, SUMMIT_NODE_COUNT, 25).round().astype(int)
+            np.geomspace(2, SUMMIT.node_count, 25).round().astype(int)
         )
         bandwidths = np.linspace(5e9, 50e9, 8)
     return {
@@ -67,7 +63,7 @@ def _grid() -> dict[str, np.ndarray]:
 
 def _fixed() -> dict:
     return {
-        "latency": SUMMIT_INJECTION_LATENCY,
+        "latency": SUMMIT.injection_latency,
         "compute_time": COMPUTE_TIME,
         # "best" evaluates all three allreduce algorithms per point, which is
         # exactly where vectorization pays.
@@ -137,9 +133,9 @@ def test_crossover_surface_reproduces_paper_estimates(benchmark):
     result = benchmark(
         lambda: crossover_sweep(
             sizes,
-            np.arange(2, SUMMIT_NODE_COUNT + 1, 2 if not SMOKE else 512),
-            SUMMIT_INJECTION_BANDWIDTH,
-            latency=SUMMIT_INJECTION_LATENCY,
+            np.arange(2, SUMMIT.node_count + 1, 2 if not SMOKE else 512),
+            SUMMIT.injection_bandwidth,
+            latency=SUMMIT.injection_latency,
             compute_time=COMPUTE_TIME,
         )
     )

@@ -4,10 +4,11 @@ Times the same pure-timer workload two ways at each size and delay
 distribution:
 
 - **heap baseline** — the seed idiom: one generator per timer yielding a
-  single ``Timeout``, on the legacy ``impl="heap"`` scheduler;
+  single ``Timeout``, on the one-pop-per-event heap oracle
+  (:class:`tests.oracles.HeapEngine`);
 - **calendar fast path** — ``spawn_timers`` bulk spawn (generator-free
-  :class:`~repro.sim.engine.Timer` plans) on the calendar-queue scheduler
-  with batched same-timestamp dispatch.
+  :class:`~repro.sim.engine.Timer` plans) on the production calendar-queue
+  engine with batched same-timestamp dispatch.
 
 The *drain* phase (``Engine.run`` — the pure event loop) and the *spawn*
 phase are timed separately: the drain is where the calendar queue's
@@ -40,6 +41,7 @@ from _record import record
 from conftest import report
 
 from repro.sim.engine import Engine, Timeout, Timer
+from tests.oracles import HeapEngine
 
 SMOKE = bool(os.environ.get("REPRO_SMOKE"))
 
@@ -70,14 +72,14 @@ def _measure(delays: list[float], variant: str):
     gc.disable()
     try:
         if variant == "heap":
-            eng = Engine(impl="heap")
+            eng = HeapEngine()
             t0 = time.perf_counter()
             procs = [eng.spawn(_gen_timer(d)) for d in delays]
             t1 = time.perf_counter()
             eng.run()
             t2 = time.perf_counter()
         else:
-            eng = Engine(impl="calendar")
+            eng = Engine()
             t0 = time.perf_counter()
             procs = eng.spawn_timers(delays)
             t1 = time.perf_counter()
@@ -187,12 +189,12 @@ def test_rearming_timer_parity():
             log.append(eng.now)
 
     gen_log: list[float] = []
-    eng_gen = Engine(impl="heap")
+    eng_gen = HeapEngine()
     eng_gen.spawn(looping(eng_gen, gen_log))
     eng_gen.run()
 
     timer_log: list[float] = []
-    eng_t = Engine(impl="calendar")
+    eng_t = Engine()
     remaining = [n_ticks]
 
     def fire():

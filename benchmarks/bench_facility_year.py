@@ -1,25 +1,23 @@
 """A year of whole-facility operation in single-digit wall-clock seconds.
 
-The capstone for the vectorized timer banks (ROADMAP item 2): replay one
-simulated year of Summit-scale operation — 4 608 nodes, a utilization-
-targeted synthetic stream of ~80 k jobs, exponential node failures with
-checkpoint/requeue churn — through the scheduler's bank mode, and time it.
-Three legs:
+Replay one simulated year of Summit-scale operation — 4 608 nodes, a
+utilization-targeted synthetic stream of ~80 k jobs, exponential node
+failures with checkpoint/requeue churn — through the scheduler, and time
+it. Two legs:
 
 - **year replay** — :func:`~repro.scheduler.jobs.synthetic_facility_year`
-  through ``Scheduler.run(timer_bank=True)`` with a
+  through ``Scheduler.run`` with a
   :class:`~repro.scheduler.faults.FaultModel`; the ratchet pins simulated
   seconds per wall-clock second, so the floor rises as the code speeds up
   regardless of host pace, and full mode asserts the paper-shaped headline
   (a year in <= 10 s of wall-clock);
-- **bank drain** — one million homogeneous timers as a single vectorized
-  :class:`~repro.sim.timerbank.TimerBank` versus the same bank in object
-  fallback (per-lane ``Timer`` plans on the calendar engine, the PR-9 fast
-  path); the drain-phase speedup is the ISSUE's >= 5x floor;
-- **parity** — a shorter window replayed bank-on and bank-off must agree
-  field for field (``ScheduleResult`` equality), and the drain legs must
-  agree on the final clock and fire count. Determinism is the contract;
-  speed is the payoff.
+- **bank drain** — one million homogeneous timers as a single numpy
+  :class:`~repro.sim.timerbank.TimerBank` versus the same population as
+  per-lane ``Timer(3600.0, counting_fire)`` processes on the same
+  calendar engine; the drain-phase speedup has a >= 5x floor, and both
+  drains must agree on the final clock and fire count. Determinism is the
+  contract; speed is the payoff. The facility-year goldens in
+  ``tests/goldens/`` pin the replay's results.
 
 GC is disabled inside the timed drains (both variants equally), matching
 ``bench_engine.py``. Set ``REPRO_SMOKE=1`` for the small CI tier; scalars
@@ -39,7 +37,7 @@ from conftest import report
 from repro.scheduler.faults import FaultModel
 from repro.scheduler.jobs import synthetic_facility_year
 from repro.scheduler.simulator import Scheduler
-from repro.sim.engine import Engine
+from repro.sim.engine import Engine, Timer
 from repro.sim.timerbank import TimerBank
 
 SMOKE = bool(os.environ.get("REPRO_SMOKE"))
@@ -58,29 +56,42 @@ MAX_YEAR_WALL_SECONDS = 10.0
 #: Required bank-over-object drain speedup, full tier.
 MIN_BANK_SPEEDUP = 5.0
 
-#: Parity-check horizon: short enough to replay twice cheaply.
-PARITY_HORIZON = (7.0 if SMOKE else 30.0) * 86400.0
 
-
-def _drain(vectorized: bool) -> tuple[float, float, int]:
-    """Drain ``DRAIN_N`` homogeneous timers; return (wall, now, fired)."""
-    eng = Engine(impl="calendar")
-    bank = TimerBank(
-        eng, [3600.0] * DRAIN_N, name="drain", vectorized=vectorized
-    )
+def _timed_run(eng: Engine) -> float:
+    """Wall-clock seconds of ``eng.run()`` with the collector off."""
     gc.collect()
     gc.disable()
     try:
         t0 = time.perf_counter()
         eng.run()
-        wall = time.perf_counter() - t0
+        return time.perf_counter() - t0
     finally:
         gc.enable()
-    return wall, eng.now, bank.n_fired
+
+
+def _drain_bank() -> tuple[float, float, int]:
+    """Drain ``DRAIN_N`` homogeneous lanes of one bank: (wall, now, fired)."""
+    eng = Engine()
+    bank = TimerBank(eng, [3600.0] * DRAIN_N, name="drain")
+    return _timed_run(eng), eng.now, bank.n_fired
+
+
+def _drain_objects() -> tuple[float, float, int]:
+    """The same population as per-lane ``Timer`` processes."""
+    eng = Engine()
+    fired = 0
+
+    def counting_fire() -> None:
+        nonlocal fired
+        fired += 1
+
+    for lane in range(DRAIN_N):
+        eng.spawn(Timer(3600.0, counting_fire), name=f"drain[{lane}]")
+    return _timed_run(eng), eng.now, fired
 
 
 def test_facility_year():
-    # -- leg 1: the year (or month) replay, bank mode, with faults --------
+    # -- leg 1: the year (or month) replay, with faults ------------------
     t0 = time.perf_counter()
     jobs = synthetic_facility_year(
         seed=0, n_nodes=N_NODES, horizon=HORIZON
@@ -88,7 +99,7 @@ def test_facility_year():
     gen_wall = time.perf_counter() - t0
     faults = FaultModel(checkpoint_interval=3600.0, seed=0)
     t0 = time.perf_counter()
-    result = Scheduler(N_NODES).run(jobs, faults=faults, timer_bank=True)
+    result = Scheduler(N_NODES).run(jobs, faults=faults)
     year_wall = time.perf_counter() - t0
     sim_per_wall = result.makespan / year_wall
     if not SMOKE:
@@ -98,8 +109,8 @@ def test_facility_year():
         )
 
     # -- leg 2: million-timer homogeneous drain, bank vs object ----------
-    obj_wall, obj_now, obj_fired = _drain(vectorized=False)
-    bank_wall, bank_now, bank_fired = _drain(vectorized=True)
+    obj_wall, obj_now, obj_fired = _drain_objects()
+    bank_wall, bank_now, bank_fired = _drain_bank()
     assert (obj_now, obj_fired) == (bank_now, bank_fired) == (3600.0, DRAIN_N)
     speedup = obj_wall / bank_wall
     if not SMOKE:
@@ -107,19 +118,6 @@ def test_facility_year():
             f"bank drain only {speedup:.2f}x over object timers on "
             f"{DRAIN_N:,} homogeneous lanes (need >= {MIN_BANK_SPEEDUP}x)"
         )
-
-    # -- leg 3: bank-on/bank-off parity on a shorter window ---------------
-    pjobs = synthetic_facility_year(
-        seed=1, n_nodes=N_NODES, horizon=PARITY_HORIZON
-    )
-    for pfaults in (None, FaultModel(checkpoint_interval=3600.0, seed=2)):
-        r_obj = Scheduler(N_NODES).run(
-            list(pjobs), faults=pfaults, timer_bank=False
-        )
-        r_bank = Scheduler(N_NODES).run(
-            list(pjobs), faults=pfaults, timer_bank=True
-        )
-        assert r_obj == r_bank, "bank mode diverged from the object path"
 
     report(
         f"Facility year ({'smoke' if SMOKE else 'full'}, "

@@ -22,12 +22,9 @@ import numpy as np
 from _record import record
 from conftest import report
 
-from repro.constants import (
-    SUMMIT_INJECTION_LATENCY,
-    SUMMIT_NODE_COUNT,
-)
 from repro.cost import DataParallelCrossoverModel, sweep
 from repro.exec import ResultCache
+from repro.machine.spec import SUMMIT
 
 SMOKE = bool(os.environ.get("REPRO_SMOKE"))
 
@@ -45,12 +42,12 @@ def _grid() -> dict[str, np.ndarray]:
     """Crossover surface axes; the longest axis is what gets sharded."""
     if SMOKE:
         sizes = np.linspace(10e6, 2e9, 24)
-        nodes = np.array([2, 64, 1024, SUMMIT_NODE_COUNT])
+        nodes = np.array([2, 64, 1024, SUMMIT.node_count])
         bandwidths = np.linspace(12.5e9, 50e9, 3)
     else:
         sizes = np.linspace(10e6, 2e9, 400)
         nodes = np.unique(
-            np.geomspace(2, SUMMIT_NODE_COUNT, 40).round().astype(int)
+            np.geomspace(2, SUMMIT.node_count, 40).round().astype(int)
         )
         bandwidths = np.linspace(5e9, 50e9, 8)
     return {
@@ -62,7 +59,7 @@ def _grid() -> dict[str, np.ndarray]:
 
 def _fixed() -> dict:
     return {
-        "latency": SUMMIT_INJECTION_LATENCY,
+        "latency": SUMMIT.injection_latency,
         "compute_time": 0.05,
         # "best" evaluates every allreduce algorithm per point — enough
         # arithmetic per shard for the pool to have something to win on.

@@ -11,12 +11,8 @@ import pytest
 from _record import record, timed
 from conftest import report
 
-from repro.constants import (
-    GPFS_AGGREGATE_READ_BANDWIDTH,
-    NVME_CAPACITY_BYTES,
-    SUMMIT_NODE_COUNT,
-)
 from repro.core import SummitSimulator
+from repro.machine.spec import SUMMIT
 from repro.storage.burst_buffer import SUMMIT_NVME, StagingPlan
 from repro.storage.dataset import IMAGENET, ShardingPlan
 from repro.storage.filesystem import SUMMIT_GPFS
@@ -32,7 +28,9 @@ def test_section6b_read_requirement(benchmark):
         result = benchmark(compute)
 
     assert result["required"] == pytest.approx(20e12, rel=0.02)
-    assert result["shared_fs"] == pytest.approx(GPFS_AGGREGATE_READ_BANDWIDTH)
+    assert result["shared_fs"] == pytest.approx(
+        SUMMIT.fs_aggregate_read_bandwidth
+    )
     assert result["nvme"] > 27e12  # the paper's "over 27 TB/s"
     assert not result["shared_fs_feasible"]
     assert result["nvme_feasible"]
@@ -67,8 +65,8 @@ def test_section6b_staging_and_shuffle_costs(benchmark):
     shuffling is enforced'."""
     plan = ShardingPlan(
         IMAGENET,
-        n_nodes=SUMMIT_NODE_COUNT,
-        nvme_bytes_per_node=NVME_CAPACITY_BYTES,
+        n_nodes=SUMMIT.node_count,
+        nvme_bytes_per_node=SUMMIT.nvme_capacity_bytes,
     )
     staging = StagingPlan(plan, SUMMIT_GPFS, SUMMIT_NVME)
 

@@ -8,6 +8,12 @@ suite doubles as a regression gate for the calibrations in EXPERIMENTS.md.
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
+# the test oracles (``tests.oracles``) double as benchmark baselines
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+
 
 def report(title: str, rows: list[tuple], header: tuple = ()) -> None:
     """Print an aligned paper-vs-measured table."""

@@ -1,12 +1,10 @@
 #!/usr/bin/env python
 """A simulated year of whole-facility operation in seconds of wall-clock.
 
-The vectorized timer banks (``repro.sim.timerbank``) hold homogeneous
-timer populations — per-node failure clocks, job walltime expirations —
-as numpy arrays and dispatch them through the engine as a single queue
-entry per horizon window. That turns the two hot loops of a facility
-simulation into bulk array operations and makes a year of Summit-scale
-operation a coffee-sip-sized run:
+Two bulk paths make a year of Summit-scale operation a coffee-sip-sized
+run: numpy timer banks (``repro.sim.timerbank``) hold a homogeneous timer
+population as arrays behind a single engine queue entry, and the batch
+scheduler keeps its running jobs in one ``heapq`` of completion times:
 
 1. **Per-node failure clocks** — a :class:`~repro.resilience.faults.
    FailureInjector` bank gives each of Summit's 4 608 nodes its own
@@ -14,10 +12,8 @@ operation a coffee-sip-sized run:
    year-long facility process; every firing interrupts the target with
    the failing node's identity.
 2. **A year of batch scheduling** — ~80 k jobs from the utilization-
-   targeted synthetic stream, replayed through the scheduler's bank mode
-   (``timer_bank=True``) with checkpoint/requeue fault churn, and the
-   identical replay through the object path on a shorter window to show
-   the two agree field for field.
+   targeted synthetic stream, replayed through the scheduler with
+   checkpoint/requeue fault churn.
 
 Run:  python examples/facility_year.py
 """
@@ -48,10 +44,10 @@ def facility(eng: Engine):
 
 
 def main() -> None:
-    # -- 1. per-node failure clocks as one vectorized bank ------------------
+    # -- 1. per-node failure clocks as one numpy timer bank -----------------
     print(f"1. A year of per-node failure clocks ({N_NODES:,} nodes)")
     print("=" * 64)
-    eng = Engine(impl="calendar")
+    eng = Engine()
     target = eng.spawn(facility(eng), name="facility")
     injector = FailureInjector(eng, seed=0)
     injector.attach(target, N_NODES, timer_bank=True)
@@ -65,15 +61,15 @@ def main() -> None:
     print("  (one engine queue entry carries all "
           f"{N_NODES:,} exponential clocks)\n")
 
-    # -- 2. a year of batch scheduling, bank mode ---------------------------
-    print("2. A year of batch scheduling (bank mode)")
+    # -- 2. a year of batch scheduling ----------------------------------------
+    print("2. A year of batch scheduling")
     print("=" * 64)
     t0 = time.perf_counter()
     jobs = synthetic_facility_year(seed=0, n_nodes=N_NODES, horizon=YEAR)
     gen_wall = time.perf_counter() - t0
     faults = FaultModel(checkpoint_interval=3600.0, seed=0)
     t0 = time.perf_counter()
-    result = Scheduler(N_NODES).run(jobs, faults=faults, timer_bank=True)
+    result = Scheduler(N_NODES).run(jobs, faults=faults)
     year_wall = time.perf_counter() - t0
     print(f"  {len(jobs):,} jobs generated in {gen_wall:.2f} s, "
           f"replayed in {year_wall:.2f} s "
@@ -81,22 +77,7 @@ def main() -> None:
     print(f"  utilization {result.utilization:.1%}, "
           f"goodput {result.goodput_fraction:.2%}, "
           f"{result.n_failures} failures, "
-          f"{result.lost_node_hours:,.0f} node-hours lost\n")
-
-    # -- 3. the determinism contract ----------------------------------------
-    print("3. Bank mode is byte-identical to the object path")
-    print("=" * 64)
-    month = synthetic_facility_year(
-        seed=1, n_nodes=N_NODES, horizon=30.0 * 86400.0
-    )
-    r_obj = Scheduler(N_NODES).run(list(month), faults=faults,
-                                   timer_bank=False)
-    r_bank = Scheduler(N_NODES).run(list(month), faults=faults,
-                                    timer_bank=True)
-    assert r_obj == r_bank
-    print(f"  30-day window, {len(month):,} jobs: object path and bank mode "
-          "agree on every field\n  (same arrivals, same failure draws, same "
-          "schedule — the bank only changes the data structure)")
+          f"{result.lost_node_hours:,.0f} node-hours lost")
 
 
 if __name__ == "__main__":

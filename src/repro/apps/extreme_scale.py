@@ -153,7 +153,6 @@ class ExtremeScaleApp:
         seed: int = 0,
         system: System | None = None,
         machine: "MachineSpec | str | None" = None,
-        engine_impl: str | None = None,
     ) -> "ResilienceReport":
         """Expected goodput at scale under failures and checkpointing.
 
@@ -172,7 +171,6 @@ class ExtremeScaleApp:
             tier=tier,
             empirical=empirical,
             seed=seed,
-            engine_impl=engine_impl,
         )
 
     def goodput_model(
@@ -223,7 +221,6 @@ class ExtremeScaleApp:
         n_jobs: int = 1,
         system: System | None = None,
         machine: "MachineSpec | str | None" = None,
-        engine_impl: str | None = None,
     ) -> "list[RestartStats]":
         """A Monte-Carlo ensemble of checkpoint-restart runs for this app.
 
@@ -236,7 +233,6 @@ class ExtremeScaleApp:
         )
         return model.simulate_ensemble(
             tier=tier, seed=seed, n_replicas=n_replicas, n_jobs=n_jobs,
-            engine_impl=engine_impl,
         )
 
 

@@ -144,7 +144,6 @@ def _cmd_survey(args: argparse.Namespace) -> int:
 def _cmd_resilience(args: argparse.Namespace) -> int:
     from repro.apps.extreme_scale import get_app
 
-    engine_impl = _resolve_engine_impl(args)
     app = get_app(args.app)
     nodes = args.nodes if args.nodes is not None else app.peak_nodes
     mtbf_seconds = args.mtbf_years * 365 * 24 * 3600.0
@@ -157,7 +156,6 @@ def _cmd_resilience(args: argparse.Namespace) -> int:
         empirical=not args.analytic_only,
         seed=args.seed,
         machine=args.machine,
-        engine_impl=engine_impl,
     )
     ensemble = None
     if args.replicas > 1 and not args.analytic_only:
@@ -170,7 +168,6 @@ def _cmd_resilience(args: argparse.Namespace) -> int:
             seed=args.seed,
             n_jobs=args.jobs,
             machine=args.machine,
-            engine_impl=engine_impl,
         )
     if args.json:
         import dataclasses
@@ -357,7 +354,6 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
     )
     from repro.telemetry.scenarios import run_scenario, run_scenario_replicas
 
-    engine_impl = _resolve_engine_impl(args)
     sink = None
     if args.shard_dir:
         from repro.telemetry import DEFAULT_SHARD_MAX_BYTES
@@ -378,7 +374,7 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
     if args.replicas > 1:
         tel, replicas = run_scenario_replicas(
             args.scenario, args.replicas, seed=args.seed, n_jobs=args.jobs,
-            machine=args.machine, sink=sink, engine_impl=engine_impl,
+            machine=args.machine, sink=sink,
         )
         results = [r.results for r in replicas]
         report_lines = []
@@ -391,7 +387,6 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
     else:
         scenario = run_scenario(
             args.scenario, seed=args.seed, machine=args.machine, sink=sink,
-            engine_impl=engine_impl,
         )
         tel = scenario.telemetry
         results = scenario.results
@@ -636,10 +631,6 @@ parallel execution & caching:
                  machine-registry entry (summit, frontier-like,
                  perlmutter-like, tpu-pod-like); the default is Summit and
                  is byte-identical to omitting the flag
-  --engine-impl IMPL
-                 (telemetry, resilience) event-queue implementation for
-                 the simulation engine (heap | calendar); unknown names
-                 exit 3, and results are byte-identical across impls
 """
 
 
@@ -648,22 +639,6 @@ def _add_machine_arg(p: argparse.ArgumentParser) -> None:
                    help="registry machine to run against (list with "
                         "`repro machine`); default summit, byte-identical "
                         "to omitting the flag")
-
-
-def _add_engine_impl_arg(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--engine-impl", default=None, metavar="IMPL",
-                   help="event-queue implementation for the simulation "
-                        "engine (heap | calendar; default: the "
-                        "REPRO_ENGINE_IMPL knob, else calendar); results "
-                        "and traces are byte-identical across impls")
-
-
-def _resolve_engine_impl(args: argparse.Namespace) -> str | None:
-    """Validate ``--engine-impl`` up front (unknown names exit 3)."""
-    from repro.sim.calqueue import resolve_engine_impl
-
-    resolve_engine_impl(args.engine_impl)  # raises ConfigurationError
-    return args.engine_impl
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -751,7 +726,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true",
                    help="emit the report as JSON")
     _add_machine_arg(p)
-    _add_engine_impl_arg(p)
     p.set_defaults(fn=_cmd_resilience)
 
     p = sub.add_parser(
@@ -815,7 +789,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true",
                    help="emit scenario results + metrics as JSON")
     _add_machine_arg(p)
-    _add_engine_impl_arg(p)
     p.set_defaults(fn=_cmd_telemetry)
 
     def add_spec_args(p: argparse.ArgumentParser) -> None:

@@ -40,10 +40,6 @@ from repro.machine.spec import (
     resolve_machine,
 )
 from repro.machine.summit import (
-    GPFS_AGGREGATE_READ_BANDWIDTH,
-    NVME_AGGREGATE_READ_BANDWIDTH,
-    SUMMIT_ALGORITHMIC_BANDWIDTH,
-    SUMMIT_INJECTION_BANDWIDTH,
     andes,
     rhea,
     summit,
@@ -60,7 +56,6 @@ __all__ = [
     "CpuSpec",
     "FRONTIER_LIKE",
     "GENERIC_X86_HOST",
-    "GPFS_AGGREGATE_READ_BANDWIDTH",
     "GpuSpec",
     "IBM_POWER9",
     "INTEL_XEON_E5_2650V2",
@@ -69,13 +64,10 @@ __all__ = [
     "NVIDIA_A100",
     "NVIDIA_K80",
     "NVIDIA_V100",
-    "NVME_AGGREGATE_READ_BANDWIDTH",
     "NodeSpec",
     "PERLMUTTER_LIKE",
     "Precision",
     "SUMMIT",
-    "SUMMIT_ALGORITHMIC_BANDWIDTH",
-    "SUMMIT_INJECTION_BANDWIDTH",
     "System",
     "TPU_POD_LIKE",
     "TPU_V4_LIKE",

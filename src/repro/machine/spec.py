@@ -23,14 +23,12 @@ name                      provenance  sketch
 ``tpu-pod-like``          estimated   256 x 4 TPU-class chips, torus ICI
 ========================  ==========  ===================================
 
-``summit()`` is **bit-identical** to the historical ``repro.constants``
-values (that module is now a thin deprecated re-export of
-``SUMMIT.<field>``); the conformance goldens assert this byte-for-byte.
+``summit()`` is **bit-identical** to the historical Summit calibration
+constants; the conformance goldens assert this byte-for-byte.
 
 Import discipline: this module imports only :mod:`repro.units`,
-:mod:`repro.errors` and the leaf CPU/GPU catalogs, so the legacy
-``repro.constants`` shim can resolve through it without creating an
-import cycle. The adapters that build :class:`~repro.network.link.LinkSpec`,
+:mod:`repro.errors` and the leaf CPU/GPU catalogs, so any layer can read
+``SUMMIT.<field>`` without creating an import cycle. The adapters that build :class:`~repro.network.link.LinkSpec`,
 :class:`~repro.storage.filesystem.SharedFileSystem`,
 :class:`~repro.storage.burst_buffer.BurstBuffer`,
 :class:`~repro.machine.node.NodeSpec` and
@@ -376,8 +374,8 @@ class MachineSpec:
 
 # -- the registry --------------------------------------------------------------
 
-#: Summit, bit-identical to the historical ``repro.constants`` values. The
-#: expressions below are the *same float expressions* the constants module
+#: Summit, bit-identical to the historical calibration constants. The
+#: expressions below are the *same float expressions* those constants
 #: used, so every derived number is byte-for-byte unchanged.
 SUMMIT = MachineSpec(
     key="summit",
@@ -502,7 +500,7 @@ TPU_POD_LIKE = MachineSpec(
 
 def summit() -> MachineSpec:
     """The paper's machine — the default everywhere, bit-identical to the
-    historical ``repro.constants`` numbers."""
+    historical calibration constants."""
     return SUMMIT
 
 

@@ -6,33 +6,12 @@ interconnect) we use the published system documentation values.
 
 The Summit calibration numbers themselves live in the machine registry —
 :data:`repro.machine.spec.SUMMIT` — and the node/system builders here
-consume that spec, so there is exactly one copy of every value. The
-historical constant names stay importable from this module (and from the
-deprecated :mod:`repro.constants` shim) for compatibility.
+consume that spec, so there is exactly one copy of every value.
 """
 
 from __future__ import annotations
 
 from repro import units
-from repro.constants import (
-    GPFS_AGGREGATE_READ_BANDWIDTH,
-    GPFS_AGGREGATE_WRITE_BANDWIDTH,
-    GPFS_CAPACITY_BYTES,
-    GPFS_PER_CLIENT_BANDWIDTH,
-    NVME_AGGREGATE_READ_BANDWIDTH,
-    NVME_CAPACITY_BYTES,
-    NVME_READ_BANDWIDTH,
-    NVME_WRITE_BANDWIDTH,
-    SUMMIT_ALGORITHMIC_BANDWIDTH,
-    SUMMIT_EDR_RAIL_BANDWIDTH,
-    SUMMIT_GPUS_PER_NODE,
-    SUMMIT_INJECTION_BANDWIDTH,
-    SUMMIT_INJECTION_LATENCY,
-    SUMMIT_INJECTION_RAILS,
-    SUMMIT_NODE_COUNT,
-    SUMMIT_NVLINK_BANDWIDTH,
-    SUMMIT_NVLINK_LATENCY,
-)
 from repro.machine.cpu import AMD_EPYC_7302, INTEL_XEON_E5_2650V2
 from repro.machine.gpu import NVIDIA_K80, NVIDIA_V100, GpuSpec
 from repro.machine.node import NodeSpec
@@ -46,24 +25,6 @@ __all__ = [
     "summit",
     "rhea",
     "andes",
-    # re-exported calibration constants (defined on repro.machine.spec.SUMMIT)
-    "SUMMIT_EDR_RAIL_BANDWIDTH",
-    "SUMMIT_INJECTION_RAILS",
-    "SUMMIT_INJECTION_BANDWIDTH",
-    "SUMMIT_INJECTION_LATENCY",
-    "SUMMIT_ALGORITHMIC_BANDWIDTH",
-    "SUMMIT_NVLINK_BANDWIDTH",
-    "SUMMIT_NVLINK_LATENCY",
-    "SUMMIT_NODE_COUNT",
-    "SUMMIT_GPUS_PER_NODE",
-    "GPFS_AGGREGATE_READ_BANDWIDTH",
-    "GPFS_AGGREGATE_WRITE_BANDWIDTH",
-    "GPFS_PER_CLIENT_BANDWIDTH",
-    "GPFS_CAPACITY_BYTES",
-    "NVME_CAPACITY_BYTES",
-    "NVME_READ_BANDWIDTH",
-    "NVME_WRITE_BANDWIDTH",
-    "NVME_AGGREGATE_READ_BANDWIDTH",
 ]
 
 

@@ -20,11 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.constants import (
-    GPFS_AGGREGATE_READ_BANDWIDTH,
-    SUMMIT_ALGORITHMIC_BANDWIDTH,
-    SUMMIT_INJECTION_BANDWIDTH,
-)
+from repro.machine.spec import SUMMIT
 from repro.portfolio.taxonomy import AdoptionStatus, Domain, MLMethod, Motif, Program
 
 # ---------------------------------------------------------------------------
@@ -231,12 +227,12 @@ EXTREME_SCALE_CLAIMS = {
 
 SECTION_6B_CLAIMS = {
     "resnet50_read_requirement": 20e12,  # bytes/s aggregate, full Summit
-    "gpfs_read_bandwidth": GPFS_AGGREGATE_READ_BANDWIDTH,
+    "gpfs_read_bandwidth": SUMMIT.fs_aggregate_read_bandwidth,
     "nvme_aggregate_read_bandwidth": 27e12,  # the paper says "over 27 TB/s";
-    # the calibrated aggregate (constants.NVME_AGGREGATE_READ_BANDWIDTH)
+    # the calibrated aggregate (SUMMIT.aggregate_nvme_read_bandwidth)
     # is 6 GB/s x 4608 = 27.6 TB/s
-    "network_bandwidth": SUMMIT_INJECTION_BANDWIDTH,
-    "allreduce_algorithmic_bandwidth": SUMMIT_ALGORITHMIC_BANDWIDTH,
+    "network_bandwidth": SUMMIT.injection_bandwidth,
+    "allreduce_algorithmic_bandwidth": SUMMIT.algorithmic_bandwidth,
     "resnet50_allreduce_message": 100e6,  # "about 100MB"
     "bert_large_allreduce_message": 1.4e9,
     "resnet50_allreduce_time": 8e-3,  # "roughly 8 ms"

@@ -111,15 +111,16 @@ class FailureInjector:
         victim-index draws) — existing seeds and goldens are untouched.
 
         ``timer_bank=True`` switches to *per-node* exponential clocks in
-        one vectorized :class:`~repro.sim.timerbank.TimerBank`: every node
+        one numpy :class:`~repro.sim.timerbank.TimerBank`: every node
         gets its own MTBF clock (lane index = node index, so the victim is
         the lane that fired — no separate draw), scaling to all 4 608
         Summit nodes for the same cost as one. The superposed per-node
         Poisson processes compose to exactly the same system MTBF law, but
         the rng stream differs from the single-clock path, so this is an
-        explicit opt-in, returning the bank instead of a process. Bank-on
-        runs are byte-identical across ``vectorized`` modes and engine
-        impls (the differential suite pins this).
+        explicit opt-in, returning the bank instead of a process. A bank
+        run is byte-identical to the same clocks run as per-lane timers on
+        a one-pop-per-event heap engine (the differential suite pins
+        this).
         """
         if n_nodes < 1:
             raise ConfigurationError("need at least one node")
@@ -158,7 +159,7 @@ class FailureInjector:
         return proc
 
     def _attach_bank(self, target: Process, n_nodes: int):
-        """Per-node MTBF clocks as one vectorized timer bank."""
+        """Per-node MTBF clocks as one numpy timer bank."""
         from repro.sim.timerbank import ExponentialRearm, TimerBank
 
         node_mtbf = self.model.node_mtbf_seconds

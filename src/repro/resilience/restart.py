@@ -61,16 +61,12 @@ def simulate_checkpoint_restart(
     seed: int = 0,
     restart_delay: float = 0.0,
     telemetry=None,
-    engine_impl: str | None = None,
 ) -> RestartStats:
     """Run one job to completion under failure injection; return the stats.
 
     Deterministic in ``seed``: identical seeds give identical failure times
-    and therefore identical wall-clock. ``engine_impl`` selects the event
-    scheduler (``heap`` | ``calendar``; default: the engine's
-    ``REPRO_ENGINE_IMPL`` knob) — the run is byte-identical either way,
-    and the injector's exponential clocks ride the calendar engine's
-    generator-free timer fast path.
+    and therefore identical wall-clock. The injector's exponential clocks
+    ride the engine's generator-free timer fast path.
 
     An optional :class:`~repro.telemetry.Telemetry` handle records one span
     per compute segment, checkpoint write and restart delay (facility
@@ -84,7 +80,7 @@ def simulate_checkpoint_restart(
     if write_time < 0 or restart_delay < 0:
         raise ConfigurationError("write/restart times must be non-negative")
 
-    engine = Engine(telemetry, impl=engine_impl)
+    engine = Engine(telemetry)
     stats = {
         "failures": 0,
         "checkpoints": 0,
@@ -191,7 +187,6 @@ def restart_ensemble(
     seed: int = 0,
     n_jobs: int = 1,
     restart_delay: float = 0.0,
-    engine_impl: str | None = None,
 ) -> list[RestartStats]:
     """A Monte-Carlo ensemble of checkpoint-restart runs, one per child seed.
 
@@ -213,7 +208,6 @@ def restart_ensemble(
         n_nodes=n_nodes,
         node_mtbf_seconds=node_mtbf_seconds,
         restart_delay=restart_delay,
-        engine_impl=engine_impl,
     )
     return monte_carlo(
         partial(_restart_replica, kwargs), n_replicas, seed=seed, n_jobs=n_jobs

@@ -17,6 +17,7 @@ identical to the fault-free simulator.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -24,8 +25,6 @@ from repro.errors import ConfigurationError
 from repro.scheduler.faults import FaultModel
 from repro.scheduler.jobs import Job
 from repro.scheduler.policy import Policy, priority_key
-from repro.sim.calqueue import make_event_queue
-from repro.sim.timerbank import ArrivalBank, DeadlineBank, resolve_timer_bank
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.telemetry import Telemetry
@@ -80,26 +79,13 @@ class Scheduler:
         jobs: list[Job],
         faults: FaultModel | None = None,
         telemetry: "Telemetry | None" = None,
-        engine_impl: str | None = None,
-        timer_bank: bool | None = None,
     ) -> ScheduleResult:
         """Simulate the schedule; optionally record telemetry.
 
-        ``engine_impl`` selects the completion-event queue (``heap`` |
-        ``calendar``; default: the ``REPRO_ENGINE_IMPL`` knob). Events are
-        ``(end_time, seq)``-ordered under either implementation, so the
-        simulated schedule is byte-identical across the two.
-
-        ``timer_bank`` (default: the ``REPRO_TIMER_BANK`` knob, else off)
-        swaps the arrival list and the completion queue for the vectorized
-        bulk structures in :mod:`repro.sim.timerbank`: arrivals become one
-        stable argsort consumed by ``searchsorted`` slices (instead of a
-        quadratic ``pending.pop(0)`` scan) and walltime expirations live
-        in a :class:`~repro.sim.timerbank.DeadlineBank` whose backfill
-        iteration is lazy (instead of a full sort per scheduling point).
-        Every event fires in the same ``(time, seq)`` order, so the
-        result — and any telemetry trace — is byte-identical to the
-        object path; year-scale replays get the asymptotic win.
+        Arrivals are the submit-sorted job list, consumed through an index
+        cursor. Running executions live in a ``heapq`` list of
+        ``(end_time, seq, job)``: ``seq`` is unique, so completions pop in
+        ``(end_time, seq)`` order and no comparison ever reaches a job.
 
         With a :class:`~repro.telemetry.Telemetry` handle the run records
         queue-wait spans, per-execution job spans (on per-node tracks when
@@ -126,16 +112,12 @@ class Scheduler:
         lost_node_seconds = 0.0
         occupied_node_seconds = 0.0
 
-        use_bank = resolve_timer_bank(timer_bank)
-        if use_bank:
-            arrivals: ArrivalBank | None = ArrivalBank.from_jobs(jobs)
-            pending: list[Job] = []
-        else:
-            arrivals = None
-            pending = sorted(jobs, key=lambda j: j.submit_time)
+        pending = sorted(jobs, key=lambda j: j.submit_time)
+        n_pending = len(pending)
+        next_pending = 0  # arrival cursor into ``pending``
         queue: list[Job] = []
-        # (end_time, seq, job); fault mode resolves seq -> execution details
-        running = DeadlineBank() if use_bank else make_event_queue(engine_impl)
+        # heapq of (end_time, seq, job); fault mode resolves seq -> execution
+        running: list[tuple[float, int, Job]] = []
         executions: dict[int, tuple[float, bool]] = {}  # seq -> (run_s, failed)
         seq = 0
         idle = self.n_nodes
@@ -177,7 +159,7 @@ class Scheduler:
             nonlocal idle, seq
             self._start(job, now, starts)
             if faults is None:
-                running.push((now + job.duration, seq, job))
+                heapq.heappush(running, (now + job.duration, seq, job))
             else:
                 left = remaining[job.job_id]
                 assert rng is not None
@@ -186,10 +168,10 @@ class Scheduler:
                 )
                 if t_fail < left:
                     executions[seq] = (t_fail, True)
-                    running.push((now + t_fail, seq, job))
+                    heapq.heappush(running, (now + t_fail, seq, job))
                 else:
                     executions[seq] = (left, False)
-                    running.push((now + left, seq, job))
+                    heapq.heappush(running, (now + left, seq, job))
             if telemetry is not None:
                 wait_span = open_waits.pop(job.job_id, None)
                 if wait_span is not None:
@@ -269,7 +251,7 @@ class Scheduler:
                 needed = head.nodes - idle
                 freed = 0
                 head_start = now
-                for end_time, _, job in running.sorted_entries():
+                for end_time, _, job in sorted(running):
                     freed += job.nodes
                     head_start = end_time
                     if freed >= needed:
@@ -287,27 +269,23 @@ class Scheduler:
                     else:
                         i += 1
 
-        while pending or arrivals or queue or running:
+        inf = float("inf")
+        while next_pending < n_pending or queue or running:
             # next event: job arrival or completion
-            if arrivals is not None:
-                peeked = arrivals.peek_time()
-                next_arrival = peeked if peeked is not None else float("inf")
-            else:
-                next_arrival = (
-                    pending[0].submit_time if pending else float("inf")
-                )
-            peeked = running.peek_time()
-            next_completion = peeked if peeked is not None else float("inf")
+            next_arrival = (
+                pending[next_pending].submit_time
+                if next_pending < n_pending else inf
+            )
+            next_completion = running[0][0] if running else inf
             now = min(next_arrival, next_completion)
-            if now == float("inf"):
+            if now == inf:
                 raise AssertionError("scheduler deadlock")
-            if arrivals is not None:
-                arrived = arrivals.pop_until(now)
-            else:
-                arrived = []
-                while pending and pending[0].submit_time <= now:
-                    arrived.append(pending.pop(0))
-            for job in arrived:
+            while (
+                next_pending < n_pending
+                and pending[next_pending].submit_time <= now
+            ):
+                job = pending[next_pending]
+                next_pending += 1
                 queue.append(job)
                 if telemetry is not None:
                     telemetry.instant(
@@ -318,11 +296,8 @@ class Scheduler:
                     enqueued(job)
             if telemetry is not None and queue:
                 snap()
-            while running:
-                peeked = running.peek_time()
-                if peeked is None or peeked > now:
-                    break
-                _, done_seq, job = running.pop()
+            while running and running[0][0] <= now:
+                _, done_seq, job = heapq.heappop(running)
                 idle += job.nodes
                 if faults is None:
                     ends[job.job_id] = now

@@ -2,50 +2,26 @@
 
 Used by the workflow executor (:mod:`repro.workflows`) to model task timing
 across facilities, and by the scheduler studies. The engine is deliberately
-minimal: an event queue (calendar-queue scheduler by default, with the
-legacy heap kept as the differential-testing reference), generator-based
-processes plus a generator-free :class:`Timer` fast path, and capacity
-resources — enough to express job queues, staged pipelines and coupled
-simulation loops without pulling in an external simulation framework.
+minimal: a calendar-queue event scheduler with batched same-instant
+dispatch, generator-based processes plus a generator-free :class:`Timer`
+fast path, numpy :class:`TimerBank` populations, and capacity resources —
+enough to express job queues, staged pipelines and coupled simulation
+loops without pulling in an external simulation framework.
 """
 
-from repro.sim.calqueue import (
-    ENGINE_IMPLS,
-    CalendarQueue,
-    HeapQueue,
-    make_event_queue,
-    resolve_engine_impl,
-)
+from repro.sim.calqueue import CalendarQueue
 from repro.sim.engine import Engine, Interrupt, Process, Timeout, Timer
 from repro.sim.resources import Resource
-from repro.sim.timerbank import (
-    TIMER_BANK_ENV,
-    ArrivalBank,
-    DeadlineBank,
-    ExponentialRearm,
-    TimerBank,
-    resolve_timer_bank,
-)
-from repro.sim.trace import Trace, TraceEvent
+from repro.sim.timerbank import ExponentialRearm, TimerBank
 
 __all__ = [
-    "ENGINE_IMPLS",
-    "TIMER_BANK_ENV",
-    "ArrivalBank",
     "CalendarQueue",
-    "DeadlineBank",
     "Engine",
     "ExponentialRearm",
-    "HeapQueue",
     "Interrupt",
     "Process",
     "Resource",
     "TimerBank",
     "Timeout",
     "Timer",
-    "Trace",
-    "TraceEvent",
-    "make_event_queue",
-    "resolve_engine_impl",
-    "resolve_timer_bank",
 ]

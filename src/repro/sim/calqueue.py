@@ -18,105 +18,28 @@ broadly homogeneous timers, organised in three tiers:
 
 As simulated time advances, buckets are migrated wholesale into the near
 tier (one C-level ``list.sort`` per bucket), so per-event cost stays flat
-as the pending-event count grows. The queue periodically rebuilds its geometry (bucket count from the
-pending count, bucket width from the observed event-time span), which
-changes only the constant factors, never the pop order.
+as the pending-event count grows. The queue periodically rebuilds its
+geometry (bucket count from the pending count, bucket width from the
+observed event-time span), which changes only the constant factors, never
+the pop order.
 
 Ordering contract: pops are strictly ``(time, seq)``-ordered — exactly the
-order a binary heap over the same tuples yields. :class:`HeapQueue` wraps
-``heapq`` behind the same interface and is kept as the differential-testing
-reference; :func:`make_event_queue` picks the implementation from the
-``REPRO_ENGINE_IMPL`` knob.
+order a binary heap over the same tuples yields.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 from bisect import bisect_right, insort
 from typing import Any, Sequence
 
 from repro.errors import ConfigurationError
 
-__all__ = [
-    "ENGINE_IMPLS",
-    "CalendarQueue",
-    "HeapQueue",
-    "make_event_queue",
-    "resolve_engine_impl",
-]
-
-#: Recognised event-queue implementations. ``calendar`` is the production
-#: default; ``heap`` is the legacy reference the differential suite and the
-#: CI matrix keep green.
-ENGINE_IMPLS = ("heap", "calendar")
-
-#: Environment knob consulted when no explicit implementation is passed.
-ENGINE_IMPL_ENV = "REPRO_ENGINE_IMPL"
+__all__ = ["CalendarQueue"]
 
 _MIN_BUCKETS = 16
 _MAX_BUCKETS = 1 << 15
 _INF = float("inf")
-
-
-def resolve_engine_impl(impl: str | None = None) -> str:
-    """Resolve an event-queue implementation name.
-
-    ``None`` falls back to ``$REPRO_ENGINE_IMPL``, then to ``calendar``.
-    Unknown names raise :class:`~repro.errors.ConfigurationError`.
-    """
-    if impl is None:
-        impl = os.environ.get(ENGINE_IMPL_ENV) or "calendar"
-    if impl not in ENGINE_IMPLS:
-        raise ConfigurationError(
-            f"unknown engine impl {impl!r}; choose from {ENGINE_IMPLS}"
-        )
-    return impl
-
-
-def make_event_queue(impl: str | None = None) -> "HeapQueue | CalendarQueue":
-    """Build an event queue for the resolved implementation name."""
-    if resolve_engine_impl(impl) == "heap":
-        return HeapQueue()
-    return CalendarQueue()
-
-
-class HeapQueue:
-    """The legacy binary-heap event queue, behind the shared interface."""
-
-    __slots__ = ("_heap",)
-
-    def __init__(self) -> None:
-        self._heap: list[tuple] = []
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def push(self, entry: tuple) -> None:
-        heapq.heappush(self._heap, entry)
-
-    def pop(self) -> tuple:
-        return heapq.heappop(self._heap)
-
-    def peek_time(self) -> float | None:
-        """Earliest pending event time, or ``None`` when empty."""
-        heap = self._heap
-        return heap[0][0] if heap else None
-
-    def pop_time_batch(self) -> list[tuple] | None:
-        """Pop every entry at the earliest pending time, in ``seq`` order."""
-        heap = self._heap
-        if not heap:
-            return None
-        batch = [heapq.heappop(heap)]
-        when = batch[0][0]
-        while heap and heap[0][0] == when:
-            batch.append(heapq.heappop(heap))
-        return batch
-
-    def sorted_entries(self) -> list[tuple]:
-        """All pending entries in ``(time, seq)`` order (non-destructive)."""
-        return sorted(self._heap)
 
 
 class CalendarQueue:
@@ -290,15 +213,6 @@ class CalendarQueue:
         self._ni = j
         self._count -= j - ni
         return near[ni:j]
-
-    def sorted_entries(self) -> list[tuple]:
-        """All pending entries in ``(time, seq)`` order (non-destructive)."""
-        out = self._near[self._ni:]
-        for bucket in self._buckets:
-            out.extend(bucket)
-        out.extend(self._overflow)
-        out.sort()
-        return out
 
     def _rebuild(self, extra: list[tuple] | None = None) -> None:
         """Re-derive the ring geometry from the pending population.

@@ -28,22 +28,16 @@ sequence number drawn at scheduling time. Events fire in ascending
 ``(time, seq)`` order, so simultaneous events fire in exactly the order
 they were scheduled (FIFO) — spawn order for fresh processes, wake order
 for resumed ones. Because ``seq`` is unique, the comparison never reaches
-the payload, and the order is a total order: both event-queue
-implementations (see below) reproduce it bit-for-bit.
+the payload, and the order is a total order.
 
-Engine implementations
-----------------------
-``impl`` selects the event-queue scheduler (default: the
-``REPRO_ENGINE_IMPL`` environment knob, then ``"calendar"``):
-
-- ``"calendar"`` — a :class:`~repro.sim.calqueue.CalendarQueue` (bucketed
-  ring with an overflow heap) with *batched dispatch*: all events at one
-  simulated time are drained in a single pass instead of one pop per
-  event. The production default.
-- ``"heap"`` — the legacy single ``heapq`` loop, kept as the
-  differential-testing reference. Same seed, either impl: byte-identical
-  event order, results and telemetry traces (enforced by the equivalence
-  suite and the committed golden traces).
+Event queue
+-----------
+Events live in a :class:`~repro.sim.calqueue.CalendarQueue` (bucketed
+ring with an overflow heap) and are dispatched in *batches*: all events at
+one simulated time are drained in a single pass instead of one pop per
+event. A one-pop-per-event ``heapq`` loop over the same entries yields the
+same order by construction; the differential suite and the committed
+golden traces hold the engine to it.
 
 Processes are *interruptible*: :meth:`Process.interrupt` throws an
 :class:`Interrupt` into the generator at its current wait point, whether it
@@ -73,7 +67,6 @@ Example
 
 from __future__ import annotations
 
-import heapq
 from bisect import insort
 from collections.abc import Generator
 from itertools import repeat
@@ -83,7 +76,7 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.sim.calqueue import CalendarQueue, resolve_engine_impl
+from repro.sim.calqueue import CalendarQueue
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.telemetry import Telemetry
@@ -159,7 +152,7 @@ _FIRE = _Fire()
 
 #: Send-value marker for a timer-*bank* expiry (see
 #: :mod:`repro.sim.timerbank`): a bank's single queue entry pops here and
-#: the engine hands the whole due slice back to the bank for vectorized
+#: the engine hands the whole due slice back to the bank for bulk
 #: dispatch. A distinct instance so the :class:`Timer` inline-finish fast
 #: path never confuses the two.
 _BANK_FIRE = _Fire()
@@ -233,8 +226,7 @@ class Engine:
     """The event loop over ``(time, seq, epoch, process, value_to_send)``.
 
     Events are totally ordered by ``(time, seq)`` — see the module
-    docstring for the tie-break contract and the ``impl`` knob selecting
-    the calendar-queue scheduler (default) or the legacy heap reference.
+    docstring for the tie-break contract and the calendar queue.
 
     ``telemetry`` is the opt-in observability handle
     (:class:`repro.telemetry.Telemetry`): when supplied, the engine binds
@@ -244,23 +236,14 @@ class Engine:
     """
 
     __slots__ = (
-        "now", "telemetry", "impl", "_heap", "_calendar", "_seq", "_active",
-        "_current", "_batch", "_batch_time",
+        "now", "telemetry", "_queue", "_seq", "_active", "_current",
+        "_batch", "_batch_time",
     )
 
-    def __init__(
-        self, telemetry: "Telemetry | None" = None, impl: str | None = None
-    ):
+    def __init__(self, telemetry: "Telemetry | None" = None):
         self.now = 0.0
         self.telemetry = telemetry
-        self.impl = resolve_engine_impl(impl)
-        # exactly one of the two queues exists; _schedule branches on _heap
-        if self.impl == "heap":
-            self._heap: list[tuple] | None = []
-            self._calendar: CalendarQueue | None = None
-        else:
-            self._heap = None
-            self._calendar = CalendarQueue()
+        self._queue = CalendarQueue()
         self._seq = 0  # next sequence number; drawn in blocks by bulk spawn
         self._active = 0
         self._current: Process | None = None  # process being stepped
@@ -294,8 +277,7 @@ class Engine:
         fire: Any = None,
         result: Any = None,
         name: str = "",
-        timer_bank: bool = False,
-    ) -> "list[Process] | Any":
+    ) -> list[Process]:
         """Spawn one :class:`Timer` process per delay, sharing one plan.
 
         Semantically identical to ``[self.spawn(Timer(d, fire, result),
@@ -303,28 +285,14 @@ class Engine:
         per-process results — but the per-spawn overhead is amortised:
         a single shared ``Timer`` plan (the delay lives in the schedule
         entry, not the plan) and an inlined scheduling loop. This is the
-        bulk entry point for Monte-Carlo timer storms.
-
-        ``timer_bank=True`` returns a
-        :class:`~repro.sim.timerbank.TimerBank` instead of per-timer
-        processes: the whole population lives in numpy arrays behind a
-        single queue entry, with ``fire`` (if any) called per expiring
-        lane. Under ``impl="heap"`` the bank transparently falls back to
-        the per-timer object path behind the same handle, so callers never
-        branch on the engine implementation. Delays are validated up front
-        either way (one vectorized check; :class:`ValueError` names the
-        first offending index).
+        bulk entry point for Monte-Carlo timer storms; for a population
+        that needs no per-timer handle, a
+        :class:`~repro.sim.timerbank.TimerBank` is cheaper still. Delays
+        are validated up front (one numpy check; :class:`ValueError` names
+        the first offending index).
         """
-        arr = validate_delays(delays)
-        if timer_bank:
-            from repro.sim.timerbank import TimerBank
-
-            on_fire = None if fire is None else (lambda lane: fire())
-            return TimerBank(
-                self, arr, on_fire=on_fire, result=result,
-                name=name or "process",
-            )
-        delays = arr.tolist()  # plain floats: entry times feed telemetry/json
+        # plain floats: entry times feed telemetry/json
+        delays = validate_delays(delays).tolist()
         timer = Timer(0.0, fire, result)
         if not name:
             name = "process"  # what Process derives for a plain Timer
@@ -342,23 +310,19 @@ class Engine:
             procs,
             repeat(_FIRE),
         ))
-        heap = self._heap
-        if heap is not None:
-            for entry in entries:
-                heapq.heappush(heap, entry)
-        elif self._batch is not None:
+        if self._batch is not None:
             # mid-batch spawn: same-time entries join the live batch (their
             # seq is larger, so appending preserves the (time, seq) order)
             batch_time = self._batch_time
             batch = self._batch
-            calendar = self._calendar
+            queue = self._queue
             for entry in entries:
                 if entry[0] == batch_time:
                     batch.append(entry)
                 else:
-                    calendar.push(entry)
+                    queue.push(entry)
         else:
-            self._calendar.push_many(entries)
+            self._queue.push_many(entries)
         telemetry = self.telemetry
         if telemetry is not None:
             for proc in procs:
@@ -371,15 +335,12 @@ class Engine:
         seq = self._seq
         self._seq = seq + 1
         entry = (when, seq, proc._epoch, proc, send_value)
-        heap = self._heap
-        if heap is not None:
-            heapq.heappush(heap, entry)
-        elif self._batch is not None and when == self._batch_time:
+        if self._batch is not None and when == self._batch_time:
             # same-time event scheduled mid-batch: its seq is larger than
             # every pending entry's, so appending preserves (time, seq) order
             self._batch.append(entry)
         else:
-            self._calendar.push(entry)
+            self._queue.push(entry)
 
     def _push_entry(self, entry: tuple) -> None:
         """Insert a pre-built entry whose seq was drawn from this engine.
@@ -393,17 +354,14 @@ class Engine:
         an ordered insert lands in the unprocessed tail of the batch and
         the drain loop picks it up in global ``(time, seq)`` order.
         """
-        heap = self._heap
-        if heap is not None:
-            heapq.heappush(heap, entry)
-        elif self._batch is not None and entry[0] == self._batch_time:
+        if self._batch is not None and entry[0] == self._batch_time:
             batch = self._batch
             if not batch or entry[1] > batch[-1][1]:
                 batch.append(entry)  # fresh seq: the common fast path
             else:
                 insort(batch, entry)  # seq-sorted; never compares payloads
         else:
-            self._calendar.push(entry)
+            self._queue.push(entry)
 
     def run(self, until: float | None = None) -> None:
         """Run until no events remain, or simulated time would pass ``until``.
@@ -413,47 +371,19 @@ class Engine:
         disk without waiting for the handle to be closed.
         """
         try:
-            if self._heap is not None:
-                self._run_heap(until)
-            else:
-                self._run_calendar(until)
+            self._drain(until)
         finally:
             if self.telemetry is not None:
                 self.telemetry.flush()
 
-    def _run_heap(self, until: float | None) -> None:
-        """The legacy loop: one heap pop per event.
-
-        Entries whose epoch was bumped by an interrupt are discarded lazily
-        as they surface (never re-popped eagerly), and an entry beyond
-        ``until`` is pushed back once — the rare case — instead of peeking
-        the heap top on every iteration.
-        """
-        heap = self._heap
-        while heap:
-            entry = heapq.heappop(heap)
-            when, _, epoch, proc, send_value = entry
-            if epoch != proc._epoch:  # cancelled by an interrupt
-                continue
-            if until is not None and when > until:
-                heapq.heappush(heap, entry)
-                self.now = until
-                return
-            if when < self.now:
-                raise SimulationError("event scheduled in the past")
-            self.now = when
-            self._step(proc, send_value)
-        if until is not None:
-            self.now = max(self.now, until)
-
-    def _run_calendar(self, until: float | None) -> None:
+    def _drain(self, until: float | None) -> None:
         """Batched dispatch: drain all events at one time in a single pass.
 
         Events scheduled *during* a multi-event batch at exactly the batch
         time are appended to it (their seq is necessarily larger), so the
         pass stays a faithful ``(time, seq)`` drain. On an exception the
-        unprocessed tail is pushed back, mirroring the heap loop's
-        consume-one-at-a-time failure behaviour as closely as possible.
+        unprocessed tail is pushed back, as if events had been consumed
+        one at a time.
 
         Two hot-path shortcuts, neither observable in the event order:
 
@@ -463,7 +393,7 @@ class Engine:
         - a fire-less, waiter-less :class:`Timer` expiry on an
           uninstrumented engine is finished inline, with no call chain.
         """
-        queue = self._calendar
+        queue = self._queue
         step = self._step
         tel_off = self.telemetry is None
         pop_batch = queue.pop_time_batch
@@ -500,8 +430,8 @@ class Engine:
                     break
             else:
                 # every entry was cancelled by an interrupt: discard the
-                # batch without advancing the clock (the heap loop's lazy
-                # skip never moves ``now`` for stale entries either)
+                # batch without advancing the clock (a stale entry never
+                # moves ``now``)
                 continue
             when = batch[0][0]
             if when < self.now:
@@ -550,7 +480,7 @@ class Engine:
             return
         if send_value is _BANK_FIRE:
             # a timer bank's entry popped: hand the due slice back to the
-            # bank for vectorized dispatch (see repro.sim.timerbank)
+            # bank for bulk dispatch (see repro.sim.timerbank)
             gen._bank_fire(self)
             return
         proc._waiting_on = None

@@ -15,62 +15,42 @@ arrays:
 The engine sees a *single* queue entry per horizon window, keyed by the
 next-due lane's ``(time, seq)``. When it pops, the bank sorts/slices the
 due lanes, dispatches their fires in ``(deadline, seq)`` order, bulk
-re-arms survivors with one vectorized rng draw, and re-registers itself at
+re-arms survivors with one block rng draw, and re-registers itself at
 the new minimum. Ordinary events interleave correctly through the engine's
 documented ``(time, seq)`` total order because the entry always carries a
 real lane key.
 
 Byte-identity contract
 ----------------------
-Bank-on and bank-off runs of the same seeded workload are observably
-identical — same event order, same final state, byte-identical telemetry
-traces. Three facts carry the contract:
+A bank is observably identical to the same population spawned as
+per-lane :class:`~repro.sim.engine.Timer` processes — same event order,
+same final state, byte-identical telemetry traces. Three facts carry the
+contract:
 
 1. **Block draws equal scalar draws.** For numpy's ``Generator``,
    ``rng.exponential(scale, k)`` consumes the bitstream exactly as ``k``
    successive scalar draws do, so bulk re-arming survivors in one call
-   reproduces the per-clock draw order of the object-timer path (provided
-   fire callbacks do not themselves consume the bank's rng — documented
+   reproduces the per-clock draw order of per-lane timers (provided fire
+   callbacks do not themselves consume the bank's rng — documented
    requirement).
 2. **Only seq-contiguous runs dispatch together.** Lanes armed together
    hold consecutive sequence numbers, so no foreign event can own a seq
    inside one arm block — a whole block expiring at one instant (the
-   common case) is a single vectorized dispatch. When separately-armed
+   common case) is a single numpy dispatch. When separately-armed
    lanes *do* collide at one instant (exact float collisions happen under
    deterministic re-arm delays), the bank fires only the maximal
    seq-contiguous run and re-registers at the post-gap lane's
    ``(time, seq)``, letting the engine's total order interleave any
    foreign event that owns a seq in the gap.
-3. **Telemetry mirrors the object path.** With telemetry attached the
+3. **Telemetry mirrors per-lane timers.** With telemetry attached the
    bank opens one span per lane at construction (same names, same order
-   as an object spawn loop), ends dying lanes' spans per fire in dispatch
+   as a per-lane spawn loop), ends dying lanes' spans per fire in dispatch
    order, and emits the same per-lane ``interrupt:`` instants on cancel.
-
-Fallback
---------
-``vectorized=None`` (the default) resolves to vectorized under
-``impl="calendar"`` and falls back to plain per-lane
-:class:`~repro.sim.engine.Timer` processes under ``impl="heap"`` — same
-handle, same observables, so callers never branch on the engine
-implementation. The ``REPRO_TIMER_BANK`` environment knob (consulted by
-:func:`resolve_timer_bank`) forces vectorized banks and flips the
-scheduler's bulk arrival/expiration path on; the CI matrix runs a bank-on
-leg under it.
-
-The module also carries the engine-free bulk structures the batch
-scheduler's hot loop uses: :class:`ArrivalBank` (submit times bulk-sorted
-once, arrivals consumed by ``searchsorted`` slices instead of a quadratic
-``list.pop(0)`` scan) and :class:`DeadlineBank` (walltime expirations in a
-sorted snapshot plus a small merge buffer, with *lazy* in-order iteration
-for conservative backfill instead of a full sort per scheduling point).
 """
 
 from __future__ import annotations
 
-import heapq
-import os
-from itertools import islice
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable
 
 import numpy as np
 
@@ -80,48 +60,27 @@ from repro.sim.engine import (
     Engine,
     Interrupt,
     Process,
-    Timer,
     _Throw,
     validate_delays,
 )
 
-__all__ = [
-    "TIMER_BANK_ENV",
-    "ArrivalBank",
-    "DeadlineBank",
-    "ExponentialRearm",
-    "TimerBank",
-    "resolve_timer_bank",
-]
-
-#: Environment knob: a non-empty value other than ``"0"`` forces timer
-#: banks vectorized (even under ``impl="heap"``) and turns the scheduler's
-#: bulk arrival/expiration path on by default. Both paths are byte-identical
-#: to their object counterparts, so the knob is safe to set globally — the
-#: CI ``engine-impl-matrix`` job runs a leg with it.
-TIMER_BANK_ENV = "REPRO_TIMER_BANK"
+__all__ = ["ExponentialRearm", "TimerBank"]
 
 #: Re-armed lanes accumulate in an unsorted fresh list until a dispatch
-#: finds more than this many, then one vectorized lexsort rebuilds the
+#: finds more than this many, then one numpy lexsort rebuilds the
 #: sorted snapshot. Small enough that the per-dispatch fresh scan stays
 #: O(few dozen), large enough to amortise rebuilds over many re-arms.
 _RESORT_AT = 64
-
-
-def resolve_timer_bank(flag: bool | None = None) -> bool:
-    """Resolve a ``timer_bank=`` opt-in: explicit flag, else the env knob."""
-    if flag is not None:
-        return bool(flag)
-    return os.environ.get(TIMER_BANK_ENV, "") not in ("", "0")
 
 
 class ExponentialRearm:
     """Vectorized re-arm rule: exponential inter-fire times from one rng.
 
     ``draw(k)`` consumes ``rng``'s bitstream exactly as ``k`` scalar
-    ``draw_one()`` calls would — numpy ``Generator`` distributions fill
-    arrays element-by-element from the same stream — which is the bridge
-    that keeps bank-on and bank-off runs byte-identical.
+    ``rng.exponential(scale)`` calls would — numpy ``Generator``
+    distributions fill arrays element-by-element from the same stream —
+    which is the bridge that keeps a bank byte-identical to per-lane
+    timers.
     """
 
     __slots__ = ("scale", "rng")
@@ -134,9 +93,6 @@ class ExponentialRearm:
 
     def draw(self, k: int) -> np.ndarray:
         return self.rng.exponential(self.scale, k)
-
-    def draw_one(self) -> float:
-        return float(self.rng.exponential(self.scale))
 
 
 class TimerBank:
@@ -157,17 +113,15 @@ class TimerBank:
     consume the bank's re-arm rng — that is the one draw-order requirement
     behind the byte-identity contract (module docstring).
 
-    ``cancel()`` retires every live lane cleanly (the object path's timer
-    interrupt semantics: finished, not killed). ``vectorized`` resolves per
-    the module docstring; both modes expose the same observables
-    (``n_fired``, ``live_count``, ``done``).
+    ``cancel()`` retires every live lane cleanly (an interrupted
+    :class:`~repro.sim.engine.Timer`'s semantics: finished, not killed).
     """
 
     __slots__ = (
-        "engine", "name", "on_fire", "rearm", "result", "vectorized",
-        "n_lanes", "n_fired", "_live", "_deadlines", "_seqs", "_alive",
-        "_s_times", "_s_seqs", "_s_lanes", "_cursor", "_fresh", "_in_fresh",
-        "_proc", "_spans", "_procs", "_done",
+        "engine", "name", "on_fire", "rearm", "result", "n_lanes",
+        "n_fired", "_live", "_deadlines", "_seqs", "_alive", "_s_times",
+        "_s_seqs", "_s_lanes", "_cursor", "_fresh", "_in_fresh", "_proc",
+        "_spans", "_done",
     )
 
     def __init__(
@@ -178,7 +132,6 @@ class TimerBank:
         rearm: ExponentialRearm | None = None,
         result: Any = None,
         name: str = "bank",
-        vectorized: bool | None = None,
     ):
         arr = validate_delays(delays)
         self.engine = engine
@@ -189,71 +142,12 @@ class TimerBank:
         self.n_lanes = int(arr.size)
         self.n_fired = 0
         self._done = self.n_lanes == 0
-        if vectorized is None:
-            vectorized = engine.impl == "calendar" or resolve_timer_bank(None)
-        self.vectorized = bool(vectorized)
         if self._done:
-            self._procs = []
             self._proc = None
             self._spans = None
             self._live = 0
             return
-        if not self.vectorized:
-            self._init_object(arr)
-        else:
-            self._init_vectorized(arr)
-
-    # -- object fallback ---------------------------------------------------
-
-    def _init_object(self, arr: np.ndarray) -> None:
-        """Per-lane :class:`Timer` processes behind the same handle."""
-        self._proc = None
-        self._spans = None
-        self._live = self.n_lanes
-        engine = self.engine
-        self._procs = [
-            engine.spawn(
-                Timer(delay, self._object_fire(lane), self.result),
-                name=f"{self.name}[{lane}]",
-            )
-            for lane, delay in enumerate(arr.tolist())
-        ]
-
-    def _object_fire(self, lane: int) -> Callable[[], float | None]:
-        on_fire, rearm = self.on_fire, self.rearm
-        if on_fire is None and rearm is None:
-            # pure sleep: count the expiry so n_fired matches the
-            # vectorized mode's mass-expiry bookkeeping
-            def expire() -> None:
-                self.n_fired += 1
-                self._live -= 1
-                return None
-
-            return expire
-
-        def fire() -> float | None:
-            self.n_fired += 1
-            if on_fire is None:
-                return rearm.draw_one()
-            r = on_fire(lane)
-            if rearm is not None:
-                if r is False:
-                    self._live -= 1
-                    return None
-                return rearm.draw_one()
-            if r is None:
-                self._live -= 1
-                return None
-            return r  # engine validates non-negative, names the lane
-
-        return fire
-
-    # -- vectorized mode ---------------------------------------------------
-
-    def _init_vectorized(self, arr: np.ndarray) -> None:
-        engine = self.engine
         n = self.n_lanes
-        self._procs = []
         self._live = n
         self._deadlines = engine.now + arr
         seq0 = engine._seq
@@ -280,7 +174,7 @@ class TimerBank:
         engine._active += 1
         telemetry = engine.telemetry
         if telemetry is not None:
-            # one span per lane, same names and order as the object spawn
+            # one span per lane, same names and order as a per-lane spawn
             # loop — the carrier process itself stays invisible
             self._spans = [
                 telemetry.begin(
@@ -305,7 +199,7 @@ class TimerBank:
         same instant with the post-gap lane's ``(time, seq)`` and lets the
         engine's total order arbitrate. Arm blocks draw contiguous seqs,
         so the common case (one block expiring together — the million-
-        timer drain) is still a single vectorized dispatch.
+        timer drain) is still a single numpy dispatch.
         """
         now = engine.now
         seqs, alive = self._seqs, self._alive
@@ -371,7 +265,7 @@ class TimerBank:
         on_fire, rearm = self.on_fire, self.rearm
         telemetry = engine.telemetry
         if on_fire is None and rearm is None and telemetry is None:
-            # pure sleep, uninstrumented: one vectorized mass expiry — the
+            # pure sleep, uninstrumented: one numpy mass expiry — the
             # engine-side analogue of the calendar loop's inline finish
             self._alive[due] = False
             self._live -= k
@@ -409,7 +303,7 @@ class TimerBank:
         idx = np.asarray(survivors, dtype=np.int64)
         if rearm is not None:
             # ONE block draw for every survivor of this instant — equal to
-            # the object path's per-lane scalar draws (module docstring)
+            # per-lane scalar draws (module docstring)
             self._deadlines[idx] = now + rearm.draw(ns)
         else:
             self._deadlines[idx] = now + np.asarray(legacy_delays)
@@ -474,7 +368,7 @@ class TimerBank:
     def throw(self, exc: BaseException):
         """Generator-protocol shim: an interrupt of the carrier cancels
         every live lane cleanly — no frame to throw into, exactly like an
-        interrupted object :class:`Timer`."""
+        interrupted :class:`~repro.sim.engine.Timer`."""
         telemetry = self.engine.telemetry
         if self._spans is not None:
             for lane in np.flatnonzero(self._alive).tolist():
@@ -487,32 +381,26 @@ class TimerBank:
         self._done = True
         raise StopIteration
 
-    # -- shared public surface ---------------------------------------------
+    # -- public surface ----------------------------------------------------
 
     @property
     def live_count(self) -> int:
         """Lanes still armed."""
-        if self.vectorized or self._done:
-            return self._live
-        return sum(not p.finished for p in self._procs)
+        return self._live
 
     @property
     def done(self) -> bool:
         """Every lane fired its last or was cancelled."""
-        if self.vectorized:
-            return self._done
-        return self._done or all(p.finished for p in self._procs)
+        return self._done
 
     def cancel(self, cause: Any = None) -> int:
         """Retire every live lane cleanly; returns how many were live.
 
-        Observably identical across modes: one ``interrupt:<lane>``
-        telemetry instant per live lane (in lane order), every lane span
-        ended un-killed at the current instant, waiters on the bank woken
-        with ``result``.
+        Observably identical to interrupting per-lane timers: one
+        ``interrupt:<lane>`` telemetry instant per live lane (in lane
+        order), every lane span ended un-killed at the current instant,
+        waiters on the bank woken with ``result``.
         """
-        if not self.vectorized:
-            return sum(1 for p in self._procs if p.interrupt(cause))
         if self._done:
             return 0
         engine = self.engine
@@ -531,131 +419,7 @@ class TimerBank:
         return len(live)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        mode = "vectorized" if self.vectorized else "object"
         return (
-            f"<TimerBank {self.name} {mode} lanes={self.n_lanes} "
+            f"<TimerBank {self.name} lanes={self.n_lanes} "
             f"live={self.live_count} fired={self.n_fired}>"
         )
-
-
-class ArrivalBank:
-    """Bulk-sorted arrival cursor over a job-like population.
-
-    Replaces the scheduler's ``pending.pop(0)`` scan — O(P) list shifts
-    per arrival, quadratic over a year-long stream — with one stable
-    argsort at construction and a ``searchsorted`` slice per scheduling
-    point. The stable sort reproduces ``sorted(jobs, key=submit_time)``
-    exactly, equal submit times included, so the consumption order is
-    byte-identical to the list path.
-    """
-
-    __slots__ = ("_times", "_items", "_i")
-
-    def __init__(self, items: Iterable[Any], times: Iterable[float]):
-        items = list(items)
-        arr = np.asarray(list(times), dtype=np.float64)
-        order = np.argsort(arr, kind="stable")
-        self._times = arr[order]
-        self._items = [items[int(i)] for i in order]
-        self._i = 0
-
-    @classmethod
-    def from_jobs(cls, jobs: Iterable[Any]) -> "ArrivalBank":
-        jobs = list(jobs)
-        return cls(jobs, (j.submit_time for j in jobs))
-
-    def __len__(self) -> int:
-        return len(self._items) - self._i
-
-    def peek_time(self) -> float | None:
-        """Next submit time, or ``None`` when the stream is drained."""
-        if self._i >= len(self._items):
-            return None
-        return float(self._times[self._i])
-
-    def pop_until(self, now: float) -> list[Any]:
-        """All items with time ``<= now``, in submission order."""
-        j = int(np.searchsorted(self._times, now, side="right"))
-        if j <= self._i:
-            return []
-        out = self._items[self._i:j]
-        self._i = j
-        return out
-
-
-class DeadlineBank:
-    """Bulk ``(time, seq)``-ordered deadline store for walltime expirations.
-
-    Interface-compatible with the engine event queues the scheduler uses
-    (``push`` / ``pop`` / ``peek_time`` / ``sorted_entries`` / ``len``)
-    over ``(end_time, seq, payload)`` tuples, but built for the batch
-    scheduler's access pattern: a sorted snapshot consumed through a
-    cursor plus a small heap buffer for recent launches, merged back with
-    one run-merge sort whenever the buffer fills. ``sorted_entries`` is a
-    *lazy* in-order iterator (conservative backfill reads only a prefix),
-    replacing the full O(R log R) sort the event queues pay per
-    scheduling point.
-    """
-
-    _MERGE_AT = 64
-
-    __slots__ = ("_snap", "_cursor", "_buf")
-
-    def __init__(self) -> None:
-        self._snap: list[tuple] = []  # sorted; entries before _cursor consumed
-        self._cursor = 0
-        self._buf: list[tuple] = []  # heapq
-
-    def __len__(self) -> int:
-        return (len(self._snap) - self._cursor) + len(self._buf)
-
-    def push(self, entry: tuple) -> None:
-        buf = self._buf
-        heapq.heappush(buf, entry)
-        if len(buf) >= self._MERGE_AT:
-            buf.sort()
-            snap = self._snap[self._cursor:]
-            snap.extend(buf)
-            # two sorted runs: timsort merges them in near-linear time
-            snap.sort()
-            self._snap = snap
-            self._cursor = 0
-            self._buf = []
-
-    def pop(self) -> tuple:
-        snap, c, buf = self._snap, self._cursor, self._buf
-        if c < len(snap):
-            head = snap[c]
-            if buf and buf[0] < head:
-                return heapq.heappop(buf)
-            self._cursor = c + 1
-            if self._cursor >= len(snap):  # fully consumed: drop the run
-                self._snap = []
-                self._cursor = 0
-            return head
-        if buf:
-            return heapq.heappop(buf)
-        raise IndexError("pop from an empty DeadlineBank")
-
-    def peek_time(self) -> float | None:
-        """Earliest pending deadline, or ``None`` when empty."""
-        snap, c, buf = self._snap, self._cursor, self._buf
-        if c < len(snap):
-            head = snap[c][0]
-            if buf and buf[0][0] < head:
-                return buf[0][0]
-            return head
-        if buf:
-            return buf[0][0]
-        return None
-
-    def sorted_entries(self) -> Iterator[tuple]:
-        """Pending entries in ``(time, seq)`` order — lazily.
-
-        Callers (conservative backfill) typically consume a short prefix
-        and break; only the small buffer is sorted per call.
-        """
-        snap_tail = islice(self._snap, self._cursor, None)
-        if not self._buf:
-            return iter(list(snap_tail))
-        return heapq.merge(snap_tail, sorted(self._buf))

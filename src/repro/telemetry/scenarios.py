@@ -53,7 +53,7 @@ def _hub_facility(machine) -> tuple[str, float]:
     return spec.name, speed
 
 
-def _dag(seed: int, machine=None, sink=None, engine_impl=None) -> Scenario:
+def _dag(seed: int, machine=None, sink=None) -> Scenario:
     """Multi-facility campaign DAG with failures and checkpoint-restart.
 
     A Trifan-style loop: simulation ensembles feed surrogate training,
@@ -97,7 +97,6 @@ def _dag(seed: int, machine=None, sink=None, engine_impl=None) -> Scenario:
         )
     run = graph.execute(
         retry=RetryPolicy(max_attempts=12), seed=seed, telemetry=tel,
-        engine_impl=engine_impl,
     )
     report = run.resilience_report("dag-campaign")
     lines = [
@@ -128,9 +127,7 @@ def _dag(seed: int, machine=None, sink=None, engine_impl=None) -> Scenario:
     )
 
 
-def _scheduler(
-    seed: int, machine=None, sink=None, engine_impl=None
-) -> Scenario:
+def _scheduler(seed: int, machine=None, sink=None) -> Scenario:
     """Batch scheduler under failures: a loaded queue on a small machine.
 
     The scheduled machine is 32 nodes for the historical default; with a
@@ -165,7 +162,7 @@ def _scheduler(
         node_mtbf_seconds=6e5, checkpoint_interval=1800.0, seed=seed
     )
     result = Scheduler(machine_size, Policy.CAPABILITY).run(
-        jobs, faults=faults, telemetry=tel, engine_impl=engine_impl
+        jobs, faults=faults, telemetry=tel
     )
     lines = [
         f"makespan            {result.makespan:.1f} s",
@@ -187,9 +184,7 @@ def _scheduler(
     )
 
 
-def _restart(
-    seed: int, machine=None, sink=None, engine_impl=None
-) -> Scenario:
+def _restart(seed: int, machine=None, sink=None) -> Scenario:
     """One checkpointed job under Young/Daly-interval checkpoint-restart.
 
     The historical 90 s checkpoint is the Summit-NVMe write time for a
@@ -225,7 +220,6 @@ def _restart(
         seed=seed,
         restart_delay=300.0,
         telemetry=tel,
-        engine_impl=engine_impl,
     )
     lines = [
         f"wall / work         {stats.wall_seconds:.0f} / "
@@ -256,7 +250,7 @@ SCENARIOS = {
 
 
 def run_scenario(
-    name: str, seed: int = 0, machine=None, sink=None, engine_impl=None
+    name: str, seed: int = 0, machine=None, sink=None
 ) -> Scenario:
     """Run one named scenario; raises on unknown names.
 
@@ -265,27 +259,17 @@ def run_scenario(
     values and byte-identical traces. ``sink`` spills the scenario's
     telemetry out-of-core instead of materializing it (the caller closes
     the returned handle when the records should be sealed).
-    ``engine_impl`` selects the event scheduler under the scenario
-    (``heap`` | ``calendar``; unknown names raise
-    :class:`~repro.errors.ConfigurationError`); traces are byte-identical
-    across implementations.
     """
     if name not in SCENARIOS:
         raise ConfigurationError(
             f"unknown telemetry scenario {name!r}; "
             f"choose from {sorted(SCENARIOS)}"
         )
-    return SCENARIOS[name](
-        seed, machine=machine, sink=sink, engine_impl=engine_impl
-    )
+    return SCENARIOS[name](seed, machine=machine, sink=sink)
 
 
-def _scenario_replica(
-    name: str, machine, engine_impl, child_seed: int
-) -> Scenario:
-    return run_scenario(
-        name, seed=child_seed, machine=machine, engine_impl=engine_impl
-    )
+def _scenario_replica(name: str, machine, child_seed: int) -> Scenario:
+    return run_scenario(name, seed=child_seed, machine=machine)
 
 
 def run_scenario_replicas(
@@ -295,7 +279,6 @@ def run_scenario_replicas(
     n_jobs: int = 1,
     machine=None,
     sink=None,
-    engine_impl=None,
 ) -> tuple[Telemetry, list[Scenario]]:
     """Run ``n_replicas`` seeded replicas of one scenario and merge traces.
 
@@ -320,7 +303,7 @@ def run_scenario_replicas(
     if n_replicas < 1:
         raise ConfigurationError("need at least one replica")
     replicas = monte_carlo(
-        partial(_scenario_replica, name, machine, engine_impl),
+        partial(_scenario_replica, name, machine),
         n_replicas, seed=seed, n_jobs=n_jobs,
     )
     merged = Telemetry(sink=sink)

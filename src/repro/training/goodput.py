@@ -171,15 +171,12 @@ class GoodputModel:
         seed: int = 0,
         work_seconds: float | None = None,
         telemetry=None,
-        engine_impl: str | None = None,
     ) -> RestartStats:
         """Event-driven checkpoint-restart run at this job's parameters.
 
         An optional :class:`~repro.telemetry.Telemetry` handle is passed
         through to :func:`simulate_checkpoint_restart`, capturing segment /
         checkpoint / restart spans and fault instants for this run.
-        ``engine_impl`` picks the event scheduler (``heap`` | ``calendar``);
-        the simulated timeline is byte-identical either way.
         """
         plan = self.plan()
         if work_seconds is None:
@@ -192,7 +189,6 @@ class GoodputModel:
             node_mtbf_seconds=self.node_mtbf_seconds,
             seed=seed,
             telemetry=telemetry,
-            engine_impl=engine_impl,
         )
 
     def simulate_ensemble(
@@ -202,7 +198,6 @@ class GoodputModel:
         n_replicas: int = 8,
         n_jobs: int = 1,
         work_seconds: float | None = None,
-        engine_impl: str | None = None,
     ) -> list[RestartStats]:
         """A Monte-Carlo ensemble of empirical runs over child seeds.
 
@@ -226,7 +221,6 @@ class GoodputModel:
             n_replicas=n_replicas,
             seed=seed,
             n_jobs=n_jobs,
-            engine_impl=engine_impl,
         )
 
     def report(
@@ -237,7 +231,6 @@ class GoodputModel:
         seed: int = 0,
         work_seconds: float | None = None,
         telemetry=None,
-        engine_impl: str | None = None,
     ) -> ResilienceReport:
         """Build the :class:`ResilienceReport` for this configuration.
 
@@ -252,7 +245,7 @@ class GoodputModel:
         if empirical:
             stats = self.simulate(
                 tier, seed=seed, work_seconds=work_seconds,
-                telemetry=telemetry, engine_impl=engine_impl,
+                telemetry=telemetry,
             )
             return ResilienceReport.from_restart(
                 name=name,

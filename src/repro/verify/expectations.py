@@ -310,14 +310,14 @@ class VerifyContext:
     @cached_property
     def staging_costs(self) -> tuple[float, float, float]:
         """(stage, epoch-read, reshuffle) seconds for full-Summit ImageNet."""
-        from repro.constants import NVME_CAPACITY_BYTES, SUMMIT_NODE_COUNT
+        from repro.machine.spec import SUMMIT
         from repro.storage.burst_buffer import SUMMIT_NVME, StagingPlan
         from repro.storage.dataset import IMAGENET, ShardingPlan
         from repro.storage.filesystem import SUMMIT_GPFS
 
         plan = ShardingPlan(
-            IMAGENET, n_nodes=SUMMIT_NODE_COUNT,
-            nvme_bytes_per_node=NVME_CAPACITY_BYTES,
+            IMAGENET, n_nodes=SUMMIT.node_count,
+            nvme_bytes_per_node=SUMMIT.nvme_capacity_bytes,
         )
         staging = StagingPlan(plan, SUMMIT_GPFS, SUMMIT_NVME)
         return (

@@ -54,7 +54,13 @@ class InvariantResult:
 
 
 def _default_run(seed: int = 0):
-    """A fault-injected multi-facility run with telemetry, for auditing."""
+    """A fault-injected multi-facility run with telemetry, for auditing.
+
+    ``simulate`` never checkpoints and fails an attempt with p = 1 - 1/e,
+    so the default four-attempt budget runs out at about one seed in
+    six; sixteen attempts make exhaustion a ~1e-3 event per seed.
+    """
+    from repro.resilience.retry import RetryPolicy
     from repro.telemetry import Telemetry
     from repro.workflows.dag import TaskGraph
     from repro.workflows.facility import Facility
@@ -75,7 +81,9 @@ def _default_run(seed: int = 0):
     )
     graph.add_task("analyze", 300.0, "summit", deps=("train", "simulate"))
     telemetry = Telemetry()
-    run = graph.execute(seed=seed, telemetry=telemetry)
+    run = graph.execute(
+        retry=RetryPolicy(max_attempts=16), seed=seed, telemetry=telemetry
+    )
     return run, graph, telemetry
 
 
@@ -254,12 +262,12 @@ def audit_crossover_shape(machine=None) -> InvariantResult:
     from repro.network.collectives import ring_allreduce_time
 
     if machine is None:
-        from repro.constants import SUMMIT_INJECTION_LATENCY
+        from repro.machine.spec import SUMMIT
         from repro.network.link import SUMMIT_INJECTION
 
         key = "invariant.crossover_shape"
         link = SUMMIT_INJECTION
-        latency = SUMMIT_INJECTION_LATENCY
+        latency = SUMMIT.injection_latency
         max_ranks = 4096
     else:
         from repro.machine.spec import resolve_machine

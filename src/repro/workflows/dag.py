@@ -26,7 +26,6 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.resilience.retry import RetryPolicy
 from repro.sim.engine import Engine, Timeout
 from repro.sim.resources import Resource
-from repro.sim.trace import Trace
 from repro.telemetry import Telemetry
 from repro.workflows.facility import Facility
 
@@ -86,7 +85,6 @@ class WorkflowRun:
     makespan: float
     start_times: dict[str, float]
     end_times: dict[str, float]
-    trace: Trace = field(default_factory=Trace)
     attempts: dict[str, int] = field(default_factory=dict)
     n_failures: int = 0
     lost_seconds: float = 0.0
@@ -267,7 +265,6 @@ class TaskGraph:
         retry: RetryPolicy | None = None,
         seed: int = 0,
         telemetry: Telemetry | None = None,
-        engine_impl: str | None = None,
     ) -> WorkflowRun:
         """Run the DAG with resource contention; returns timing results.
 
@@ -275,38 +272,44 @@ class TaskGraph:
         (defaults to :class:`RetryPolicy` when any task can fail), resuming
         from their last committed checkpoint. ``seed`` drives the per-task
         failure draws; the same seed reproduces the exact same failure
-        times, retry counts and makespan. ``engine_impl`` selects the
-        discrete-event scheduler (``heap`` | ``calendar``; default: the
-        engine's ``REPRO_ENGINE_IMPL`` knob) — execution is byte-identical
-        either way.
+        times, retry counts and makespan.
 
         With a ``telemetry`` handle the executor additionally records one
         span per task attempt (facility "workflow"), per-node occupancy
         spans on each placed facility's tracks (when the facility is small
         enough for per-node tracks — see
         :attr:`~repro.telemetry.Telemetry.max_node_tracks`), fault/restore
-        instant events, and the metrics the run summary reports. The
-        telemetry-off path, and every returned number, is unchanged.
+        instant events, ``facility="trace"`` start/end/failure/retry
+        instants (``trace_event=True``; ``duration`` carries elapsed
+        seconds), and the metrics the run summary reports. The
+        telemetry-off path records nothing, and every returned number is
+        unchanged.
         """
         if not self.tasks:
             raise ConfigurationError("empty task graph")
         if retry is None:
             retry = RetryPolicy()
-        engine = Engine(telemetry, impl=engine_impl)
+        engine = Engine(telemetry)
         pools = {
             key: Resource(engine, fac.nodes, name=fac.name)
             for key, fac in self.facilities.items()
         }
-        run = WorkflowRun(
-            makespan=0.0, start_times={}, end_times={},
-            trace=Trace(telemetry),
-        )
+        run = WorkflowRun(makespan=0.0, start_times={}, end_times={})
         procs: dict[str, object] = {}
         # deterministic node-index assignment for per-node trace tracks
         free_nodes = {
             key: list(range(fac.nodes))
             for key, fac in self.facilities.items()
         }
+
+        def trace(category: str, name: str, payload=None, duration=None):
+            """A ``facility="trace"`` instant at the current time."""
+            assert telemetry is not None
+            telemetry.instant(
+                name, category, facility="trace", track=category,
+                time=engine.now, payload=payload, duration=duration,
+                trace_event=True,
+            )
 
         def open_attempt(task: Task, attempt: int):
             """Begin the attempt span and (on small facilities) node spans."""
@@ -373,16 +376,14 @@ class TaskGraph:
                 # fault-free fast path: byte-for-byte the seed executor
                 yield pools[task.facility].acquire(task.nodes)
                 run.start_times[task.name] = engine.now
-                run.trace.record(
-                    engine.now, "start", task.name, {"nodes": task.nodes}
-                )
-                opened = open_attempt(task, 1) if telemetry else None
+                if telemetry is not None:
+                    trace("start", task.name, {"nodes": task.nodes})
+                    opened = open_attempt(task, 1)
                 yield Timeout(duration)
                 pools[task.facility].release(task.nodes)
                 run.end_times[task.name] = engine.now
-                run.trace.record(
-                    engine.now, "end", task.name, duration=duration
-                )
+                if telemetry is not None:
+                    trace("end", task.name, duration=duration)
                 run.attempts[task.name] = 1
                 ckpt, lost = account(task, duration, duration, 0, True)
                 if telemetry is not None:
@@ -401,9 +402,8 @@ class TaskGraph:
                 yield pools[task.facility].acquire(task.nodes)
                 if attempts == 0:
                     run.start_times[task.name] = engine.now
-                    run.trace.record(
-                        engine.now, "start", task.name, {"nodes": task.nodes}
-                    )
+                    if telemetry is not None:
+                        trace("start", task.name, {"nodes": task.nodes})
                 attempts += 1
                 if telemetry is not None:
                     opened = open_attempt(task, attempts)
@@ -433,11 +433,9 @@ class TaskGraph:
                     ).inc(writes)
                 if completed:
                     run.end_times[task.name] = engine.now
-                    run.trace.record(
-                        engine.now, "end", task.name, duration=duration
-                    )
                     run.attempts[task.name] = attempts
                     if telemetry is not None:
+                        trace("end", task.name, duration=duration)
                         telemetry.metrics.histogram(
                             "dag.task_seconds"
                         ).record(
@@ -450,10 +448,8 @@ class TaskGraph:
                 run.lost_seconds += (
                     wall - gained - writes * task.checkpoint_write_time
                 )
-                run.trace.record(
-                    engine.now, "failure", task.name, {"attempt": attempts}
-                )
                 if telemetry is not None:
+                    trace("failure", task.name, {"attempt": attempts})
                     telemetry.instant(
                         f"failure:{task.name}", "fault",
                         facility="workflow", track=task.name,
@@ -466,10 +462,8 @@ class TaskGraph:
                         "(retry budget exhausted)"
                     )
                 backoff = retry.delay(attempts, rng)
-                run.trace.record(
-                    engine.now, "retry", task.name, duration=backoff
-                )
                 if telemetry is not None:
+                    trace("retry", task.name, duration=backoff)
                     telemetry.metrics.counter("dag.retries").inc()
                     backoff_span = telemetry.begin(
                         f"backoff:{task.name}", "backoff",

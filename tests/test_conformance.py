@@ -149,6 +149,15 @@ def test_invariants_all_pass(conformance_report):
     assert not failed, "\n".join(failed)
 
 
+def test_invariant_default_run_completes_at_every_seed():
+    """The audited DAG never exhausts its retry budget (seeds 0-63)."""
+    from repro.verify.invariants import _default_run
+
+    for seed in range(64):
+        run, graph, _ = _default_run(seed)
+        assert set(run.end_times) == set(graph.tasks), seed
+
+
 def test_report_passes_and_serializes(conformance_report):
     assert conformance_report.passed
     payload = json.loads(conformance_report.to_json())

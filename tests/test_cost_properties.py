@@ -22,7 +22,8 @@ from repro.cost import (
     sweep,
     sweep_scalar,
 )
-from repro.machine.summit import SUMMIT_NODE_COUNT, summit
+from repro.machine.spec import SUMMIT
+from repro.machine.summit import summit
 from repro.network.link import NVLINK2
 
 from .hypothesis_settings import QUICK_SETTINGS, STANDARD_SETTINGS
@@ -51,8 +52,8 @@ def axis(elements, min_size=1, max_size=6):
                     unique=True).map(sorted)
 
 
-node_counts = axis(st.integers(min_value=1, max_value=SUMMIT_NODE_COUNT))
-rank_counts = axis(st.integers(min_value=1, max_value=SUMMIT_NODE_COUNT))
+node_counts = axis(st.integers(min_value=1, max_value=SUMMIT.node_count))
+rank_counts = axis(st.integers(min_value=1, max_value=SUMMIT.node_count))
 message_sizes = axis(st.floats(min_value=1e3, max_value=4e9,
                                allow_nan=False, allow_infinity=False))
 bandwidths = axis(st.floats(min_value=1e9, max_value=1e12,
@@ -100,7 +101,7 @@ class TestStepModelParity:
         # node counts must let GPUs divide evenly into model-parallel shards
         span = max(1, app.plan.model_shards // 6)
         multiplier = axis(
-            st.integers(min_value=1, max_value=SUMMIT_NODE_COUNT // span))
+            st.integers(min_value=1, max_value=SUMMIT.node_count // span))
         nodes = [m * span for m in data.draw(multiplier)]
         model = step_cost_model(
             app.model_factory(), SYSTEM, app.plan,

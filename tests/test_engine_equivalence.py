@@ -1,9 +1,11 @@
-"""Differential testing: heap vs calendar engine on random workloads.
+"""Differential testing: the calendar engine against the heap oracle.
 
-The engine contract (see :mod:`repro.sim.engine`) is that ``impl="heap"``
-and ``impl="calendar"`` are *indistinguishable*: same seed and workload
-give the same event order, the same final process states, and — with
-telemetry attached — byte-identical Chrome-trace exports.
+The engine contract (see :mod:`repro.sim.engine`) is a ``(time, seq)``
+total order, so the production calendar engine and the one-pop-per-event
+heap oracle (:class:`tests.oracles.HeapEngine`) are *indistinguishable*:
+same seed and workload give the same event order, the same final process
+states, and — with telemetry attached — byte-identical Chrome-trace
+exports.
 
 Hypothesis generates adversarial programs over the full effect surface:
 timeouts drawn from a small quantized delay set (so zero-delay cascades
@@ -11,7 +13,7 @@ and same-timestamp collisions are common, exercising the calendar's
 batched dispatch), child waits, resource acquire/release over a shared
 pool, interrupts (caught and uncaught, of generators and of timers), and
 generator-free :class:`Timer` processes with re-arming fire callbacks.
-Each program runs once per implementation; every observable is compared.
+Each program runs once per engine; every observable is compared.
 """
 
 from __future__ import annotations
@@ -20,8 +22,9 @@ import hypothesis.strategies as st
 from hypothesis import given
 
 from .hypothesis_settings import SLOW_SETTINGS, STANDARD_SETTINGS
+from .oracles import ENGINES
 from repro.errors import SimulationError
-from repro.sim import Engine, Interrupt, Resource, Timeout, Timer
+from repro.sim import Interrupt, Resource, Timeout, Timer
 from repro.telemetry import Telemetry, chrome_trace_json
 
 # Quantized delays: duplicates make same-timestamp batches likely and 0.0
@@ -49,7 +52,7 @@ TIMERS = st.lists(st.tuples(DELAYS, st.integers(0, 2)), max_size=4)
 def run_program(program, timers, impl, with_telemetry=False):
     """Run one generated workload; return every observable as plain data."""
     telemetry = Telemetry() if with_telemetry else None
-    eng = Engine(telemetry, impl=impl)
+    eng = ENGINES[impl](telemetry)
     pool = Resource(eng, capacity=2, name="pool")
     log: list[tuple] = []
     procs = []
@@ -103,7 +106,7 @@ def run_program(program, timers, impl, with_telemetry=False):
         eng.run()
     except SimulationError as exc:
         # e.g. a process interrupting itself mid-step double-schedules it;
-        # both impls must fail identically, at the same event
+        # both engines must fail identically, at the same event
         error = str(exc)
 
     states = [
@@ -141,15 +144,15 @@ def test_telemetry_traces_byte_identical(program, timers):
 @STANDARD_SETTINGS
 @given(
     delays=st.lists(DELAYS, min_size=1, max_size=40),
-    impl=st.sampled_from(["heap", "calendar"]),
+    impl=st.sampled_from(list(ENGINES)),
 )
 def test_spawn_timers_matches_loop_spawn(delays, impl):
     """Bulk spawn is observably identical to a loop of single spawns."""
-    bulk_eng = Engine(impl=impl)
+    bulk_eng = ENGINES[impl]()
     bulk = bulk_eng.spawn_timers(delays)
     bulk_eng.run()
 
-    loop_eng = Engine(impl=impl)
+    loop_eng = ENGINES[impl]()
     loop = [loop_eng.spawn(Timer(d)) for d in delays]
     loop_eng.run()
 

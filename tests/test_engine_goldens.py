@@ -1,20 +1,22 @@
-"""Seed-matrix golden traces: 3 seeds x both engine implementations.
+"""Seed-matrix golden traces: 3 seeds, one file each, two engines.
 
 Each golden is the byte-exact Chrome-trace export of one seeded reference
 workload (timers, re-arming timers, sleeps, a child wait, resource
-contention and an interrupt) run on one engine implementation. The files
-are committed; the tests regenerate each trace in-process and require the
-bytes to match exactly, which pins three properties at once:
+contention and an interrupt). The files are committed; the tests
+regenerate each trace in-process, on the production calendar engine and
+on the ``heap`` oracle (:class:`tests.oracles.HeapEngine`), and require
+both to match the one per-seed file exactly. That pins three properties
+at once:
 
 - *temporal determinism* — rerunning a seed reproduces its trace;
-- *impl equivalence* — the heap and calendar traces for a seed are
-  byte-identical to each other (the golden pair is intentionally
-  redundant: a regression in either impl breaks exactly one file);
+- *oracle equivalence* — the batched calendar drain and the
+  one-pop-per-event heap loop export the same bytes;
 - *schedule stability* — any change to event ordering, tie-breaking or
   telemetry emission shows up as a golden diff in review, not as silent
   drift.
 
-To regenerate after an *intentional* contract change::
+To regenerate after an *intentional* contract change (the production
+engine writes the file; the oracle must then still match it)::
 
     REPRO_REGEN_GOLDENS=1 python -m pytest tests/test_engine_goldens.py
 """
@@ -27,23 +29,25 @@ import pathlib
 import numpy as np
 import pytest
 
-from repro.sim import Engine, Interrupt, Resource, Timeout, Timer
+from repro.sim import Interrupt, Resource, Timeout, Timer
 from repro.telemetry import Telemetry, chrome_trace_json
+from .oracles import ENGINES
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "goldens"
 SEEDS = (0, 1, 2)
-IMPLS = ("heap", "calendar")
+IMPLS = tuple(ENGINES)
 
 
-def _golden_path(seed: int, impl: str) -> pathlib.Path:
-    return GOLDEN_DIR / f"engine_trace_seed{seed}_{impl}.json"
+def _golden_path(seed: int) -> pathlib.Path:
+    # the file keeps its historical name from when each engine had its own
+    return GOLDEN_DIR / f"engine_trace_seed{seed}_calendar.json"
 
 
 def build_reference_trace(seed: int, impl: str) -> str:
     """Run the seeded reference workload; return its Chrome-trace JSON.
 
     All randomness is drawn from the seed *before* the engine runs, so the
-    workload is identical no matter which implementation executes it —
+    workload is identical no matter which engine executes it —
     the trace bytes are the observable under test. Delays are quantized to
     0.5s so simultaneous-event batches occur in every seed.
     """
@@ -55,7 +59,7 @@ def build_reference_trace(seed: int, impl: str) -> str:
     interrupt_at = float(np.floor(rng.uniform(1.0, 6.0) * 2) / 2)
 
     telemetry = Telemetry()
-    eng = Engine(telemetry, impl=impl)
+    eng = ENGINES[impl](telemetry)
     pool = Resource(eng, capacity=2, name="pool")
 
     tickers = []
@@ -104,9 +108,9 @@ def build_reference_trace(seed: int, impl: str) -> str:
 @pytest.mark.parametrize("impl", IMPLS)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_regenerating_golden_is_a_noop(seed, impl):
-    path = _golden_path(seed, impl)
+    path = _golden_path(seed)
     regenerated = build_reference_trace(seed, impl)
-    if os.environ.get("REPRO_REGEN_GOLDENS"):
+    if os.environ.get("REPRO_REGEN_GOLDENS") and impl == "calendar":
         path.write_text(regenerated)
         pytest.skip(f"regenerated {path.name}")
     assert path.exists(), (
@@ -120,11 +124,11 @@ def test_regenerating_golden_is_a_noop(seed, impl):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_heap_and_calendar_goldens_identical(seed):
-    heap = _golden_path(seed, "heap").read_text()
-    calendar = _golden_path(seed, "calendar").read_text()
-    assert heap == calendar, (
-        f"seed {seed}: committed heap and calendar traces diverged"
-    )
+    """The oracle and the production engine agree in-process, golden or
+    not — a regeneration can never bless a calendar-only drift."""
+    heap = build_reference_trace(seed, "heap")
+    calendar = build_reference_trace(seed, "calendar")
+    assert heap == calendar, f"seed {seed}: heap and calendar traces diverged"
 
 
 def test_goldens_are_nontrivial():
@@ -132,7 +136,7 @@ def test_goldens_are_nontrivial():
     import json
 
     for seed in SEEDS:
-        trace = json.loads(_golden_path(seed, "calendar").read_text())
+        trace = json.loads(_golden_path(seed).read_text())
         events = trace["traceEvents"]
         assert len(events) > 30, f"seed {seed}: suspiciously small golden"
         assert any(e.get("ph") == "X" for e in events)

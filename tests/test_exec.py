@@ -16,7 +16,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 from .hypothesis_settings import QUICK_SETTINGS, STANDARD_SETTINGS
 
-from repro.constants import SUMMIT_INJECTION_LATENCY
 from repro.cost import DataParallelCrossoverModel, sweep
 from repro.errors import ConfigurationError
 from repro.exec import (
@@ -29,9 +28,10 @@ from repro.exec import (
     shard_ranges,
     spawn_seeds,
 )
+from repro.machine.spec import SUMMIT
 
 FIXED = {
-    "latency": SUMMIT_INJECTION_LATENCY,
+    "latency": SUMMIT.injection_latency,
     "compute_time": 0.05,
     "allreduce_algorithm": "best",
 }

@@ -1,5 +1,5 @@
-"""Tests for the machine registry: no-drift vs repro.constants, Summit
-byte-identity goldens, property tests over random valid MachineSpecs, the
+"""Tests for the machine registry: Summit builders built from the spec,
+Summit byte-identity goldens, property tests over random valid MachineSpecs, the
 ``machine`` sweep axis, and the ``--machine`` CLI surface."""
 
 import dataclasses
@@ -86,15 +86,7 @@ class TestRegistry:
 
 
 class TestNoDrift:
-    """repro.constants, the Summit builders and the spec share one source."""
-
-    def test_constants_shim_matches_spec(self):
-        from repro import constants
-        from repro.constants import _SPEC_FIELDS
-
-        assert sorted(constants.__all__) == sorted(_SPEC_FIELDS)
-        for name, field in _SPEC_FIELDS.items():
-            assert getattr(constants, name) == getattr(SUMMIT, field), name
+    """The Summit builders and the spec share one source."""
 
     def test_summit_node_built_from_spec(self):
         from repro.machine.summit import summit_node

@@ -16,6 +16,7 @@ from repro.resilience import (
 from repro.scheduler import FaultModel, Job, Scheduler
 from repro.sim import Engine, Interrupt, Resource, Timeout
 from repro.storage.checkpoint import CheckpointPlan
+from repro.telemetry import Telemetry
 from repro.workflows.dag import TaskGraph, _attempt_timeline
 from repro.workflows.facility import Facility
 
@@ -423,16 +424,20 @@ class TestDagFailures:
         assert run.attempts == {"prep": 1, "train": 1, "analyze": 1}
 
     def test_failures_retries_and_recovery(self):
+        telemetry = Telemetry()
         run = _graph(rate=1 / 200.0, ckpt=50.0, write=1.0).execute(
-            retry=RetryPolicy(max_attempts=30), seed=5
+            retry=RetryPolicy(max_attempts=30), seed=5, telemetry=telemetry
         )
         assert set(run.end_times) == {"prep", "train", "analyze"}
         assert run.makespan > 480.0
         assert run.n_failures >= 1
         assert run.n_retries == run.n_failures
         assert run.attempts["train"] == run.n_failures + 1
-        assert run.trace.count("failure") == run.n_failures
-        assert run.trace.count("retry") == run.n_failures
+        trace = [
+            e.category for e in telemetry.instants if e.facility == "trace"
+        ]
+        assert trace.count("failure") == run.n_failures
+        assert trace.count("retry") == run.n_failures
 
     def test_checkpointing_beats_cold_restart(self):
         policy = RetryPolicy(max_attempts=100, jitter_fraction=0.0)

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Engine, Process, Resource, Timeout, Trace
+from repro.sim import Engine, Process, Resource, Timeout
+from .oracles import ENGINES
 
 
 class TestTimeout:
@@ -184,21 +185,6 @@ class TestResource:
             Resource(Engine(), capacity=0)
 
 
-class TestTrace:
-    def test_record_and_query(self):
-        trace = Trace()
-        trace.record(0.0, "start", "a")
-        trace.record(1.0, "end", "a", 1.0)
-        trace.record(2.0, "end", "b", 2.0)
-        assert trace.count("end") == 2
-        assert len(trace.by_category("start")) == 1
-        assert trace.span() == 2.0
-        assert trace.busy_time("end") == 3.0
-
-    def test_empty_trace_span_zero(self):
-        assert Trace().span() == 0.0
-
-
 class TestTraceDeterminism:
     """The engine micro-optimisations (slots, lazy heap deletion) must not
     move a single event: same-seed instrumented runs export byte-identical
@@ -214,15 +200,15 @@ class TestTraceDeterminism:
 
 class TestTieBreakFIFO:
     """The documented ``(time, seq)`` contract: simultaneous events fire in
-    scheduling order — spawn order for fresh processes — on both engine
-    implementations, even at batch sizes where the calendar queue drains
-    the whole instant in one pass."""
+    scheduling order — spawn order for fresh processes — on the production
+    engine and the heap oracle, even at batch sizes where the calendar
+    queue drains the whole instant in one pass."""
 
     N = 1000
 
-    @pytest.mark.parametrize("impl", ["heap", "calendar"])
+    @pytest.mark.parametrize("impl", list(ENGINES))
     def test_thousand_simultaneous_events_fire_in_spawn_order(self, impl):
-        eng = Engine(impl=impl)
+        eng = ENGINES[impl]()
         order = []
 
         def job(i):
@@ -235,11 +221,11 @@ class TestTieBreakFIFO:
         assert eng.now == 5.0
         assert order == list(range(self.N))
 
-    @pytest.mark.parametrize("impl", ["heap", "calendar"])
+    @pytest.mark.parametrize("impl", list(ENGINES))
     def test_simultaneous_timer_fires_in_spawn_order(self, impl):
         from repro.sim import Timer
 
-        eng = Engine(impl=impl)
+        eng = ENGINES[impl]()
         order = []
         procs = [
             eng.spawn(Timer(5.0, fire=(lambda i=i: order.append(i))))
@@ -249,13 +235,13 @@ class TestTieBreakFIFO:
         assert order == list(range(self.N))
         assert [p.finished_at for p in procs] == [5.0] * self.N
 
-    @pytest.mark.parametrize("impl", ["heap", "calendar"])
+    @pytest.mark.parametrize("impl", list(ENGINES))
     def test_mid_batch_schedules_join_the_same_instant_in_seq_order(
         self, impl
     ):
         """Zero-delay events scheduled while an instant is being drained
         still fire within that instant, after everything already queued."""
-        eng = Engine(impl=impl)
+        eng = ENGINES[impl]()
         order = []
 
         def echo(i):

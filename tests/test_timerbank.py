@@ -1,23 +1,29 @@
-"""Differential testing for vectorized timer banks.
+"""Differential testing for numpy timer banks, plus scheduler properties.
 
 The :mod:`repro.sim.timerbank` contract is byte-identity: a seeded
-workload runs observably the same with banks vectorized or in object
-fallback, on either engine implementation — same event logs, same final
-states, byte-identical Chrome traces. Hypothesis generates mixed programs
-(bank populations with every survival style, generator processes sleeping
-and cancelling banks mid-flight) and every observable is compared across
-the full 2x2 (vectorized x impl) grid.
+workload runs observably the same as a :class:`~repro.sim.timerbank.
+TimerBank` or as its per-lane :class:`~repro.sim.engine.Timer` reference
+(:class:`tests.oracles.ObjectTimerBank`), on the production engine or the
+heap oracle — same event logs, same final states, byte-identical Chrome
+traces. Hypothesis generates mixed programs (bank populations with every
+survival style, generator processes sleeping and cancelling banks
+mid-flight) and every observable is compared across the full 2x2
+(bank x engine) grid.
 
-The facility-year demo is pinned by a seed-matrix golden: a small
-scheduler replay per seed whose scalar results are committed JSON,
-regenerated with ``REPRO_REGEN_GOLDENS=1`` after intentional changes.
+The scheduler's single path is held to conservation properties over
+random job streams, and the facility-year demo is pinned by a seed-matrix
+golden: a small scheduler replay per seed whose scalar results are
+committed JSON, regenerated with ``REPRO_REGEN_GOLDENS=1`` after
+intentional changes.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import pathlib
+from unittest import mock
 
 import hypothesis.strategies as st
 import numpy as np
@@ -25,14 +31,15 @@ import pytest
 from hypothesis import given
 
 from .hypothesis_settings import SLOW_SETTINGS, STANDARD_SETTINGS
+from .oracles import ENGINES, ObjectTimerBank
 from repro.scheduler import FaultModel, Job, Policy, Scheduler
 from repro.scheduler.jobs import synthetic_facility_year
 from repro.scheduler.policy import priority_key
-from repro.sim import Engine, ExponentialRearm, Timeout, Timer, TimerBank
+from repro.sim import Engine, ExponentialRearm, Timeout, TimerBank
 from repro.telemetry import Telemetry, chrome_trace_json
 
 # Quantized initial delays: duplicates make same-instant expiry batches
-# common (the vectorized mass-dispatch path); re-arm delays are continuous
+# common (the bank's mass-dispatch path); re-arm delays are continuous
 # rng draws, so cross-block equal-deadline collisions stay measure-zero.
 DELAYS = st.sampled_from([0.0, 0.0, 0.25, 0.5, 1.0, 1.0, 2.0, 3.5])
 
@@ -58,18 +65,16 @@ PROGRAMS = st.lists(
 )
 
 
-def run_mixed(programs, banks, impl, vectorized, with_telemetry=False):
+def run_mixed(programs, banks, impl, bank_cls, with_telemetry=False):
     """Run one generated mixed workload; return every observable."""
     telemetry = Telemetry() if with_telemetry else None
-    eng = Engine(telemetry, impl=impl)
+    eng = ENGINES[impl](telemetry)
     log: list[tuple] = []
-    handles: list[TimerBank] = []
+    handles: list[TimerBank | ObjectTimerBank] = []
 
     for b, (delays, style, budget) in enumerate(banks):
         if style == "sleep":
-            handles.append(TimerBank(
-                eng, delays, name=f"b{b}", vectorized=vectorized,
-            ))
+            handles.append(bank_cls(eng, delays, name=f"b{b}"))
             continue
         counts: dict[int, int] = {}
 
@@ -82,10 +87,9 @@ def run_mixed(programs, banks, impl, vectorized, with_telemetry=False):
                     return None  # lane dies
                 return 0.5 + 0.25 * lane  # next delay, Timer-style
 
-            handles.append(TimerBank(
-                eng, delays, on_fire=on_fire, name=f"b{b}",
-                vectorized=vectorized,
-            ))
+            handles.append(
+                bank_cls(eng, delays, on_fire=on_fire, name=f"b{b}")
+            )
         else:  # rearm rule: exponential draws from a per-bank seeded rng
             def on_fire(lane, b=b, counts=counts, budget=budget):
                 c = counts.get(lane, 0) + 1
@@ -93,10 +97,10 @@ def run_mixed(programs, banks, impl, vectorized, with_telemetry=False):
                 log.append(("fire", b, lane, eng.now))
                 return c <= budget  # False retires the lane
 
-            handles.append(TimerBank(
+            handles.append(bank_cls(
                 eng, delays, on_fire=on_fire,
                 rearm=ExponentialRearm(1.5, np.random.default_rng(100 + b)),
-                name=f"b{b}", vectorized=vectorized,
+                name=f"b{b}",
             ))
 
     def body(i, actions):
@@ -131,17 +135,18 @@ def run_mixed(programs, banks, impl, vectorized, with_telemetry=False):
 
 
 GRID = [
-    ("heap", False), ("heap", True), ("calendar", False), ("calendar", True),
+    ("heap", ObjectTimerBank), ("heap", TimerBank),
+    ("calendar", ObjectTimerBank), ("calendar", TimerBank),
 ]
 
 
 @STANDARD_SETTINGS
 @given(programs=PROGRAMS, banks=BANKS)
 def test_bank_grid_equivalent(programs, banks):
-    """Same logs, clocks and final states across vectorized x impl."""
+    """Same logs, clocks and final states across bank x engine."""
     results = [
-        run_mixed(programs, banks, impl, vectorized)
-        for impl, vectorized in GRID
+        run_mixed(programs, banks, impl, bank_cls)
+        for impl, bank_cls in GRID
     ]
     for other in results[1:]:
         assert other == results[0]
@@ -152,8 +157,8 @@ def test_bank_grid_equivalent(programs, banks):
 def test_bank_traces_byte_identical(programs, banks):
     """Chrome traces are byte-identical across the whole grid."""
     results = [
-        run_mixed(programs, banks, impl, vectorized, with_telemetry=True)
-        for impl, vectorized in GRID
+        run_mixed(programs, banks, impl, bank_cls, with_telemetry=True)
+        for impl, bank_cls in GRID
     ]
     for other in results[1:]:
         assert other["trace"] == results[0]["trace"]
@@ -163,16 +168,16 @@ def test_bank_traces_byte_identical(programs, banks):
 @STANDARD_SETTINGS
 @given(
     delays=st.lists(DELAYS, min_size=1, max_size=30),
-    impl=st.sampled_from(["heap", "calendar"]),
+    impl=st.sampled_from(list(ENGINES)),
 )
 def test_spawn_timers_bank_opt_in_equivalent(delays, impl):
-    """``spawn_timers(timer_bank=True)`` matches the per-process spawn."""
-    plain_eng = Engine(impl=impl)
+    """A :class:`TimerBank` over the delays matches ``spawn_timers``."""
+    plain_eng = ENGINES[impl]()
     plain = plain_eng.spawn_timers(delays)
     plain_eng.run()
 
-    bank_eng = Engine(impl=impl)
-    bank = bank_eng.spawn_timers(delays, timer_bank=True)
+    bank_eng = ENGINES[impl]()
+    bank = TimerBank(bank_eng, delays)
     bank_eng.run()
 
     assert bank_eng.now == plain_eng.now
@@ -211,14 +216,36 @@ JOBS = st.lists(
 )
 
 
+def _peak_busy_nodes(telemetry: Telemetry) -> int:
+    """Most nodes the job spans ever hold at once (a sweep over spans).
+
+    On a machine small enough for per-node tracks every execution opens
+    one span per node it holds, so concurrent open spans count busy
+    nodes. At equal times a release sorts before a start: nodes freed at
+    ``t`` may be handed to a job starting at ``t``.
+    """
+    edges = sorted(
+        edge
+        for span in telemetry.spans if span.category == "job"
+        for edge in ((span.start, 1), (span.end, -1))
+    )
+    busy = peak = 0
+    for _, delta in edges:
+        busy += delta
+        peak = max(peak, busy)
+    return peak
+
+
 @SLOW_SETTINGS
 @given(
     jobspec=JOBS,
     policy=st.sampled_from(list(Policy)),
     with_faults=st.booleans(),
 )
-def test_scheduler_bank_mode_equivalent(jobspec, policy, with_faults):
-    """Bank-mode scheduling is byte-identical to the object path."""
+def test_scheduler_invariants(jobspec, policy, with_faults):
+    """Telemetry-blind, never overcommitted, node-hours and faults
+    conserved — over the same job streams x policies x faults grid."""
+    n_nodes = 16
     jobs = [
         Job(f"j{i}", nodes, duration, submit, uses_ai=bool(i % 2))
         for i, (nodes, duration, submit) in enumerate(jobspec)
@@ -227,15 +254,19 @@ def test_scheduler_bank_mode_equivalent(jobspec, policy, with_faults):
         FaultModel(node_mtbf_seconds=2e5, checkpoint_interval=1800.0, seed=3)
         if with_faults else None
     )
-    tel_obj, tel_bank = Telemetry(), Telemetry()
-    r_obj = Scheduler(16, policy).run(
-        list(jobs), faults=faults, telemetry=tel_obj, timer_bank=False
+    plain = Scheduler(n_nodes, policy).run(list(jobs), faults=faults)
+    telemetry = Telemetry()
+    traced = Scheduler(n_nodes, policy).run(
+        list(jobs), faults=faults, telemetry=telemetry
     )
-    r_bank = Scheduler(16, policy).run(
-        list(jobs), faults=faults, telemetry=tel_bank, timer_bank=True
+    assert traced == plain
+    assert _peak_busy_nodes(telemetry) <= n_nodes
+    occupied = plain.utilization * n_nodes * plain.makespan / 3600.0
+    assert math.isclose(
+        occupied, plain.delivered_node_hours + plain.lost_node_hours,
+        rel_tol=1e-9,
     )
-    assert r_obj == r_bank
-    assert chrome_trace_json(tel_obj) == chrome_trace_json(tel_bank)
+    assert plain.n_requeues + len(plain.abandoned) == plain.n_failures
 
 
 def test_scheduler_queue_key_lockstep():
@@ -273,17 +304,18 @@ def test_scheduler_queue_key_lockstep():
 @STANDARD_SETTINGS
 @given(seed=st.integers(0, 30), n_nodes=st.sampled_from([16, 64, 256]))
 def test_injector_bank_modes_equivalent(seed, n_nodes):
-    """Per-node injector banks: object fallback == vectorized, any impl.
+    """Per-node injector banks: the numpy bank on the production engine
+    equals the per-lane reference on the heap oracle.
 
-    ``impl="heap"`` resolves the bank to object fallback and
-    ``impl="calendar"`` to vectorized, so comparing the two runs pins both
-    the mode and the impl axis at once.
+    Swapping both the bank and the engine in one run pins both axes at
+    once; the injector builds its bank through
+    ``repro.sim.timerbank.TimerBank``, which the reference run patches.
     """
     from repro.resilience.faults import FailureInjector, NodeFailureModel
 
     def one_run(impl):
         tel = Telemetry()
-        eng = Engine(tel, impl=impl)
+        eng = ENGINES[impl](tel)
 
         def target_gen():
             from repro.sim import Interrupt
@@ -313,7 +345,8 @@ def test_injector_bank_modes_equivalent(seed, n_nodes):
             "trace": chrome_trace_json(tel),
         }
 
-    heap_run = one_run("heap")
+    with mock.patch("repro.sim.timerbank.TimerBank", ObjectTimerBank):
+        heap_run = one_run("heap")
     calendar_run = one_run("calendar")
     assert heap_run == calendar_run
     # the test generator re-derives its remaining time by float
@@ -333,16 +366,14 @@ def _golden_path(seed: int) -> pathlib.Path:
     return GOLDEN_DIR / f"facility_year_seed{seed}.json"
 
 
-def _facility_scalars(seed: int, timer_bank: bool) -> dict:
+def _facility_scalars(seed: int, telemetry: Telemetry | None = None) -> dict:
     jobs = synthetic_facility_year(
         seed=seed, n_nodes=GOLDEN_NODES, horizon=GOLDEN_HORIZON
     )
     faults = FaultModel(
         node_mtbf_seconds=5e6, checkpoint_interval=3600.0, seed=seed
     )
-    r = Scheduler(GOLDEN_NODES).run(
-        jobs, faults=faults, timer_bank=timer_bank
-    )
+    r = Scheduler(GOLDEN_NODES).run(jobs, faults=faults, telemetry=telemetry)
     return {
         "seed": seed,
         "n_jobs": len(jobs),
@@ -359,9 +390,9 @@ def _facility_scalars(seed: int, timer_bank: bool) -> dict:
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_facility_year_golden(seed):
-    """The facility-year demo workload is pinned per seed, bank mode."""
+    """The facility-year demo workload is pinned per seed."""
     path = _golden_path(seed)
-    scalars = _facility_scalars(seed, timer_bank=True)
+    scalars = _facility_scalars(seed)
     regenerated = json.dumps(scalars, indent=2, sort_keys=True) + "\n"
     if os.environ.get("REPRO_REGEN_GOLDENS"):
         path.write_text(regenerated)
@@ -377,7 +408,11 @@ def test_facility_year_golden(seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_facility_year_bank_off_matches_golden(seed):
-    """The object path reproduces the same goldens — mode-independence."""
-    assert _facility_scalars(seed, timer_bank=False) == json.loads(
+    """The scheduler's one run-set, which runs no timer bank, reproduces
+    the same goldens with a telemetry handle attached — the replay's
+    results are independent of recording at facility-golden scale."""
+    telemetry = Telemetry()
+    assert _facility_scalars(seed, telemetry) == json.loads(
         _golden_path(seed).read_text()
     )
+    assert any(span.category == "job" for span in telemetry.spans)

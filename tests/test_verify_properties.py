@@ -51,13 +51,13 @@ def test_sweep_paths_bit_agree_on_random_grids(
     compute=st.floats(1e-4, 10.0),
 )
 def test_crossover_sweep_paths_bit_agree(sizes, ranks, compute):
-    from repro.constants import SUMMIT_INJECTION_LATENCY
     from repro.cost.crossover import DataParallelCrossoverModel
+    from repro.machine.spec import SUMMIT
     from repro.network.link import SUMMIT_INJECTION
 
     grid = {"message_bytes": sizes, "n_ranks": ranks}
     fixed = {
-        "latency": SUMMIT_INJECTION_LATENCY,
+        "latency": SUMMIT.injection_latency,
         "bandwidth": SUMMIT_INJECTION.bandwidth,
         "compute_time": compute,
     }
