@@ -3,14 +3,13 @@
 A bare ``path.write_text(...)`` can be interrupted half way — by a SIGKILL,
 an OOM kill, or a full disk — leaving a torn artifact that the next reader
 parses as garbage. Every writer of a load-bearing artifact (benchmark
-records, conformance reports, cache entries, journal segments) instead
+records, conformance reports, cache entries, trace exports) instead
 writes to a sibling temporary file and atomically renames it into place:
 readers see either the old complete file or the new complete file, never a
-prefix.
+prefix. (Append-only logs append in place; see :mod:`repro.segmentlog`.)
 
 ``fsync=True`` additionally flushes the file *and its directory entry* to
-stable storage before returning — the durability half of the contract the
-write-ahead journal in :mod:`repro.service.journal` is built on.
+stable storage before returning; :func:`fsync_dir` is the directory half.
 """
 
 from __future__ import annotations
@@ -64,8 +63,8 @@ def atomic_writer(path: str | Path, fsync: bool = False):
     """Stream into ``path`` atomically: yields a binary file handle.
 
     The incremental sibling of :func:`atomic_write_bytes` for writers that
-    cannot (or should not) materialize the whole payload first — JSONL
-    exports, telemetry shards. The handle writes to the temporary sibling;
+    cannot (or should not) materialize the whole payload first, such as
+    the JSONL export. The handle writes to the temporary sibling;
     the rename into place happens only when the ``with`` body exits
     cleanly. On an exception the scratch file is removed and the
     destination is untouched.

@@ -347,7 +347,6 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
         ShardedJsonlSink,
         chrome_trace,
         load_shards,
-        shard_paths,
         summary,
         write_chrome_trace,
         write_jsonl,
@@ -392,10 +391,8 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
         results = scenario.results
         report_lines = scenario.report_lines
         name = scenario.name
-    n_shards = 0
     if sink is not None:
         tel.close()
-        n_shards = len(shard_paths(args.shard_dir))
         tel = load_shards(args.shard_dir)
     if args.out:
         write_chrome_trace(tel, args.out)
@@ -423,7 +420,7 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
         }
         if args.shard_dir:
             payload["shard_dir"] = args.shard_dir
-            payload["n_shards"] = n_shards
+            payload["n_shards"] = sink.n_shards
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
     print(
@@ -438,7 +435,7 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
     print(summary(tel))
     if args.shard_dir:
         print()
-        print(f"telemetry spilled to {n_shards} shard(s) under "
+        print(f"telemetry spilled to {sink.n_shards} shard(s) under "
               f"{args.shard_dir} (exports stitched from shards)")
     if args.out:
         print()
@@ -916,7 +913,7 @@ EXIT_CODES: dict[type, int] = {
     errors.ServiceError: 8,
     errors.Saturated: 9,
     errors.LeaseExpired: 10,
-    errors.JournalCorrupt: 11,
+    errors.CorruptLog: 11,
     errors.ProtocolError: 12,
     errors.ReproError: 64,
 }

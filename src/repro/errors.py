@@ -32,6 +32,10 @@ class TaxonomyError(ReproError, KeyError):
     """An unknown motif, domain, program, or other taxonomy label was used."""
 
 
+class CorruptLog(ReproError):
+    """A :mod:`repro.segmentlog` log is damaged beyond a torn final line."""
+
+
 class ServiceError(ReproError):
     """Base class for campaign-service failures (server, client, protocol)."""
 
@@ -44,10 +48,6 @@ class Saturated(ServiceError):
 
 class LeaseExpired(ServiceError):
     """A session acted on a lease it no longer holds (expired or requeued)."""
-
-
-class JournalCorrupt(ServiceError):
-    """The write-ahead journal is damaged beyond the tolerated torn tail."""
 
 
 class ProtocolError(ServiceError):

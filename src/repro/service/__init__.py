@@ -13,8 +13,8 @@ lease expire and requeue (attempt-accounted through the shared
 Modules:
 
 - :mod:`repro.service.spec` — the campaign/job schema;
-- :mod:`repro.service.journal` — the write-ahead journal (segments, CRCs,
-  torn-tail-tolerant replay);
+- :mod:`repro.service.journal` — the write-ahead journal (seq-numbered
+  records on a :mod:`repro.segmentlog` log, torn-tail-tolerant replay);
 - :mod:`repro.service.state` — the pure state machine shared by live
   serving and replay;
 - :mod:`repro.service.server` — the asyncio unix-socket server

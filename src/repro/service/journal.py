@@ -1,4 +1,4 @@
-"""Write-ahead journal: fsync'd JSONL segments with crash-tolerant replay.
+"""Write-ahead journal: fsync'd transitions with crash-tolerant replay.
 
 Every campaign state transition (ingest, lease, heartbeat, complete,
 requeue, fail) is appended here and flushed to stable storage *before* the
@@ -7,69 +7,32 @@ one-directional: an acked transition is always replayable; an unacked one
 may be torn or missing — and the state machine never told anyone it
 happened, so discarding it on replay is correct.
 
-Layout: ``<dir>/wal-00000001.jsonl``, ``wal-00000002.jsonl``, ... Each line
-is one JSON record carrying a monotonically increasing ``seq`` and a
-``crc`` (CRC-32 of the canonical encoding of the rest). Segments rotate at
-a size threshold; a new segment is created empty and the directory entry
-fsync'd, so rotation can never lose or tear the old segment. A process
-reopening an existing journal always starts a *fresh* segment — it never
-appends to a possibly-torn tail.
-
-Replay tolerance, precisely: the **final line of a segment** may be torn
-(truncated mid-write, bad JSON, CRC mismatch) — that is exactly the record
-a crash can damage, and it is discarded with a counter bump. Damage
-anywhere else, or a gap in ``seq``, means the journal was edited or the
-disk lied, and raises :class:`~repro.errors.JournalCorrupt` rather than
-silently resuming from fiction.
+The bytes are a :mod:`repro.segmentlog` log under the ``wal-`` prefix,
+which owns the line format, rotation and torn-tail policy. The journal
+numbers records with a monotonically increasing ``seq``; replay refuses a
+gap with :class:`~repro.errors.CorruptLog`, and after a failed write the
+journal is closed, so a reopen continues at the last durable ``seq`` + 1.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any
 
-from repro.atomicio import fsync_dir
-from repro.errors import ConfigurationError, JournalCorrupt
+from repro import segmentlog
+from repro.errors import ConfigurationError, CorruptLog
 
 __all__ = ["Journal", "JournalReplay", "read_journal", "segment_paths"]
 
 SEGMENT_PREFIX = "wal-"
-SEGMENT_SUFFIX = ".jsonl"
-DEFAULT_SEGMENT_MAX_BYTES = 4 * 1024 * 1024
-
-
-def _canonical(record: dict[str, Any]) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
-
-
-def _crc(record: dict[str, Any]) -> int:
-    return zlib.crc32(_canonical(record).encode("utf-8"))
+#: Segment rotation threshold in bytes.
+SEGMENT_MAX_BYTES = 4 * 1024 * 1024
 
 
 def segment_paths(directory: str | Path) -> list[Path]:
     """Journal segments under ``directory``, in write order."""
-    directory = Path(directory)
-    if not directory.exists():
-        return []
-    return sorted(
-        p for p in directory.iterdir()
-        if p.name.startswith(SEGMENT_PREFIX)
-        and p.name.endswith(SEGMENT_SUFFIX)
-    )
-
-
-def _parse_segment_index(path: Path) -> int:
-    stem = path.name[len(SEGMENT_PREFIX):-len(SEGMENT_SUFFIX)]
-    try:
-        return int(stem)
-    except ValueError:
-        raise JournalCorrupt(
-            f"journal segment {path.name!r} has a non-numeric index"
-        ) from None
+    return segmentlog.segment_paths(directory, SEGMENT_PREFIX)
 
 
 @dataclass
@@ -77,36 +40,11 @@ class JournalReplay:
     """Everything replay recovered, plus what it had to throw away."""
 
     records: list[dict[str, Any]] = field(default_factory=list)
-    segments: list[Path] = field(default_factory=list)
     discarded_tails: int = 0
 
     @property
     def last_seq(self) -> int:
         return self.records[-1]["seq"] if self.records else 0
-
-
-def _iter_segment(path: Path) -> Iterator[tuple[bool, dict[str, Any] | None]]:
-    """Yield ``(is_final_line, record_or_None)`` per line of one segment."""
-    raw = path.read_bytes()
-    lines = raw.split(b"\n")
-    # A well-formed file ends with a newline, so the final split element is
-    # empty; anything else is a torn tail candidate.
-    for i, line in enumerate(lines):
-        final = i >= len(lines) - 2
-        if not line:
-            continue
-        try:
-            record = json.loads(line.decode("utf-8"))
-            if not isinstance(record, dict):
-                raise ValueError("journal line is not an object")
-        except (ValueError, UnicodeDecodeError):
-            yield final, None
-            continue
-        crc = record.pop("crc", None)
-        if crc != _crc(record):
-            yield final, None
-            continue
-        yield final, record
 
 
 def read_journal(directory: str | Path) -> JournalReplay:
@@ -120,31 +58,16 @@ def read_journal(directory: str | Path) -> JournalReplay:
     >>> [r["type"] for r in read_journal(d).records]
     ['ingest']
     """
-    replay = JournalReplay(segments=segment_paths(directory))
-    prev_index = 0
-    for path in replay.segments:
-        index = _parse_segment_index(path)
-        if index <= prev_index:
-            raise JournalCorrupt(
-                f"journal segments out of order at {path.name!r}"
+    replay = JournalReplay()
+    reader = segmentlog.LogReader(segment_paths(directory))
+    for record in reader:
+        if record.get("seq") != replay.last_seq + 1:
+            raise CorruptLog(
+                f"journal seq discontinuity in {reader.path.name!r}: "
+                f"expected {replay.last_seq + 1}, found {record.get('seq')!r}"
             )
-        prev_index = index
-        for final, record in _iter_segment(path):
-            if record is None:
-                if final:
-                    replay.discarded_tails += 1
-                    continue
-                raise JournalCorrupt(
-                    f"damaged record mid-segment in {path.name!r} — "
-                    "not a torn tail; refusing to replay"
-                )
-            seq = record.get("seq")
-            if not isinstance(seq, int) or seq != replay.last_seq + 1:
-                raise JournalCorrupt(
-                    f"journal seq discontinuity in {path.name!r}: "
-                    f"expected {replay.last_seq + 1}, found {seq!r}"
-                )
-            replay.records.append(record)
+        replay.records.append(record)
+    replay.discarded_tails = reader.discarded_tails
     return replay
 
 
@@ -152,82 +75,42 @@ class Journal:
     """Append-only writer half of the WAL (see the module docstring).
 
     ``metrics`` is an optional
-    :class:`~repro.telemetry.metrics.MetricsRegistry`; fsyncs, appended
-    records and rotations are counted under ``journal.*``.
+    :class:`~repro.telemetry.metrics.MetricsRegistry`; appended records and
+    fsyncs are counted under ``journal.*``.
     """
 
     def __init__(
-        self,
-        directory: str | Path,
-        segment_max_bytes: int = DEFAULT_SEGMENT_MAX_BYTES,
-        fsync: bool = True,
-        metrics: Any = None,
-        start_seq: int | None = None,
+        self, directory: str | Path, fsync: bool = True, metrics: Any = None
     ):
-        if segment_max_bytes < 1:
-            raise ConfigurationError("segment_max_bytes must be positive")
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self.segment_max_bytes = segment_max_bytes
-        self.fsync = fsync
         self.metrics = metrics
-        existing = segment_paths(self.directory)
-        self._segment_index = (
-            _parse_segment_index(existing[-1]) if existing else 0
-        )
-        if start_seq is None:
-            start_seq = read_journal(self.directory).last_seq
-        self._seq = start_seq
-        self._fh = None
-        self._open_next_segment()
-
-    # -- segment management --------------------------------------------------------
-
-    @property
-    def current_segment(self) -> Path:
-        return self.directory / (
-            f"{SEGMENT_PREFIX}{self._segment_index:08d}{SEGMENT_SUFFIX}"
+        self._replay: JournalReplay | None = read_journal(directory)
+        self._seq = self._replay.last_seq
+        self._log = segmentlog.SegmentWriter(
+            directory, SEGMENT_PREFIX, SEGMENT_MAX_BYTES, fsync
         )
 
-    def _open_next_segment(self) -> None:
-        if self._fh is not None:
-            self.commit()
-            self._fh.close()
-        self._segment_index += 1
-        # "xb": creating the segment is the atomic, crash-evident step —
-        # either the directory entry exists (and is fsync'd) or it does not.
-        self._fh = open(self.current_segment, "xb")
-        if self.fsync:
-            fsync_dir(self.directory)
-        self._count("journal.rotations")
-
-    # -- appending -----------------------------------------------------------------
+    def take_replay(self) -> JournalReplay:
+        """The replay opening read (to continue ``seq``); handed over once."""
+        replay, self._replay = self._replay, None
+        if replay is None:
+            raise ConfigurationError("the journal replay was already taken")
+        return replay
 
     def append(self, type: str, **payload: Any) -> dict[str, Any]:
         """Buffer one record; call :meth:`commit` before acking it."""
-        if self._fh is None:
-            raise ConfigurationError("journal is closed")
-        if "seq" in payload or "type" in payload or "crc" in payload:
-            raise ConfigurationError(
-                "seq/type/crc are reserved journal fields"
-            )
+        if "seq" in payload or "type" in payload:
+            raise ConfigurationError("seq/type are reserved journal fields")
+        record = {"seq": self._seq + 1, "type": type, **payload}
+        self._log.append(record)
         self._seq += 1
-        record = {"seq": self._seq, "type": type, **payload}
-        line = dict(record)
-        line["crc"] = _crc(record)
-        self._fh.write(_canonical(line).encode("utf-8") + b"\n")
         self._count("journal.records")
-        if self._fh.tell() >= self.segment_max_bytes:
-            self._open_next_segment()
         return record
 
     def commit(self) -> None:
-        """Flush buffered appends to stable storage (fsync) — *then* ack."""
-        if self._fh is None:
-            raise ConfigurationError("journal is closed")
-        self._fh.flush()
-        if self.fsync:
-            os.fsync(self._fh.fileno())
+        """Write buffered appends to stable storage (fsync) — *then* ack."""
+        pending = self._log.pending_bytes
+        self._log.commit()
+        if pending and self._log.fsync:
             self._count("journal.fsyncs")
 
     def append_commit(self, type: str, **payload: Any) -> dict[str, Any]:
@@ -247,17 +130,8 @@ class Journal:
         return self._seq
 
     def close(self) -> None:
-        if self._fh is not None:
-            self.commit()
-            self._fh.close()
-            self._fh = None
+        self._log.close()
 
     def _count(self, name: str) -> None:
         if self.metrics is not None:
             self.metrics.counter(name).inc()
-
-    def __enter__(self) -> "Journal":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()

@@ -148,7 +148,7 @@ class CampaignServer:
     async def start(self) -> None:
         """Replay the journal (if any), ingest the spec, open the socket."""
         with self.telemetry.span("recover", "service", facility="service"):
-            replay = read_journal(self.journal_dir)
+            replay = self.journal.take_replay()
             if replay.records:
                 self.recovered = True
                 self.state = CampaignState.replay(replay.records, self.spec)

@@ -4,8 +4,9 @@ ROADMAP item 3's enabling layer: a merged trace for a million-job replay
 cannot live in memory, so a :class:`~repro.telemetry.context.Telemetry`
 handle constructed with a :class:`ShardedJsonlSink` spills every *closed*
 record (spans on ``end``, instants and counter samples at record time,
-the metrics registry at ``close``) to crash-safe JSONL shard files, one
-wire format shared with ``to_jsonl`` and the service's pubsub frames.
+the metrics registry at ``close``) to CRC-checked :mod:`repro.segmentlog`
+shard files, one wire format shared with ``to_jsonl`` and the service's
+pubsub frames.
 
 Two consumers read the shards back:
 
@@ -37,11 +38,11 @@ Two consumers read the shards back:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterator, Protocol, runtime_checkable
+from typing import Any, Protocol, runtime_checkable
 
+from repro import segmentlog
 from repro.errors import ConfigurationError
 from repro.telemetry.context import Telemetry
 from repro.telemetry.metrics import MetricsRegistry
@@ -59,7 +60,6 @@ __all__ = [
 ]
 
 SHARD_PREFIX = "telemetry-"
-SHARD_SUFFIX = ".jsonl"
 #: Default shard rotation threshold — small enough to bound memory, large
 #: enough that a scenario trace stays a handful of files.
 DEFAULT_SHARD_MAX_BYTES = 4 * 1024 * 1024
@@ -91,51 +91,39 @@ class SpanSink(Protocol):
 
 def shard_paths(directory: str | Path) -> list[Path]:
     """Telemetry shards under ``directory``, in spill order."""
-    directory = Path(directory)
-    if not directory.exists():
-        return []
-    return sorted(
-        p for p in directory.iterdir()
-        if p.name.startswith(SHARD_PREFIX) and p.name.endswith(SHARD_SUFFIX)
-    )
+    return segmentlog.segment_paths(directory, SHARD_PREFIX)
 
 
 class ShardedJsonlSink:
     """Spill closed telemetry records to size-bounded JSONL shard files.
 
-    Records buffer in encoded form and rotate into
-    ``<dir>/telemetry-00000001.jsonl``, ``telemetry-00000002.jsonl``, ...
-    once the buffer reaches ``shard_max_bytes``. Every shard is written
-    through :func:`repro.atomicio.atomic_write_bytes`, so readers only ever
-    see complete shards — a crash loses at most the unflushed buffer,
-    never tears a file. Peak memory is O(shard_max_bytes), independent of
-    trace length.
+    Records buffer in encoded form and are written, one unsynced write per
+    shard, to ``<dir>/telemetry-00000001.jsonl``, ... once the buffer
+    reaches ``shard_max_bytes``. A crash loses at most the unflushed
+    buffer and tears at most a shard's final line, which readers skip.
+    Peak memory is O(shard_max_bytes), independent of trace length.
     """
 
     def __init__(
         self,
         directory: str | Path,
         shard_max_bytes: int = DEFAULT_SHARD_MAX_BYTES,
-        fsync: bool = False,
     ):
-        if shard_max_bytes < 1:
-            raise ConfigurationError("shard_max_bytes must be positive")
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        if shard_paths(self.directory):
+        if shard_paths(directory):
             raise ConfigurationError(
-                f"{self.directory} already holds telemetry shards; "
+                f"{directory} already holds telemetry shards; "
                 "spill each run to a fresh directory"
             )
-        self.shard_max_bytes = shard_max_bytes
-        self.fsync = fsync
+        self._log = segmentlog.SegmentWriter(
+            directory, SHARD_PREFIX, shard_max_bytes, fsync=False
+        )
         self.n_spans = 0
         self.n_instants = 0
         self.n_samples = 0
-        self.n_shards = 0
-        self._buffer: list[bytes] = []
-        self._buffer_bytes = 0
-        self._closed = False
+
+    @property
+    def n_shards(self) -> int:
+        return self._log.n_segments
 
     # -- the sink surface ----------------------------------------------------------
 
@@ -159,74 +147,34 @@ class ShardedJsonlSink:
 
     def flush(self) -> None:
         """Rotate the partial buffer out as a shard (durability point)."""
-        if self._buffer:
-            self._write_shard()
+        self._log.rotate()
 
     def close(self, metrics: MetricsRegistry | None = None) -> None:
         """Spill the metrics registry last, flush, and seal (idempotent)."""
-        if self._closed:
+        if self._log.closed:
             return
         from repro.telemetry.export import metric_records
 
         if metrics is not None:
             for record in metric_records(metrics):
                 self._emit(record)
-        self.flush()
-        self._closed = True
-
-    # -- internals -----------------------------------------------------------------
+        self._log.close()
 
     def _emit(self, record: dict[str, Any]) -> None:
-        if self._closed:
-            raise ConfigurationError(
-                "telemetry sink is closed; no further records accepted"
-            )
-        from repro.telemetry.export import encode_record
-
-        line = encode_record(record).encode("utf-8") + b"\n"
-        self._buffer.append(line)
-        self._buffer_bytes += len(line)
-        if self._buffer_bytes >= self.shard_max_bytes:
-            self._write_shard()
-
-    def _write_shard(self) -> None:
-        from repro.atomicio import atomic_write_bytes
-
-        self.n_shards += 1
-        path = self.directory / (
-            f"{SHARD_PREFIX}{self.n_shards:08d}{SHARD_SUFFIX}"
-        )
-        atomic_write_bytes(path, b"".join(self._buffer), fsync=self.fsync)
-        self._buffer = []
-        self._buffer_bytes = 0
+        self._log.append(record)
+        if self._log.pending_bytes >= self._log.max_bytes:
+            self._log.commit()
 
 
-def iter_shard_records(directory: str | Path) -> Iterator[dict[str, Any]]:
-    """Stream every record from a shard directory, in spill order."""
+def iter_shard_records(directory: str | Path) -> segmentlog.LogReader:
+    """A :class:`~repro.segmentlog.LogReader` over a shard directory's
+    records, in spill order (torn shard tails skipped and counted)."""
     paths = shard_paths(directory)
     if not paths:
         raise ConfigurationError(
             f"no telemetry shards under {Path(directory)}"
         )
-    for path in paths:
-        yield from _iter_shard_file(path)
-
-
-def _iter_shard_file(path: Path) -> Iterator[dict[str, Any]]:
-    with open(path, "rb") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line.decode("utf-8"))
-                if not isinstance(record, dict) or "type" not in record:
-                    raise ValueError
-            except (ValueError, UnicodeDecodeError):
-                raise ConfigurationError(
-                    f"damaged telemetry record at {path.name}:{lineno}"
-                ) from None
-            yield record
+    return segmentlog.LogReader(paths)
 
 
 def _restore_metric(metrics: MetricsRegistry, record: dict[str, Any]) -> None:
@@ -388,7 +336,7 @@ class ShardAggregator:
             )
 
     def consume_shard(self, path: str | Path) -> None:
-        for record in _iter_shard_file(Path(path)):
+        for record in segmentlog.LogReader([path]):
             self.consume(record)
 
     def consume_directory(
@@ -406,15 +354,11 @@ class ShardAggregator:
         :func:`iter_shard_records` instead when the record-order float sum
         must match the materialized timelines exactly.
         """
-        paths = shard_paths(directory)
-        if not paths:
-            raise ConfigurationError(
-                f"no telemetry shards under {Path(directory)}"
-            )
         from repro.exec.parallel import ParallelMap
 
         partials = ParallelMap(n_jobs).map(
-            _aggregate_one_shard, [str(p) for p in paths]
+            _aggregate_one_shard,
+            [str(p) for p in iter_shard_records(directory).paths],
         )
         for partial in partials:
             self.merge(partial)

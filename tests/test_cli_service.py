@@ -35,7 +35,7 @@ class TestExitCodeTable:
 
     def test_every_service_error_is_mapped(self):
         for exc_type in (errors.ServiceError, errors.Saturated,
-                         errors.LeaseExpired, errors.JournalCorrupt,
+                         errors.LeaseExpired, errors.CorruptLog,
                          errors.ProtocolError):
             assert exc_type in EXIT_CODES
 
@@ -82,8 +82,8 @@ class TestServiceErrorPaths:
         sock = Path(tempfile.mkdtemp(prefix="rsvc-")) / "s"
         code = main(["serve", "--drug", "2", "--journal", str(jdir),
                      "--socket", str(sock)])
-        assert code == EXIT_CODES[errors.JournalCorrupt]
-        assert "[JournalCorrupt]" in capsys.readouterr().err
+        assert code == EXIT_CODES[errors.CorruptLog]
+        assert "[CorruptLog]" in capsys.readouterr().err
 
     def test_serve_bad_spec_file(self, tmp_path, capsys):
         bad = tmp_path / "campaign.json"

@@ -1,11 +1,15 @@
 """Tests for the write-ahead journal: durability, rotation, replay tolerance."""
 
+import errno
 import json
+import os
 import zlib
 
 import pytest
 
-from repro.errors import ConfigurationError, JournalCorrupt
+from repro import segmentlog
+from repro.errors import ConfigurationError, CorruptLog
+from repro.service import journal as journal_module
 from repro.service.journal import (
     Journal,
     read_journal,
@@ -58,8 +62,9 @@ class TestAppendReplay:
 
 
 class TestRotation:
-    def test_segments_rotate_and_replay_in_order(self, tmp_path):
-        journal = Journal(tmp_path, segment_max_bytes=200)
+    def test_segments_rotate_and_replay_in_order(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(journal_module, "SEGMENT_MAX_BYTES", 200)
+        journal = Journal(tmp_path)
         for i in range(25):
             journal.append_commit("tick", i=i)
         journal.close()
@@ -104,7 +109,7 @@ class TestReplayTolerance:
         lines = segment.read_bytes().splitlines(keepends=True)
         lines[1] = b"garbage not json\n"
         segment.write_bytes(b"".join(lines))
-        with pytest.raises(JournalCorrupt, match="mid-segment"):
+        with pytest.raises(CorruptLog, match="mid-segment"):
             read_journal(tmp_path)
 
     def test_seq_gap_is_fatal(self, tmp_path):
@@ -113,7 +118,7 @@ class TestReplayTolerance:
         lines = segment.read_bytes().splitlines(keepends=True)
         del lines[1]  # drop seq 2 -> gap, but line 3 still valid
         segment.write_bytes(b"".join(lines))
-        with pytest.raises(JournalCorrupt, match="discontinuity"):
+        with pytest.raises(CorruptLog, match="discontinuity"):
             read_journal(tmp_path)
 
     def test_crc_protects_payload_tampering(self, tmp_path):
@@ -121,20 +126,97 @@ class TestReplayTolerance:
         segment = segment_paths(tmp_path)[-1]
         raw = segment.read_bytes().replace(b'"s1"', b'"s2"')
         segment.write_bytes(raw)
-        with pytest.raises(JournalCorrupt):
+        with pytest.raises(CorruptLog):
             read_journal(tmp_path)
 
     def test_crc_matches_manual_computation(self, tmp_path):
         _write(tmp_path, [("a", {"k": 1})])
-        line = segment_paths(tmp_path)[-1].read_text().strip()
-        record = json.loads(line)
-        crc = record.pop("crc")
+        line = segment_paths(tmp_path)[-1].read_bytes()
+        assert line.endswith(b"\n")
+        crc, body = line[:-1].split(b" ", 1)
+        record = json.loads(body)
         canonical = json.dumps(record, sort_keys=True,
                                separators=(",", ":")).encode()
-        assert crc == zlib.crc32(canonical)
+        assert body == canonical
+        assert crc == b"%08x" % zlib.crc32(canonical)
 
     def test_nonnumeric_segment_name_is_fatal(self, tmp_path):
         _write(tmp_path, [("a", {})])
         (tmp_path / "wal-evil.jsonl").write_text("{}\n")
-        with pytest.raises(JournalCorrupt, match="non-numeric"):
+        with pytest.raises(CorruptLog, match="non-numeric"):
             read_journal(tmp_path)
+
+
+class TestFailStop:
+    """A failed write must not cost a seq or let later records land after
+    a possibly partial one: the journal closes, and a reopen continues at
+    the last durable seq + 1."""
+
+    @pytest.mark.parametrize("fault", ["write", "fsync"])
+    def test_failed_commit_closes_and_reopen_continues(
+        self, tmp_path, monkeypatch, fault
+    ):
+        _write(tmp_path, [("ingest", {"jobs": ["a"]}),
+                          ("lease", {"session": "s", "jobs": ["a"]})])
+        acked = read_journal(tmp_path).records
+
+        def no_space(*args, **kwargs):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        class FullDisk:
+            def __init__(self, fh):
+                self._fh = fh
+                self.write = no_space
+
+            def __getattr__(self, name):
+                return getattr(self._fh, name)
+
+        journal = Journal(tmp_path)
+        if fault == "write":
+            monkeypatch.setattr(
+                segmentlog, "open",
+                lambda path, mode: FullDisk(open(path, mode)), raising=False,
+            )
+        else:
+            monkeypatch.setattr(os, "fsync", no_space)
+        with pytest.raises(OSError):
+            journal.append_commit("ingest", jobs=["b" * 4096])
+        monkeypatch.undo()
+        with pytest.raises(ConfigurationError, match="closed"):
+            journal.append("complete", job_id="a")
+        journal.close()
+
+        replay = read_journal(tmp_path)
+        assert replay.records[:2] == acked
+        assert replay.last_seq in (2, 3)
+        reopened = Journal(tmp_path)
+        record = reopened.append_commit("complete", job_id="a")
+        reopened.close()
+        assert record["seq"] == replay.last_seq + 1
+        assert [r["seq"] for r in read_journal(tmp_path).records] == list(
+            range(1, record["seq"] + 1)
+        )
+
+    def test_unencodable_payload_consumes_no_seq(self, tmp_path):
+        journal = Journal(tmp_path)
+        journal.append_commit("a")
+        with pytest.raises(TypeError):
+            journal.append_commit("b", blob=object())
+        journal.append_commit("c")
+        journal.close()
+        replay = read_journal(tmp_path)
+        assert [(r["seq"], r["type"]) for r in replay.records] == [
+            (1, "a"), (2, "c"),
+        ]
+
+
+class TestOpenReplay:
+    def test_replay_read_at_open_is_handed_over_once(self, tmp_path):
+        _write(tmp_path, [("a", {}), ("b", {})])
+        journal = Journal(tmp_path)
+        replay = journal.take_replay()
+        assert replay.records == read_journal(tmp_path).records
+        assert journal.last_seq == replay.last_seq == 2
+        with pytest.raises(ConfigurationError, match="already taken"):
+            journal.take_replay()
+        journal.close()

@@ -357,6 +357,24 @@ class TestDrain:
         records = read_journal(jdir).records
         assert records[-1]["type"] == "drain"
 
+    def test_restart_reads_the_journal_once(self, monkeypatch):
+        from repro.service import journal, server
+
+        tmp = Path(tempfile.mkdtemp(prefix="rsvc-"))
+        spec = CampaignSpec(name="t", jobs=_jobs(1), **FAST)
+        jdir = tmp / "journal"
+        with running_server(spec, journal_dir=jdir):
+            pass
+        reads = []
+        for module in (journal, server):
+            monkeypatch.setattr(
+                module, "read_journal",
+                lambda d, read=module.read_journal: reads.append(d) or read(d),
+            )
+        with running_server(spec, journal_dir=jdir) as client:
+            assert client.status()["recovered"] is True
+        assert reads == [jdir]
+
 
 def test_chaos_campaign_spec_is_deterministic():
     assert chaos_campaign(12, seed=3) == chaos_campaign(12, seed=3)

@@ -2,11 +2,10 @@
 deterministic shard stitcher (byte-identity at every shard size, including
 one-record shards), and the bounded-memory incremental aggregators."""
 
-import json
-
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, CorruptLog
+from repro.segmentlog import encode_line
 from repro.telemetry import (
     DEFAULT_SHARD_MAX_BYTES,
     ShardAggregator,
@@ -133,7 +132,7 @@ class TestShardStitcher:
         lines = victim.read_bytes().splitlines()
         lines[2] = b"{not json"
         victim.write_bytes(b"\n".join(lines) + b"\n")
-        with pytest.raises(ConfigurationError,
+        with pytest.raises(CorruptLog,
                            match=rf"{victim.name}:3"):
             list(iter_shard_records(directory))
 
@@ -141,7 +140,7 @@ class TestShardStitcher:
         directory, _ = _spill_scenario(tmp_path, shard_max_bytes=1 << 20)
         victim = shard_paths(directory)[0]
         with open(victim, "ab") as fh:
-            fh.write(json.dumps({"type": "mystery"}).encode() + b"\n")
+            fh.write(encode_line({"type": "mystery"}))
         with pytest.raises(ConfigurationError, match="mystery"):
             load_shards(directory)
 
