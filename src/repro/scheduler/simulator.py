@@ -126,9 +126,13 @@ class Scheduler:
         ends: dict[str, float] = {}
 
         # -- telemetry state (inert when telemetry is None) --------------------
-        node_tracks = (
-            telemetry is not None and self.n_nodes <= telemetry.max_node_tracks
-        )
+        node_tracks = False
+        if telemetry is not None:
+            # imported only when traced: the untraced replay loads no
+            # telemetry package at all
+            from repro.telemetry import DEFAULT_MAX_NODE_TRACKS
+
+            node_tracks = self.n_nodes <= DEFAULT_MAX_NODE_TRACKS
         free_nodes = list(range(self.n_nodes)) if node_tracks else []
         open_runs: dict[int, tuple[list, list[int]]] = {}  # seq -> spans, nodes
         open_waits: dict[str, object] = {}  # job_id -> open wait span

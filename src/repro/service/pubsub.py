@@ -70,6 +70,8 @@ FRAME_VERSION = 1
 #: Topics the hub serves. ``journal`` is durable (disk-backed backlog);
 #: the telemetry topics are ring-buffered.
 TOPICS = ("journal", "spans", "events", "counters")
+#: The topic each telemetry wire record type is published on (HubSink).
+_RECORD_TOPICS = {"span": "spans", "instant": "events", "sample": "counters"}
 #: Cap on one frame body — matches the server's request-line cap.
 MAX_FRAME_BYTES = 32 * 1024 * 1024
 #: Per-subscriber queue bound: a reader this far behind starts losing
@@ -301,23 +303,9 @@ class HubSink:
     def __init__(self, hub: PubSubHub):
         self.hub = hub
 
-    def emit_span(self, span) -> None:
-        from repro.telemetry.export import span_record
-
+    def emit(self, record: dict[str, Any]) -> None:
         if not self.hub.closed:
-            self.hub.publish("spans", span_record(span))
-
-    def emit_instant(self, event) -> None:
-        from repro.telemetry.export import instant_record
-
-        if not self.hub.closed:
-            self.hub.publish("events", instant_record(event))
-
-    def emit_sample(self, sample) -> None:
-        from repro.telemetry.export import sample_record
-
-        if not self.hub.closed:
-            self.hub.publish("counters", sample_record(sample))
+            self.hub.publish(_RECORD_TOPICS[record["type"]], record)
 
 
 def frames_from_journal(

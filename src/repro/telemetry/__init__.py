@@ -6,6 +6,12 @@ simulation stack behind one opt-in :class:`Telemetry` handle and exported
 as Chrome trace-event JSON (Perfetto-loadable), JSON-lines, or a text
 summary. See the README's "Observability" section for a walkthrough.
 
+Each closed record is encoded once as a wire record
+(:mod:`~repro.telemetry.spans`) and handed to one ``emit(record)`` on the
+handle's sink and taps. One rollup, :class:`ShardAggregator`, totals span
+categories and step-integrates counter samples, both for the text
+``summary`` of an in-memory handle and for a spilled shard directory.
+
 >>> from repro.telemetry import Telemetry
 >>> tel = Telemetry(clock=lambda: 0.0)
 >>> with tel.span("step", "training") as sp:
@@ -36,11 +42,11 @@ from repro.telemetry.stream import (
     ShardAggregator,
     ShardedJsonlSink,
     SpanSink,
+    UtilizationAccumulator,
     iter_shard_records,
     load_shards,
     shard_paths,
 )
-from repro.telemetry.timeline import UtilizationAccumulator, UtilizationTimeline
 
 __all__ = [
     "DEFAULT_MAX_NODE_TRACKS",
@@ -58,7 +64,6 @@ __all__ = [
     "SpanSink",
     "Telemetry",
     "UtilizationAccumulator",
-    "UtilizationTimeline",
     "chrome_trace",
     "chrome_trace_json",
     "iter_shard_records",

@@ -18,13 +18,15 @@ Wall-clock instrumentation (cost-sweep stage timing) passes explicit
 ``perf_counter`` offsets instead — keep simulated and wall traces in
 separate handles.
 
-Storage is pluggable (PR 8): by default closed records accumulate in the
-in-memory lists exactly as always, but a ``sink`` (any
-:class:`~repro.telemetry.stream.SpanSink`, e.g. the sharded JSONL spiller)
-replaces the lists entirely — records stream out as they close and the
-handle stays O(1) in memory. ``add_tap`` registers *observers* that see
-every closed record in both modes without changing where records live —
-the live pubsub hub in :mod:`repro.service` is a tap.
+Storage is pluggable: by default records accumulate in the in-memory
+lists, but a ``sink`` (any :class:`~repro.telemetry.stream.SpanSink`, e.g.
+the sharded JSONL spiller) replaces the lists entirely — records stream
+out as they close and the handle stays O(1) in memory. ``add_tap``
+registers *observers* that see every closed record in both modes without
+changing where records live — the live pubsub hub in :mod:`repro.service`
+is a tap. The sink and the taps form one output list: each closed record
+is encoded once, as its wire record (:mod:`repro.telemetry.spans`), and
+handed to every output's ``emit(record)`` in turn.
 """
 
 from __future__ import annotations
@@ -35,8 +37,14 @@ from typing import Any, Callable
 from repro.errors import ConfigurationError
 
 from repro.telemetry.metrics import MetricsRegistry
-from repro.telemetry.spans import CounterSample, InstantEvent, Span
-from repro.telemetry.timeline import UtilizationTimeline
+from repro.telemetry.spans import (
+    CounterSample,
+    InstantEvent,
+    Span,
+    instant_record,
+    sample_record,
+    span_record,
+)
 
 #: Above this many nodes a facility gets per-task tracks instead of
 #: per-node tracks — a 4 608-node machine as 4 608 Perfetto rows is noise.
@@ -46,20 +54,15 @@ DEFAULT_MAX_NODE_TRACKS = 256
 class Telemetry:
     """Collects spans, instant events, counter samples, and metrics."""
 
-    def __init__(
-        self,
-        clock: Callable[[], float] | None = None,
-        max_node_tracks: int = DEFAULT_MAX_NODE_TRACKS,
-        sink=None,
-    ):
+    def __init__(self, clock: Callable[[], float] | None = None, sink=None):
         self.clock = clock
-        self.max_node_tracks = max_node_tracks
         self.sink = sink
         self.spans: list[Span] = []
         self.instants: list[InstantEvent] = []
         self.samples: list[CounterSample] = []
         self.metrics = MetricsRegistry()
-        self._taps: list[Any] = []
+        # every closed record goes to each of these: the sink, then taps
+        self._outputs: list[Any] = [] if sink is None else [sink]
         self._next_id = 1
 
     # -- pickling (handles cross process boundaries in the exec fabric) -----------
@@ -71,7 +74,7 @@ class Telemetry:
         # and metrics only.
         state["clock"] = None
         state["sink"] = None
-        state["_taps"] = []
+        state["_outputs"] = []
         state["_next_id"] = max(
             (s.span_id for s in self.spans), default=0
         ) + 1
@@ -79,19 +82,19 @@ class Telemetry:
 
     # -- sinks and taps ------------------------------------------------------------
 
-    @property
-    def spilling(self) -> bool:
-        """True when closed records stream to a sink instead of the lists."""
-        return self.sink is not None
-
     def add_tap(self, tap) -> None:
         """Register an observer for every closed span/instant/sample.
 
         Taps never change where records are stored — they run in both
-        in-memory and sink mode, in registration order, synchronously at
-        record time.
+        in-memory and sink mode, after the sink and in registration order,
+        synchronously at record time; ``tap.emit(record)`` receives the
+        wire record.
         """
-        self._taps.append(tap)
+        self._outputs.append(tap)
+
+    def _emit(self, record: dict[str, Any]) -> None:
+        for output in self._outputs:
+            output.emit(record)
 
     def flush(self) -> None:
         """Flush the sink (a no-op for in-memory handles).
@@ -167,10 +170,8 @@ class Telemetry:
                 f"span {span.name!r} ends before it starts"
             )
         span.attrs.update(attrs)
-        if self.sink is not None:
-            self.sink.emit_span(span)
-        for tap in self._taps:
-            tap.emit_span(span)
+        if self._outputs:
+            self._emit(span_record(span))
         return span
 
     @contextmanager
@@ -223,10 +224,8 @@ class Telemetry:
         )
         if self.sink is None:
             self.instants.append(event)
-        else:
-            self.sink.emit_instant(event)
-        for tap in self._taps:
-            tap.emit_instant(event)
+        if self._outputs:
+            self._emit(instant_record(event))
         return event
 
     def sample(
@@ -248,10 +247,8 @@ class Telemetry:
         )
         if self.sink is None:
             self.samples.append(sample)
-        else:
-            self.sink.emit_sample(sample)
-        for tap in self._taps:
-            tap.emit_sample(sample)
+        if self._outputs:
+            self._emit(sample_record(sample))
 
     # -- shard merging -----------------------------------------------------------
 
@@ -310,14 +307,11 @@ class Telemetry:
                 span.facility = f"{span.facility}{suffix}"
             if self.sink is None:
                 self.spans.append(span)
-            elif span.finished:
+            if span.finished and self._outputs:
                 # an unfinished span could still be ended via the merged
-                # handle in list mode, but a sink only ever sees closed
+                # handle in list mode, but outputs only ever see closed
                 # records — finish spans before absorbing into a spiller
-                self.sink.emit_span(span)
-            if span.finished:
-                for tap in self._taps:
-                    tap.emit_span(span)
+                self._emit(span_record(span))
         instants = other.instants
         samples = other.samples
         if suffix:
@@ -336,29 +330,9 @@ class Telemetry:
         if self.sink is None:
             self.instants.extend(instants)
             self.samples.extend(samples)
-        for event in instants:
-            if self.sink is not None:
-                self.sink.emit_instant(event)
-            for tap in self._taps:
-                tap.emit_instant(event)
-        for sample in samples:
-            if self.sink is not None:
-                self.sink.emit_sample(sample)
-            for tap in self._taps:
-                tap.emit_sample(sample)
+        if self._outputs:
+            for event in instants:
+                self._emit(instant_record(event))
+            for sample in samples:
+                self._emit(sample_record(sample))
         self.metrics.merge(other.metrics)
-
-    # -- derived views -----------------------------------------------------------
-
-    def sampled_resources(self) -> list[str]:
-        """Resource names with samples, in first-appearance order."""
-        self._guard_materialized("sampled_resources")
-        seen: dict[str, None] = {}
-        for s in self.samples:
-            seen.setdefault(s.resource, None)
-        return list(seen)
-
-    def utilization(self, resource: str) -> UtilizationTimeline:
-        """The occupancy step function recorded for ``resource``."""
-        self._guard_materialized("utilization")
-        return UtilizationTimeline.from_samples(resource, self.samples)

@@ -17,33 +17,18 @@ from __future__ import annotations
 import json
 from typing import Any, Iterator
 
-from repro.errors import ConfigurationError
 from repro.telemetry.context import Telemetry
-from repro.telemetry.spans import CounterSample, InstantEvent, Span
+from repro.telemetry.metrics import metric_records
+from repro.telemetry.spans import (
+    clean_attrs,
+    instant_record,
+    sample_record,
+    span_record,
+)
+from repro.telemetry.stream import ShardAggregator
 
 #: Seconds -> trace microseconds.
 _US = 1e6
-
-
-def _require_materialized(telemetry: Telemetry) -> None:
-    """Exporting a sink-backed handle directly would silently drop every
-    spilled record; the shard files are the export source instead."""
-    if getattr(telemetry, "sink", None) is not None:
-        raise ConfigurationError(
-            "telemetry records were spilled to a sink; export from the "
-            "shards instead (repro.telemetry.stream.load_shards)"
-        )
-
-
-def _clean(attrs: dict[str, Any]) -> dict[str, Any]:
-    """JSON-safe args: scalars pass through, anything else goes via repr."""
-    out: dict[str, Any] = {}
-    for key, value in attrs.items():
-        if isinstance(value, (str, int, float, bool)) or value is None:
-            out[key] = value
-        else:
-            out[key] = repr(value)
-    return out
 
 
 class _Layout:
@@ -69,7 +54,7 @@ class _Layout:
 
 def chrome_trace(telemetry: Telemetry) -> dict:
     """The trace as a Trace-Event-Format object (``traceEvents`` + units)."""
-    _require_materialized(telemetry)
+    telemetry._guard_materialized("export")
     layout = _Layout()
     spans = []
     for span in telemetry.spans:
@@ -84,8 +69,8 @@ def chrome_trace(telemetry: Telemetry) -> dict:
             "tid": layout.tid(span.facility, span.track),
             "ts": span.start * _US,
             "dur": (span.end - span.start) * _US,
-            "args": _clean({"span_id": span.span_id,
-                            "parent_id": span.parent_id, **span.attrs}),
+            "args": clean_attrs({"span_id": span.span_id,
+                                 "parent_id": span.parent_id, **span.attrs}),
         })
     instants = [
         {
@@ -96,7 +81,7 @@ def chrome_trace(telemetry: Telemetry) -> dict:
             "pid": layout.pid(event.facility),
             "tid": layout.tid(event.facility, event.track),
             "ts": event.time * _US,
-            "args": _clean(event.attrs),
+            "args": clean_attrs(event.attrs),
         }
         for event in telemetry.instants
     ]
@@ -152,47 +137,6 @@ def write_chrome_trace(telemetry: Telemetry, path: str) -> None:
     atomic_write_text(path, chrome_trace_json(telemetry) + "\n")
 
 
-def span_record(span: Span) -> dict[str, Any]:
-    """The JSONL/wire record for one finished span.
-
-    One wire format, three consumers: :func:`to_jsonl` lines, the
-    :class:`~repro.telemetry.stream.ShardedJsonlSink` shard lines, and the
-    pubsub ``spans`` topic payloads — so a record read back from any of
-    them re-exports byte-identically (``_clean`` is idempotent and JSON
-    float repr round-trips exactly).
-    """
-    return {
-        "type": "span", "id": span.span_id, "name": span.name,
-        "cat": span.category, "facility": span.facility,
-        "track": span.track, "start": span.start, "end": span.end,
-        "parent": span.parent_id, "attrs": _clean(span.attrs),
-    }
-
-
-def instant_record(event: InstantEvent) -> dict[str, Any]:
-    """The JSONL/wire record for one instant event."""
-    return {
-        "type": "instant", "name": event.name, "cat": event.category,
-        "facility": event.facility, "track": event.track,
-        "time": event.time, "attrs": _clean(event.attrs),
-    }
-
-
-def sample_record(sample: CounterSample) -> dict[str, Any]:
-    """The JSONL/wire record for one counter sample."""
-    return {
-        "type": "sample", "resource": sample.resource,
-        "time": sample.time, "value": sample.value,
-        "capacity": sample.capacity, "facility": sample.facility,
-    }
-
-
-def metric_records(metrics) -> Iterator[dict[str, Any]]:
-    """One record per instrument; ``type`` is counter/gauge/histogram."""
-    for name, data in metrics.as_dict().items():
-        yield {"name": name, **data}
-
-
 def encode_record(record: dict[str, Any]) -> str:
     """Canonical one-line encoding shared by every JSONL writer."""
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
@@ -200,7 +144,7 @@ def encode_record(record: dict[str, Any]) -> str:
 
 def iter_jsonl_records(telemetry: Telemetry) -> Iterator[dict[str, Any]]:
     """Records in export order: spans, instants, samples, then metrics."""
-    _require_materialized(telemetry)
+    telemetry._guard_materialized("export")
     for span in telemetry.spans:
         if not span.finished:
             continue
@@ -235,36 +179,36 @@ def write_jsonl(telemetry: Telemetry, path: str) -> None:
 
 
 def summary(telemetry: Telemetry) -> str:
-    """Plain-text run summary: spans by category, utilization, metrics."""
-    _require_materialized(telemetry)
-    finished = telemetry.finished_spans()
-    by_cat: dict[str, list[float]] = {}
-    for span in finished:
-        by_cat.setdefault(span.category, []).append(span.duration)
+    """Plain-text run summary: spans by category, utilization, metrics.
+
+    Every number comes from one :class:`ShardAggregator` fed the handle's
+    records in export order — the same rollup that aggregates shards.
+    """
+    rollup = ShardAggregator()
+    for record in iter_jsonl_records(telemetry):
+        rollup.consume(record)
     lines = [
         "Telemetry summary",
-        f"  spans                {len(finished)} complete / "
+        f"  spans                {rollup.n_spans} complete / "
         f"{len(telemetry.spans)} recorded",
-        f"  instant events       {len(telemetry.instants)}",
+        f"  instant events       {rollup.n_instants}",
     ]
-    for cat in sorted(by_cat):
-        durations = by_cat[cat]
+    for cat in sorted(rollup.by_category):
+        stats = rollup.by_category[cat]
         lines.append(
-            f"    {cat:<18} n={len(durations):<6} "
-            f"total={sum(durations):.6g} s  "
-            f"mean={sum(durations) / len(durations):.6g} s"
+            f"    {cat:<18} n={stats.n:<6} "
+            f"total={stats.total:.6g} s  "
+            f"mean={stats.mean:.6g} s"
         )
-    resources = telemetry.sampled_resources()
-    if resources:
+    if rollup.utilization:
         lines.append("  utilization")
-        for name in resources:
-            timeline = telemetry.utilization(name)
+        for name, acc in rollup.utilization.items():
             lines.append(
-                f"    {name:<18} busy={timeline.busy_time():.6g} node-s  "
-                f"util={timeline.utilization():.1%}  "
-                f"peak={timeline.peak():g}/{timeline.capacity:g}"
+                f"    {name:<18} busy={acc.busy_time():.6g} node-s  "
+                f"util={acc.utilization():.1%}  "
+                f"peak={acc.peak():g}/{acc.capacity():g}"
             )
-    if len(telemetry.metrics):
+    if len(rollup.metrics):
         lines.append("  metrics")
-        lines.extend("  " + line for line in telemetry.metrics.summary_lines())
+        lines.extend("  " + line for line in rollup.metrics.summary_lines())
     return "\n".join(lines)

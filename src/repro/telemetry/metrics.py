@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
+from typing import Any, Iterator
 
 from repro.errors import ConfigurationError
 
@@ -260,3 +261,9 @@ class MetricsRegistry:
                     f"sum={instrument.total:g} mean={instrument.mean:g}"
                 )
         return lines
+
+
+def metric_records(metrics: MetricsRegistry) -> Iterator[dict[str, Any]]:
+    """One wire record per instrument; ``type`` is counter/gauge/histogram."""
+    for name, data in metrics.as_dict().items():
+        yield {"name": name, **data}

@@ -4,9 +4,9 @@ Each scenario builds a small, deterministic simulation with a fresh
 :class:`~repro.telemetry.Telemetry` handle attached, runs it, and returns
 the handle plus human-readable report lines. The scenarios are sized so
 that per-node tracks are on (every facility fits under
-``max_node_tracks``) and so that the seeded failure draws actually produce
-fault instant events — a trace with no faults would not exercise the
-instrumentation the paper's resilience strand is about.
+``DEFAULT_MAX_NODE_TRACKS``) and so that the seeded failure draws
+actually produce fault instant events — a trace with no faults would not
+exercise the instrumentation the paper's resilience strand is about.
 
 Determinism contract: running the same scenario twice with the same seed
 produces byte-identical Chrome-trace exports (asserted in the test suite).

@@ -9,6 +9,11 @@ keeps traces deterministic under the discrete-event engine's interleaving.
 exporters emit: one trace *process* per facility (a machine, the scheduler
 queue, the workflow layer) and one *track* (thread row) per node, resource
 or task within it.
+
+Each record type has one wire encoding beside it (:func:`span_record`,
+:func:`instant_record`, :func:`sample_record`): the plain dict that JSONL
+exports, telemetry shards and pubsub frames all carry, and that
+:class:`~repro.telemetry.stream.ShardAggregator` rolls up.
 """
 
 from __future__ import annotations
@@ -65,10 +70,56 @@ class InstantEvent:
 class CounterSample:
     """One sample of a monotonically-stepped quantity (resource occupancy,
     queue depth) — the raw material of counter tracks and utilization
-    timelines."""
+    step-integrals."""
 
     time: float
     resource: str
     value: float
     capacity: float | None = None
     facility: str = "sim"
+
+
+def clean_attrs(attrs: dict[str, Any]) -> dict[str, Any]:
+    """JSON-safe args: scalars pass through, anything else goes via repr."""
+    out: dict[str, Any] = {}
+    for key, value in attrs.items():
+        if isinstance(value, (str, int, float, bool)) or value is None:
+            out[key] = value
+        else:
+            out[key] = repr(value)
+    return out
+
+
+def span_record(span: Span) -> dict[str, Any]:
+    """The wire record for one finished span.
+
+    One wire format, three consumers: ``to_jsonl`` lines, the
+    :class:`~repro.telemetry.stream.ShardedJsonlSink` shard lines, and the
+    pubsub ``spans`` topic payloads — so a record read back from any of
+    them re-exports byte-identically (``clean_attrs`` is idempotent and
+    JSON float repr round-trips exactly).
+    """
+    return {
+        "type": "span", "id": span.span_id, "name": span.name,
+        "cat": span.category, "facility": span.facility,
+        "track": span.track, "start": span.start, "end": span.end,
+        "parent": span.parent_id, "attrs": clean_attrs(span.attrs),
+    }
+
+
+def instant_record(event: InstantEvent) -> dict[str, Any]:
+    """The wire record for one instant event."""
+    return {
+        "type": "instant", "name": event.name, "cat": event.category,
+        "facility": event.facility, "track": event.track,
+        "time": event.time, "attrs": clean_attrs(event.attrs),
+    }
+
+
+def sample_record(sample: CounterSample) -> dict[str, Any]:
+    """The wire record for one counter sample."""
+    return {
+        "type": "sample", "resource": sample.resource,
+        "time": sample.time, "value": sample.value,
+        "capacity": sample.capacity, "facility": sample.facility,
+    }

@@ -1,12 +1,11 @@
 """Out-of-core telemetry: size-bounded JSONL shards + incremental rollup.
 
-ROADMAP item 3's enabling layer: a merged trace for a million-job replay
-cannot live in memory, so a :class:`~repro.telemetry.context.Telemetry`
-handle constructed with a :class:`ShardedJsonlSink` spills every *closed*
-record (spans on ``end``, instants and counter samples at record time,
-the metrics registry at ``close``) to CRC-checked :mod:`repro.segmentlog`
-shard files, one wire format shared with ``to_jsonl`` and the service's
-pubsub frames.
+A merged trace for a million-job replay cannot live in memory, so a
+:class:`~repro.telemetry.context.Telemetry` handle constructed with a
+:class:`ShardedJsonlSink` spills every *closed* record (spans on ``end``,
+instants and counter samples at record time, the metrics registry at
+``close``) to CRC-checked :mod:`repro.segmentlog` shard files, one wire
+format shared with ``to_jsonl`` and the service's pubsub frames.
 
 Two consumers read the shards back:
 
@@ -16,14 +15,14 @@ Two consumers read the shards back:
   any shard size (gated by ``audit_streaming_identity`` in
   :mod:`repro.verify`). Spans spill in *end* order; re-sorting by span id
   restores begin order, which is all the exporters key on.
-- :class:`ShardAggregator` — bounded-memory incremental aggregation:
-  span-duration stats per category, float-exact utilization
-  step-integrals (:class:`~repro.telemetry.timeline.UtilizationAccumulator`),
-  and the :class:`~repro.telemetry.metrics.MetricsRegistry` rollup, without
-  ever materializing the records. Shard files aggregate independently, so
-  ``consume_directory(..., n_jobs=N)`` reuses the
-  :class:`~repro.exec.parallel.ParallelMap` fabric and merges the partial
-  aggregates in shard order.
+- :class:`ShardAggregator` — the one telemetry rollup: span-duration
+  stats per category (:class:`CategoryStats`), utilization step-integrals
+  per resource (:class:`UtilizationAccumulator`) and the
+  :class:`~repro.telemetry.metrics.MetricsRegistry`, in O(categories +
+  resources + instruments) memory. It folds wire records one at a time in
+  the order given — ``consume_directory`` reads a shard directory in spill
+  order, and the text ``summary`` export feeds it an in-memory handle's
+  records — so its float sums are plain sequential ``+=`` sums.
 
 >>> import tempfile
 >>> from repro.telemetry import Telemetry
@@ -45,15 +44,15 @@ from typing import Any, Protocol, runtime_checkable
 from repro import segmentlog
 from repro.errors import ConfigurationError
 from repro.telemetry.context import Telemetry
-from repro.telemetry.metrics import MetricsRegistry
+from repro.telemetry.metrics import MetricsRegistry, metric_records
 from repro.telemetry.spans import CounterSample, InstantEvent, Span
-from repro.telemetry.timeline import UtilizationAccumulator
 
 __all__ = [
     "DEFAULT_SHARD_MAX_BYTES",
     "ShardAggregator",
     "ShardedJsonlSink",
     "SpanSink",
+    "UtilizationAccumulator",
     "iter_shard_records",
     "load_shards",
     "shard_paths",
@@ -72,17 +71,15 @@ _METRIC_TYPES = ("counter", "gauge", "histogram")
 class SpanSink(Protocol):
     """Where a :class:`Telemetry` handle sends closed records.
 
-    ``emit_*`` receive records exactly once, in close/record order;
-    ``flush`` makes buffered records durable at a quiescent point; ``close``
-    receives the final metrics registry and seals the sink. Taps registered
-    via ``Telemetry.add_tap`` satisfy the ``emit_*`` subset.
+    ``emit`` receives each closed span, instant and sample exactly once,
+    in close/record order, as its wire record (``record["type"]`` is
+    ``span``/``instant``/``sample``); ``flush`` makes buffered records
+    durable at a quiescent point; ``close`` receives the final metrics
+    registry and seals the sink. Taps registered via ``Telemetry.add_tap``
+    implement ``emit`` only.
     """
 
-    def emit_span(self, span: Span) -> None: ...
-
-    def emit_instant(self, event: InstantEvent) -> None: ...
-
-    def emit_sample(self, sample: CounterSample) -> None: ...
+    def emit(self, record: dict[str, Any]) -> None: ...
 
     def flush(self) -> None: ...
 
@@ -127,23 +124,18 @@ class ShardedJsonlSink:
 
     # -- the sink surface ----------------------------------------------------------
 
-    def emit_span(self, span: Span) -> None:
-        from repro.telemetry.export import span_record
-
-        self.n_spans += 1
-        self._emit(span_record(span))
-
-    def emit_instant(self, event: InstantEvent) -> None:
-        from repro.telemetry.export import instant_record
-
-        self.n_instants += 1
-        self._emit(instant_record(event))
-
-    def emit_sample(self, sample: CounterSample) -> None:
-        from repro.telemetry.export import sample_record
-
-        self.n_samples += 1
-        self._emit(sample_record(sample))
+    def emit(self, record: dict[str, Any]) -> None:
+        """Spill one wire record; it counts once the log has taken it."""
+        self._log.append(record)
+        kind = record["type"]
+        if kind == "span":
+            self.n_spans += 1
+        elif kind == "instant":
+            self.n_instants += 1
+        elif kind == "sample":
+            self.n_samples += 1
+        if self._log.pending_bytes >= self._log.max_bytes:
+            self._log.commit()
 
     def flush(self) -> None:
         """Rotate the partial buffer out as a shard (durability point)."""
@@ -153,17 +145,10 @@ class ShardedJsonlSink:
         """Spill the metrics registry last, flush, and seal (idempotent)."""
         if self._log.closed:
             return
-        from repro.telemetry.export import metric_records
-
         if metrics is not None:
             for record in metric_records(metrics):
-                self._emit(record)
+                self.emit(record)
         self._log.close()
-
-    def _emit(self, record: dict[str, Any]) -> None:
-        self._log.append(record)
-        if self._log.pending_bytes >= self._log.max_bytes:
-            self._log.commit()
 
 
 def iter_shard_records(directory: str | Path) -> segmentlog.LogReader:
@@ -258,30 +243,105 @@ class CategoryStats:
         if self.max is None or duration > self.max:
             self.max = duration
 
-    def merge(self, other: "CategoryStats") -> None:
-        self.n += other.n
-        self.total += other.total
-        for bound in (other.min, other.max):
-            if bound is None:
-                continue
-            if self.min is None or bound < self.min:
-                self.min = bound
-            if self.max is None or bound > self.max:
-                self.max = bound
-
     @property
     def mean(self) -> float:
         return self.total / self.n if self.n else 0.0
 
 
 @dataclass
+class UtilizationAccumulator:
+    """Streaming step-integral over one resource's samples, O(1) memory.
+
+    The samples of an instrumented :class:`repro.sim.Resource` (one per
+    grant and release) trace a right-continuous step function ``value(t)``;
+    each sample's value holds until the next one, and the last contributes
+    no area. Feeding the samples in record order through :meth:`add`
+    yields busy node-seconds (the integral, a sequential ``+=`` over the
+    ``value * dt`` terms), time-averaged utilization and peak occupancy.
+    Invariants (checked by the property suite): ``0 <= utilization <= 1``
+    and ``busy_time <= capacity * span`` whenever every sample satisfies
+    ``0 <= value <= capacity``.
+
+    >>> acc = UtilizationAccumulator("pool")
+    >>> for t, v in [(0.0, 2.0), (1.0, 4.0), (3.0, 0.0)]:
+    ...     acc.add(t, v, capacity=4.0)
+    >>> acc.busy_time(), acc.peak(), acc.capacity()
+    (10.0, 4.0, 4.0)
+    """
+
+    resource: str
+    n_samples: int = 0
+    _busy: float = 0.0
+    _capacity_max: float | None = None
+    _value_max: float = 0.0
+    _first_time: float | None = None
+    _last_time: float | None = None
+    _last_value: float = 0.0
+
+    def add(self, time: float, value: float,
+            capacity: float | None = None) -> None:
+        """Fold in the next sample (times must be non-decreasing)."""
+        if self._last_time is not None:
+            if time < self._last_time:
+                raise ConfigurationError(
+                    f"{self.resource}: sample times must be non-decreasing"
+                )
+            self._busy += self._last_value * (time - self._last_time)
+        else:
+            self._first_time = time
+        self._last_time = time
+        self._last_value = value
+        self.n_samples += 1
+        if capacity is not None and (
+            self._capacity_max is None or capacity > self._capacity_max
+        ):
+            self._capacity_max = capacity
+        if self.n_samples == 1 or value > self._value_max:
+            self._value_max = value
+
+    def capacity(self) -> float:
+        """The largest capacity sampled, else the peak value (else 1)."""
+        if self._capacity_max is not None:
+            return self._capacity_max or 1.0
+        return self._value_max or 1.0
+
+    def span(self) -> float:
+        """Time between the first and last sample."""
+        if self._first_time is None or self._last_time is None:
+            return 0.0
+        return self._last_time - self._first_time
+
+    def busy_time(self) -> float:
+        """Integral of ``value(t) dt`` — busy node-seconds for node pools."""
+        return self._busy
+
+    def peak(self) -> float:
+        """Highest sampled occupancy."""
+        return self._value_max if self.n_samples else 0.0
+
+    def utilization(self) -> float:
+        """Time-averaged occupancy fraction over the sampled span.
+
+        When no sample ever exceeds the capacity the true fraction is <= 1
+        by construction, so summation round-off is clamped away rather
+        than reported as utilization above 100%.
+        """
+        if self.span() == 0.0:
+            return 0.0
+        utilization = self._busy / (self.capacity() * self.span())
+        if utilization > 1.0 and self.peak() <= self.capacity():
+            return 1.0
+        return utilization
+
+
+@dataclass
 class ShardAggregator:
-    """Bounded-memory rollup of a shard stream (never materializes it).
+    """Bounded-memory rollup of a record stream (never materializes it).
 
     Holds per-category span stats, per-resource
     :class:`UtilizationAccumulator` step-integrals, span-tree shape
     counters (roots, max depth proxy via parent links seen), instant
-    counts, and the merged :class:`MetricsRegistry` — O(categories +
+    counts, and the restored :class:`MetricsRegistry` — O(categories +
     resources + instruments) memory regardless of record count.
     """
 
@@ -335,53 +395,12 @@ class ShardAggregator:
                 f"unknown telemetry record type {kind!r}"
             )
 
-    def consume_shard(self, path: str | Path) -> None:
-        for record in segmentlog.LogReader([path]):
+    def consume_directory(self, directory: str | Path) -> "ShardAggregator":
+        """Fold every record under ``directory`` in spill order; returns
+        ``self``."""
+        for record in iter_shard_records(directory):
             self.consume(record)
-
-    def consume_directory(
-        self, directory: str | Path, n_jobs: int = 1
-    ) -> "ShardAggregator":
-        """Aggregate every shard under ``directory``; returns ``self``.
-
-        ``n_jobs`` fans shard files out over the exec fabric's
-        :class:`~repro.exec.parallel.ParallelMap`: each worker aggregates
-        whole shards and the partial rollups merge back in shard order.
-        The serial path uses the *same* per-shard-then-merge bracketing, so
-        the result is bit-identical at every worker count (utilization
-        integrals cross shard boundaries via one bridge term each; see
-        :meth:`UtilizationAccumulator.merge`). Feed :meth:`consume` from
-        :func:`iter_shard_records` instead when the record-order float sum
-        must match the materialized timelines exactly.
-        """
-        from repro.exec.parallel import ParallelMap
-
-        partials = ParallelMap(n_jobs).map(
-            _aggregate_one_shard,
-            [str(p) for p in iter_shard_records(directory).paths],
-        )
-        for partial in partials:
-            self.merge(partial)
         return self
-
-    def merge(self, other: "ShardAggregator") -> None:
-        """Fold a later shard's rollup into this one (shard order)."""
-        self.n_records += other.n_records
-        self.n_spans += other.n_spans
-        self.n_instants += other.n_instants
-        self.n_samples += other.n_samples
-        self.n_root_spans += other.n_root_spans
-        self.max_span_id = max(self.max_span_id, other.max_span_id)
-        self.last_time = max(self.last_time, other.last_time)
-        for cat, stats in other.by_category.items():
-            self.by_category.setdefault(cat, CategoryStats()).merge(stats)
-        for resource, acc in other.utilization.items():
-            mine = self.utilization.get(resource)
-            if mine is None:
-                self.utilization[resource] = acc
-            else:
-                mine.merge(acc)
-        self.metrics.merge(other.metrics)
 
     # -- views ---------------------------------------------------------------------
 
@@ -434,8 +453,3 @@ class ShardAggregator:
             )
         return lines
 
-
-def _aggregate_one_shard(path: str) -> ShardAggregator:
-    aggregator = ShardAggregator()
-    aggregator.consume_shard(path)
-    return aggregator

@@ -26,7 +26,7 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.resilience.retry import RetryPolicy
 from repro.sim.engine import Engine, Timeout
 from repro.sim.resources import Resource
-from repro.telemetry import Telemetry
+from repro.telemetry import DEFAULT_MAX_NODE_TRACKS, Telemetry
 from repro.workflows.facility import Facility
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -278,7 +278,7 @@ class TaskGraph:
         span per task attempt (facility "workflow"), per-node occupancy
         spans on each placed facility's tracks (when the facility is small
         enough for per-node tracks — see
-        :attr:`~repro.telemetry.Telemetry.max_node_tracks`), fault/restore
+        :data:`~repro.telemetry.DEFAULT_MAX_NODE_TRACKS`), fault/restore
         instant events, ``facility="trace"`` start/end/failure/retry
         instants (``trace_event=True``; ``duration`` carries elapsed
         seconds), and the metrics the run summary reports. The
@@ -322,7 +322,7 @@ class TaskGraph:
             )
             node_spans: list = []
             assigned: list[int] = []
-            if fac.nodes <= telemetry.max_node_tracks:
+            if fac.nodes <= DEFAULT_MAX_NODE_TRACKS:
                 pool_free = free_nodes[task.facility]
                 assigned = pool_free[: task.nodes]
                 del pool_free[: task.nodes]

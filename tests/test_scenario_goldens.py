@@ -7,6 +7,9 @@ must match the committed goldens byte for byte. Together they pin the
 engine's event order, the scheduler replay, the injector's rng stream and
 every telemetry record (the DAG export includes the ``facility="trace"``
 start/end/failure/retry instants) across commits, not just run to run.
+The text ``summary`` of each scenario's handle is pinned the same way,
+so the rollup behind it (per-category totals, utilization integrals,
+metrics) cannot drift in its printed digits either.
 
 To regenerate after an *intentional* contract change::
 
@@ -21,6 +24,8 @@ import pathlib
 import pytest
 
 from repro.cli import main
+from repro.telemetry import summary
+from repro.telemetry.scenarios import run_scenario
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "goldens"
 SCENARIOS = ("dag", "scheduler", "restart")
@@ -31,6 +36,22 @@ def _golden_path(name: str, suffix: str) -> pathlib.Path:
     return GOLDEN_DIR / f"scenario_{name}_seed0.{suffix}"
 
 
+def _check_golden(name: str, suffix: str, data: bytes) -> None:
+    """Byte-compare ``data`` with its golden (or rewrite it on regen)."""
+    path = _golden_path(name, suffix)
+    if os.environ.get("REPRO_REGEN_GOLDENS"):
+        path.write_bytes(data)
+        return
+    assert path.exists(), (
+        f"{path.name} missing - run with REPRO_REGEN_GOLDENS=1 to "
+        "create it"
+    )
+    assert data == path.read_bytes(), (
+        f"{path.name} drifted: the {name} scenario no longer exports "
+        "the committed seed-0 bytes"
+    )
+
+
 @pytest.mark.parametrize("name", SCENARIOS)
 def test_scenario_exports_match_goldens(name, tmp_path, capsys):
     out = {suffix: tmp_path / f"out.{suffix}" for suffix in SUFFIXES}
@@ -39,23 +60,18 @@ def test_scenario_exports_match_goldens(name, tmp_path, capsys):
         "--out", str(out["trace.json"]), "--jsonl-out", str(out["jsonl"]),
     ]) == 0
     capsys.readouterr()
-    regen = os.environ.get("REPRO_REGEN_GOLDENS")
     for suffix in SUFFIXES:
-        path = _golden_path(name, suffix)
-        data = out[suffix].read_bytes()
-        if regen:
-            path.write_bytes(data)
-            continue
-        assert path.exists(), (
-            f"{path.name} missing - run with REPRO_REGEN_GOLDENS=1 to "
-            "create it"
-        )
-        assert data == path.read_bytes(), (
-            f"{path.name} drifted: the {name} scenario no longer exports "
-            "the committed seed-0 bytes"
-        )
-    if regen:
+        _check_golden(name, suffix, out[suffix].read_bytes())
+    if os.environ.get("REPRO_REGEN_GOLDENS"):
         pytest.skip(f"regenerated the {name} scenario goldens")
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_scenario_summary_matches_golden(name):
+    text = summary(run_scenario(name, seed=0).telemetry) + "\n"
+    _check_golden(name, "summary.txt", text.encode("utf-8"))
+    if os.environ.get("REPRO_REGEN_GOLDENS"):
+        pytest.skip(f"regenerated the {name} summary golden")
 
 
 def test_dag_golden_carries_the_trace_instants():

@@ -1,4 +1,4 @@
-"""Tests for the telemetry layer: spans, metrics, timelines, exporters."""
+"""Tests for the telemetry layer: spans, metrics, utilization, exporters."""
 
 import json
 
@@ -11,13 +11,15 @@ from repro.telemetry import (
     DEFAULT_SECONDS_EDGES,
     Histogram,
     MetricsRegistry,
+    ShardAggregator,
     Telemetry,
-    UtilizationTimeline,
+    UtilizationAccumulator,
     chrome_trace,
     chrome_trace_json,
     summary,
     to_jsonl,
 )
+from repro.telemetry.export import iter_jsonl_records
 from repro.telemetry.scenarios import SCENARIOS, run_scenario
 
 from tests.hypothesis_settings import SLOW_SETTINGS, STANDARD_SETTINGS
@@ -151,26 +153,22 @@ class TestMetricsRegistry:
         assert list(m) == ["alpha", "zeta"]
 
 
-class TestUtilizationTimeline:
+class TestUtilizationAccumulator:
     def test_busy_time_step_integral(self):
-        tl = UtilizationTimeline(
-            resource="r", capacity=4,
-            times=(0.0, 1.0, 3.0), values=(2.0, 4.0, 0.0),
-        )
+        acc = UtilizationAccumulator("r")
+        for t, v in [(0.0, 2.0), (1.0, 4.0), (3.0, 0.0)]:
+            acc.add(t, v, capacity=4)
         # 2 nodes for 1 s, then 4 nodes for 2 s; last value has no width
-        assert tl.busy_time() == 10.0
-        assert tl.utilization() == 10.0 / (4 * 3.0)
-        assert tl.peak() == 4.0
+        assert acc.busy_time() == 10.0
+        assert acc.utilization() == 10.0 / (4 * 3.0)
+        assert acc.peak() == 4.0
 
-    def test_value_at_is_right_continuous(self):
-        tl = UtilizationTimeline(
-            resource="r", capacity=2,
-            times=(0.0, 2.0), values=(1.0, 2.0),
-        )
-        assert tl.value_at(0.0) == 1.0
-        assert tl.value_at(1.999) == 1.0
-        assert tl.value_at(2.0) == 2.0
-        assert tl.value_at(-1.0) == 0.0
+    def test_rejects_decreasing_sample_times(self):
+        acc = UtilizationAccumulator("r")
+        acc.add(2.0, 1.0, capacity=2)
+        acc.add(2.0, 2.0, capacity=2)  # equal times are a zero-width step
+        with pytest.raises(ConfigurationError, match="non-decreasing"):
+            acc.add(1.999, 0.0, capacity=2)
 
     @given(
         st.integers(min_value=1, max_value=8),
@@ -186,13 +184,12 @@ class TestUtilizationTimeline:
     def test_invariants_hold_for_any_sample_stream(self, capacity, raw):
         times = sorted(t for t, _ in raw)
         values = [float(min(v, capacity)) for _, v in raw]
-        tl = UtilizationTimeline(
-            resource="r", capacity=capacity,
-            times=tuple(times), values=tuple(values),
-        )
-        assert 0.0 <= tl.utilization() <= 1.0
-        assert 0.0 <= tl.busy_time() <= capacity * tl.span + 1e-9
-        assert tl.peak() <= capacity
+        acc = UtilizationAccumulator("r")
+        for t, v in zip(times, values):
+            acc.add(t, v, capacity=capacity)
+        assert 0.0 <= acc.utilization() <= 1.0
+        assert 0.0 <= acc.busy_time() <= capacity * acc.span() + 1e-9
+        assert acc.peak() <= capacity
 
 
 class TestChromeExport:
@@ -301,12 +298,14 @@ class TestInstrumentationProperties:
     @SLOW_SETTINGS
     def test_dag_utilization_invariants(self, seed):
         tel = run_scenario("dag", seed=seed).telemetry
-        assert tel.sampled_resources()
-        for resource in tel.sampled_resources():
-            tl = tel.utilization(resource)
-            assert 0.0 <= tl.utilization() <= 1.0
-            assert tl.busy_time() <= tl.capacity * tl.span + 1e-9
-            assert tl.peak() <= tl.capacity
+        rollup = ShardAggregator()
+        for record in iter_jsonl_records(tel):
+            rollup.consume(record)
+        assert rollup.utilization
+        for acc in rollup.utilization.values():
+            assert 0.0 <= acc.utilization() <= 1.0
+            assert acc.busy_time() <= acc.capacity() * acc.span() + 1e-9
+            assert acc.peak() <= acc.capacity()
 
     def test_telemetry_off_results_identical(self):
         """The instrumented executor returns the exact numbers of the

@@ -19,6 +19,7 @@ from repro.telemetry import (
     summary,
     to_jsonl,
 )
+from repro.telemetry.export import iter_jsonl_records
 from repro.telemetry.scenarios import run_scenario, run_scenario_replicas
 
 
@@ -66,6 +67,23 @@ class TestShardedJsonlSink:
         telemetry.close()
         with pytest.raises(ConfigurationError, match="closed"):
             telemetry.instant("late", "lifecycle")
+
+    def test_counts_only_records_the_closed_log_took(self, tmp_path):
+        sink = ShardedJsonlSink(tmp_path / "s")
+        telemetry = Telemetry(sink=sink)
+        telemetry.instant("boot", "lifecycle")
+        telemetry.close()
+        late = telemetry.begin("late", "lifecycle")
+        with pytest.raises(ConfigurationError, match="closed"):
+            telemetry.end(late)
+        with pytest.raises(ConfigurationError, match="closed"):
+            telemetry.instant("late", "lifecycle")
+        with pytest.raises(ConfigurationError, match="closed"):
+            telemetry.sample("pool", 1.0, 2.0)
+        assert (sink.n_spans, sink.n_instants, sink.n_samples) == (0, 1, 0)
+        assert [r["type"] for r in iter_shard_records(tmp_path / "s")] == [
+            "instant"
+        ]
 
     def test_rejects_nonpositive_shard_size(self, tmp_path):
         with pytest.raises(ConfigurationError, match="positive"):
@@ -162,20 +180,60 @@ class TestShardAggregator:
         assert aggregator.max_span_id == max(
             s.span_id for s in baseline.spans
         )
-        # the record-order float sums land on the materialized timelines'
-        # bits exactly (same additions, same order)
-        for resource, acc in aggregator.utilization.items():
-            timeline = baseline.utilization(resource)
-            assert acc.busy_time() == timeline.busy_time()
-            assert acc.peak() == timeline.peak()
-        assert (aggregator.metrics.as_dict()
-                == baseline.metrics.as_dict())
+        # a sequential ``+=`` oracle over the spilled records lands on the
+        # rollup's bits exactly (same additions, same order)
+        totals: dict[str, float] = {}
+        busy: dict[str, float] = {}
+        last: dict[str, tuple[float, float]] = {}
+        for record in iter_shard_records(directory):
+            if record["type"] == "span":
+                cat = record["cat"]
+                totals[cat] = totals.get(cat, 0.0) + (
+                    record["end"] - record["start"]
+                )
+            elif record["type"] == "sample":
+                resource = record["resource"]
+                if resource in last:
+                    t0, v0 = last[resource]
+                    busy[resource] += v0 * (record["time"] - t0)
+                else:
+                    busy[resource] = 0.0
+                last[resource] = (record["time"], record["value"])
+        assert {c: s.total for c, s in aggregator.by_category.items()} == totals
+        assert {r: a.busy_time()
+                for r, a in aggregator.utilization.items()} == busy
 
-    def test_directory_rollup_identical_at_any_worker_count(self, tmp_path):
-        directory, _ = _spill_scenario(tmp_path, shard_max_bytes=1024)
-        serial = ShardAggregator().consume_directory(directory, n_jobs=1)
-        fanned = ShardAggregator().consume_directory(directory, n_jobs=2)
-        assert serial.as_dict() == fanned.as_dict()
+        # the in-memory rollup (what ``summary`` prints) sees the samples
+        # in the same order, so everything but the category sums matches
+        # bit for bit; spans spill in end order, not begin order, so those
+        # sums may differ in their last bits
+        in_memory = ShardAggregator()
+        for record in iter_jsonl_records(baseline):
+            in_memory.consume(record)
+        shard, memory = aggregator.as_dict(), in_memory.as_dict()
+        shard_cats, memory_cats = shard.pop("categories"), memory.pop(
+            "categories"
+        )
+        assert shard == memory
+        assert shard_cats.keys() == memory_cats.keys()
+        for cat, stats in shard_cats.items():
+            for key in ("n", "min", "max"):
+                assert stats[key] == memory_cats[cat][key]
+            assert stats["total"] == pytest.approx(
+                memory_cats[cat]["total"], rel=1e-12
+            )
+        assert shard["metrics"] == baseline.metrics.as_dict()
+
+    def test_directory_rollup_equals_record_order_consume(self, tmp_path):
+        # seed-0 scheduler shards at 1 KiB: summing shard by shard and then
+        # merging would round the job and queue-wait totals differently
+        directory, _ = _spill_scenario(tmp_path, name="scheduler",
+                                       shard_max_bytes=1024)
+        record_order = ShardAggregator()
+        for record in iter_shard_records(directory):
+            record_order.consume(record)
+        rollup = ShardAggregator().consume_directory(directory)
+        assert rollup.as_dict() == record_order.as_dict()
 
     def test_category_stats_match_baseline_counts(self, tmp_path):
         baseline = run_scenario("dag", seed=0).telemetry
