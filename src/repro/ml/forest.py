@@ -5,30 +5,52 @@ binding-affinity scoring function with random forests; the drug-design
 workflow of Section V-C uses the same pattern. This is a vectorised CART
 implementation: variance-reduction splits over feature thresholds, bootstrap
 aggregation with feature subsampling, and ensemble-spread uncertainty.
+
+A tree grows depth-first in pre-order, left subtree before right, with one
+``rng.choice`` of candidate features per split attempt. One 2-D numpy pass
+scores every threshold of every candidate feature: a stable argsort per
+feature row, row-wise cumulative sums, and a matrix of variance-reduction
+gains. The fitted tree is five flat pre-order arrays (``feature``,
+``threshold``, ``left``, ``right``, ``value``; a leaf has feature -1 and is
+its own child), and ``predict`` moves every row down one level per step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 
 
-@dataclass
-class _Node:
-    """One tree node; leaves carry ``value``, internal nodes a split."""
+def _is_count(value) -> bool:
+    """An int >= 1; numpy ints count, bools do not."""
+    return (
+        isinstance(value, (int, np.integer))
+        and not isinstance(value, bool)
+        and value >= 1
+    )
 
-    value: float
-    feature: int = -1
-    threshold: float = 0.0
-    left: "_Node | None" = None
-    right: "_Node | None" = None
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
+def _check_limits(max_depth: int, min_samples_split: int) -> None:
+    if max_depth < 1:
+        raise ConfigurationError("max_depth must be >= 1")
+    if min_samples_split < 2:
+        raise ConfigurationError("min_samples_split must be >= 2")
+
+
+def _is_constant(y: np.ndarray) -> bool:
+    """Exactly ``np.allclose(y, y[0])``, from one min and one max.
+
+    Rounding is monotonic, so ``|y - y0| <= tol`` holds everywhere iff it
+    holds at the extremes; a NaN anywhere makes both extremes NaN.
+    """
+    y0, lo, hi = float(y[0]), float(y.min()), float(y.max())
+    if math.isfinite(y0):
+        tol = 1e-8 + 1e-5 * abs(y0)  # allclose's default atol + rtol * |b|
+        return hi - y0 <= tol and y0 - lo <= tol
+    return lo == y0 == hi  # an infinite y0 is close only to itself
 
 
 class DecisionTreeRegressor:
@@ -40,14 +62,21 @@ class DecisionTreeRegressor:
         min_samples_split: int = 4,
         max_features: int | None = None,
     ):
-        if max_depth < 1:
-            raise ConfigurationError("max_depth must be >= 1")
-        if min_samples_split < 2:
-            raise ConfigurationError("min_samples_split must be >= 2")
+        _check_limits(max_depth, min_samples_split)
+        if max_features is not None and not _is_count(max_features):
+            raise ConfigurationError(
+                f"max_features must be None or an int >= 1, got {max_features!r}"
+            )
         self.max_depth = max_depth
         self.min_samples_split = min_samples_split
         self.max_features = max_features
-        self._root: _Node | None = None
+        self.feature: np.ndarray | None = None
+        self.threshold: np.ndarray | None = None
+        self.left: np.ndarray | None = None
+        self.right: np.ndarray | None = None
+        self.value: np.ndarray | None = None
+        self._depth = 0
+        self._n_features = 0
 
     def fit(
         self, x: np.ndarray, y: np.ndarray, rng: np.random.Generator | None = None
@@ -59,79 +88,109 @@ class DecisionTreeRegressor:
         if x.shape[0] == 0:
             raise ConfigurationError("cannot fit on empty data")
         rng = rng or np.random.default_rng()
-        self._root = self._grow(x, y, depth=0, rng=rng)
+        n, d = x.shape
+        n_draw = min(self.max_features or d, d)
+        xt = np.ascontiguousarray(x.T)  # one row per feature
+        feature: list[int] = []
+        threshold: list[float] = []
+        right: list[int] = []
+        value: list[float] = []
+        self._depth = 0
+        # (rows of x, depth, parent of a right child); the left child of
+        # node i is i + 1, so popping left before right yields pre-order
+        stack = [(np.arange(n), 0, -1)]
+        while stack:
+            rows, depth, parent = stack.pop()
+            node = len(value)
+            if parent >= 0:
+                right[parent] = node
+            ys = y[rows]
+            mean = ys.sum() / ys.size  # what ys.mean() computes
+            feature.append(-1)
+            threshold.append(0.0)
+            right.append(node)
+            value.append(float(mean))
+            split = None
+            if (
+                depth < self.max_depth
+                and ys.size >= self.min_samples_split
+                and not _is_constant(ys)
+            ):
+                split = self._best_split(xt, rows, ys, mean, n_draw, rng)
+            if split is None:
+                self._depth = max(self._depth, depth)
+                continue
+            feature[node], threshold[node] = split
+            go_left = xt[split[0], rows] <= split[1]
+            stack.append((rows[~go_left], depth + 1, node))
+            stack.append((rows[go_left], depth + 1, -1))
+        nodes = np.arange(len(value))
+        self.feature = np.array(feature, dtype=np.intp)
+        self.threshold = np.array(threshold)
+        self.left = np.where(self.feature >= 0, nodes + 1, nodes)
+        self.right = np.array(right, dtype=np.intp)
+        self.value = np.array(value)
+        self._n_features = d
         return self
 
-    def _grow(
-        self, x: np.ndarray, y: np.ndarray, depth: int, rng: np.random.Generator
-    ) -> _Node:
-        node = _Node(value=float(y.mean()))
-        if (
-            depth >= self.max_depth
-            or y.size < self.min_samples_split
-            or np.allclose(y, y[0])
-        ):
-            return node
-        split = self._best_split(x, y, rng)
-        if split is None:
-            return node
-        feature, threshold = split
-        mask = x[:, feature] <= threshold
-        node.feature = feature
-        node.threshold = threshold
-        node.left = self._grow(x[mask], y[mask], depth + 1, rng)
-        node.right = self._grow(x[~mask], y[~mask], depth + 1, rng)
-        return node
-
+    @staticmethod
     def _best_split(
-        self, x: np.ndarray, y: np.ndarray, rng: np.random.Generator
+        xt: np.ndarray,
+        rows: np.ndarray,
+        y: np.ndarray,
+        mean: float,
+        n_draw: int,
+        rng: np.random.Generator,
     ) -> tuple[int, float] | None:
-        n, d = x.shape
-        k = self.max_features or d
-        features = rng.choice(d, size=min(k, d), replace=False)
-        base_sse = float(((y - y.mean()) ** 2).sum())
-        best: tuple[int, float] | None = None
-        best_gain = 1e-12
-        for feature in features:
-            order = np.argsort(x[:, feature], kind="stable")
-            xs, ys = x[order, feature], y[order]
-            # candidate thresholds between distinct consecutive values
-            cum = np.cumsum(ys)
-            cum2 = np.cumsum(ys * ys)
-            total, total2 = cum[-1], cum2[-1]
-            counts = np.arange(1, n)
-            left_sse = cum2[:-1] - cum[:-1] ** 2 / counts
-            right_n = n - counts
-            right_sum = total - cum[:-1]
-            right_sse = (total2 - cum2[:-1]) - right_sum**2 / right_n
-            gains = base_sse - (left_sse + right_sse)
-            valid = xs[:-1] < xs[1:]  # cannot split between equal values
-            gains = np.where(valid, gains, -np.inf)
-            i = int(np.argmax(gains))
-            if gains[i] > best_gain:
-                best_gain = float(gains[i])
-                best = (int(feature), float((xs[i] + xs[i + 1]) / 2.0))
-        return best
+        """Best ``(feature, threshold)`` over ``n_draw`` sampled features.
+
+        Row ``j`` of every matrix below belongs to ``features[j]``, and
+        column ``i`` to a split after the ``i + 1`` smallest values.
+        """
+        features = rng.choice(xt.shape[0], size=n_draw, replace=False)
+        base_sse = float(((y - mean) ** 2).sum())
+        cols = xt[features[:, None], rows]
+        order = cols.argsort(axis=1, kind="stable")
+        xs = cols[np.arange(n_draw)[:, None], order]
+        ys = y[order]
+        cum = ys.cumsum(axis=1)
+        cum2 = (ys * ys).cumsum(axis=1)
+        left_n = np.arange(1.0, y.size)
+        left_sse = cum2[:, :-1] - cum[:, :-1] ** 2 / left_n
+        right_sum = cum[:, -1:] - cum[:, :-1]
+        right_sse = (cum2[:, -1:] - cum2[:, :-1]) - right_sum**2 / left_n[::-1]
+        gains = base_sse - (left_sse + right_sse)
+        # cannot split between equal values
+        gains = np.where(xs[:, :-1] < xs[:, 1:], gains, -np.inf)
+        # a row's max is its first argmax's value, NaN if the row has one;
+        # like a strict `>` scan over the rows, NaN rows never win
+        peak = gains.max(axis=1)
+        peak[np.isnan(peak)] = -np.inf
+        j = int(peak.argmax())
+        if not peak[j] > 1e-12:
+            return None
+        i = int(gains[j].argmax())
+        return int(features[j]), float((xs[j, i] + xs[j, i + 1]) / 2.0)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        if self._root is None:
+        if self.value is None:
             raise ConfigurationError("predict called before fit")
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        out = np.empty(x.shape[0])
-        for i, row in enumerate(x):
-            node = self._root
-            while not node.is_leaf:
-                node = node.left if row[node.feature] <= node.threshold else node.right
-            out[i] = node.value
-        return out
+        # the split features index into the fit data's columns
+        if x.shape[1] != self._n_features:
+            raise ConfigurationError(
+                f"x has {x.shape[1]} features; the tree was fit on "
+                f"{self._n_features}"
+            )
+        rows = np.arange(x.shape[0])
+        node = np.zeros(x.shape[0], dtype=np.intp)
+        for _ in range(self._depth):  # a row at a leaf stays there
+            go_left = x[rows, self.feature[node]] <= self.threshold[node]
+            node = np.where(go_left, self.left[node], self.right[node])
+        return self.value[node]
 
     def depth(self) -> int:
-        def walk(node: _Node | None) -> int:
-            if node is None or node.is_leaf:
-                return 0
-            return 1 + max(walk(node.left), walk(node.right))
-
-        return walk(self._root)
+        return self._depth
 
 
 class RandomForestRegressor:
@@ -152,6 +211,11 @@ class RandomForestRegressor:
     ):
         if n_trees < 1:
             raise ConfigurationError("n_trees must be >= 1")
+        _check_limits(max_depth, min_samples_split)
+        if not (
+            max_features is None or _is_count(max_features) or max_features == "sqrt"
+        ):
+            raise ConfigurationError(f"bad max_features: {max_features!r}")
         self.n_trees = n_trees
         self.max_depth = max_depth
         self.min_samples_split = min_samples_split
@@ -164,9 +228,7 @@ class RandomForestRegressor:
             return max(1, int(np.sqrt(d)))
         if self.max_features is None:
             return None
-        if isinstance(self.max_features, int) and self.max_features >= 1:
-            return min(self.max_features, d)
-        raise ConfigurationError(f"bad max_features: {self.max_features!r}")
+        return min(self.max_features, d)
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "RandomForestRegressor":
         x = np.atleast_2d(np.asarray(x, dtype=float))

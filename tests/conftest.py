@@ -1,12 +1,27 @@
-"""Shared fixtures for the tier-1 suite.
+"""Shared fixtures and Hypothesis profiles for the tier-1 suite.
 
 The conformance fixtures are session-scoped: the expectation registry's
 measurement substrate (the calibrated portfolio, the five app simulations,
 the Section V workflow campaigns) is computed once and shared by every
 parametrized expectation test in ``test_conformance.py``.
+
+``HYPOTHESIS_PROFILE=ci`` loads the derandomized ``ci`` profile: every
+property test then draws the same examples on every machine, so a failure
+seen in CI replays locally under the same variable. It is loaded here,
+before any test module builds its settings tiers, so the tiers in
+``hypothesis_settings.py`` inherit it.
 """
 
+import os
+
 import pytest
+from hypothesis import settings
+
+settings.register_profile(
+    "ci", derandomize=True, database=None, deadline=None, print_blob=True
+)
+if os.environ.get("HYPOTHESIS_PROFILE") == "ci":
+    settings.load_profile("ci")
 
 
 @pytest.fixture(scope="session")

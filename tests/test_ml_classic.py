@@ -38,6 +38,18 @@ class TestDecisionTree:
         with pytest.raises(ConfigurationError):
             DecisionTreeRegressor().predict(np.zeros((1, 2)))
 
+    @pytest.mark.parametrize("max_features", [0, -1, True, 1.5, "sqrt"])
+    def test_bad_max_features_rejected(self, max_features):
+        with pytest.raises(ConfigurationError):
+            DecisionTreeRegressor(max_features=max_features)
+
+    @pytest.mark.parametrize("n_columns", [2, 4])
+    def test_predict_with_other_column_count_rejected(self, n_columns):
+        x, y = regression_friedman(50, seed=8)
+        tree = DecisionTreeRegressor(max_depth=3).fit(x[:, :3], y)
+        with pytest.raises(ConfigurationError):
+            tree.predict(np.zeros((2, n_columns)))
+
     def test_reduces_friedman_error(self):
         x, y = regression_friedman(400, seed=1)
         tree = DecisionTreeRegressor(max_depth=8).fit(x, y)
@@ -75,16 +87,28 @@ class TestRandomForest:
         x, y = regression_friedman(100, seed=6)
         f1 = RandomForestRegressor(n_trees=4, seed=42).fit(x, y)
         f2 = RandomForestRegressor(n_trees=4, seed=42).fit(x, y)
-        assert np.allclose(f1.predict(x), f2.predict(x))
+        assert np.array_equal(f1.predict(x), f2.predict(x))
 
     def test_predict_before_fit_rejected(self):
         with pytest.raises(ConfigurationError):
             RandomForestRegressor().predict(np.zeros((1, 3)))
 
     def test_bad_max_features_rejected(self):
-        x, y = regression_friedman(50, seed=7)
+        for max_features in (0, -1, True, False, 2.0, "log2"):
+            with pytest.raises(ConfigurationError):
+                RandomForestRegressor(max_features=max_features)
+
+    @pytest.mark.parametrize("kwargs", [{"max_depth": 0}, {"min_samples_split": 1}])
+    def test_bad_tree_limits_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
-            RandomForestRegressor(max_features=-1).fit(x, y)
+            RandomForestRegressor(**kwargs)
+
+    @pytest.mark.parametrize("n_columns", [2, 4])
+    def test_predict_with_other_column_count_rejected(self, n_columns):
+        x, y = regression_friedman(50, seed=8)
+        forest = RandomForestRegressor(n_trees=2, seed=0).fit(x[:, :3], y)
+        with pytest.raises(ConfigurationError):
+            forest.predict_with_uncertainty(np.zeros((2, n_columns)))
 
 
 class TestPCA:

@@ -1,13 +1,53 @@
-"""Tests for the three Section V workflow case studies."""
+"""Tests for the three Section V workflow case studies.
+
+The drug study's verify configuration (library 1500, seed 4, 48 initial
+picks plus 4 x 24) is pinned number for number by
+``goldens/drug_seed4.json``: every ``DrugDiscoveryResult`` field and a
+SHA-256 of the first iteration's ``predict_with_uncertainty`` bytes. To
+regenerate after an *intentional* change::
+
+    REPRO_REGEN_GOLDENS=1 python -m pytest tests/test_workflows_cases.py
+"""
+
+import hashlib
+import json
+import os
+import pathlib
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.ml.forest import RandomForestRegressor
 from repro.science.docking import CompoundLibrary, DockingOracle
+from repro.workflows import case_drug
 from repro.workflows.case_biology import MultiscaleWorkflow
 from repro.workflows.case_drug import DrugDiscoveryWorkflow
 from repro.workflows.case_materials import MaterialsWorkflow
+
+DRUG_GOLDEN = pathlib.Path(__file__).parent / "goldens" / "drug_seed4.json"
+
+
+def _drug_golden_text(result, first_prediction_sha256: str) -> str:
+    """The golden's bytes: one JSON key per line, one genome per line."""
+    fields = {
+        "best_true_affinity": result.best_true_affinity,
+        "enrichment": result.enrichment,
+        "enrichment_docking": result.enrichment_docking,
+        "enrichment_random": result.enrichment_random,
+        "evaluated_genomes": result.evaluated_genomes.tolist(),
+        "first_prediction_sha256": first_prediction_sha256,
+        "iteration_best": result.iteration_best,
+        "md_calls": result.md_calls,
+    }
+    lines = []
+    for key, value in fields.items():
+        if key == "evaluated_genomes":
+            rows = ",\n  ".join(json.dumps(row) for row in value)
+            lines.append(f' "{key}": [\n  {rows}\n ]')
+        else:
+            lines.append(f" {json.dumps(key)}: {json.dumps(value)}")
+    return "{\n" + ",\n".join(lines) + "\n}\n"
 
 
 class TestMaterialsWorkflow:
@@ -51,26 +91,56 @@ class TestMaterialsWorkflow:
 class TestDrugDiscoveryWorkflow:
     @pytest.fixture(scope="class")
     def outcome(self):
+        """The verify configuration, recording each surrogate prediction."""
+        predictions: list[bytes] = []
+
+        class RecordingForest(RandomForestRegressor):
+            def predict_with_uncertainty(self, x):
+                mean, std = super().predict_with_uncertainty(x)
+                predictions.append(mean.tobytes() + std.tobytes())
+                return mean, std
+
         library = CompoundLibrary.random(1500, seed=4)
         oracle = DockingOracle(seed=4)
         wf = DrugDiscoveryWorkflow(library, oracle, seed=4)
-        return wf.run(initial=48, per_iteration=24, n_iterations=4), oracle
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(case_drug, "RandomForestRegressor", RecordingForest)
+            result = wf.run(initial=48, per_iteration=24, n_iterations=4)
+        return result, oracle, predictions
+
+    def test_matches_golden(self, outcome):
+        result, _, predictions = outcome
+        assert len(predictions) == 4
+        text = _drug_golden_text(
+            result, hashlib.sha256(predictions[0]).hexdigest()
+        )
+        if os.environ.get("REPRO_REGEN_GOLDENS"):
+            DRUG_GOLDEN.write_text(text)
+            pytest.skip(f"regenerated {DRUG_GOLDEN.name}")
+        assert DRUG_GOLDEN.exists(), (
+            f"{DRUG_GOLDEN.name} missing - run with REPRO_REGEN_GOLDENS=1 "
+            "to create it"
+        )
+        assert text == DRUG_GOLDEN.read_text(), (
+            f"{DRUG_GOLDEN.name} drifted: the seed-4 drug study no longer "
+            "reproduces its committed numbers"
+        )
 
     def test_beats_random_selection(self, outcome):
-        result, _ = outcome
+        result, *_ = outcome
         assert result.enrichment > result.enrichment_random
 
     def test_competitive_with_docking_rank(self, outcome):
-        result, _ = outcome
+        result, *_ = outcome
         assert result.enrichment >= result.enrichment_docking
 
     def test_md_budget_respected(self, outcome):
-        result, oracle = outcome
+        result, oracle, _ = outcome
         assert result.md_calls == 48 + 24 * 4
         assert oracle.md_calls == result.md_calls
 
     def test_iteration_best_monotone(self, outcome):
-        result, _ = outcome
+        result, *_ = outcome
         best = result.iteration_best
         assert all(b >= a - 1e-12 for a, b in zip(best, best[1:]))
 
