@@ -1,16 +1,16 @@
 #!/usr/bin/env python
 """A simulated year of whole-facility operation in seconds of wall-clock.
 
-Two bulk paths make a year of Summit-scale operation a coffee-sip-sized
-run: numpy timer banks (``repro.sim.timerbank``) hold a homogeneous timer
-population as arrays behind a single engine queue entry, and the batch
-scheduler keeps its running jobs in one ``heapq`` of completion times:
+Two paths make a year of Summit-scale operation a coffee-sip-sized run:
+the event engine's generator-free ``Timer`` processes, and the batch
+scheduler, which keeps its running jobs in one ``heapq`` of completion
+times:
 
 1. **Per-node failure clocks** — a :class:`~repro.resilience.faults.
-   FailureInjector` bank gives each of Summit's 4 608 nodes its own
-   exponential MTBF clock (lane index = node index) and stalks one
-   year-long facility process; every firing interrupts the target with
-   the failing node's identity.
+   FailureInjector` gives each of Summit's 4 608 nodes its own exponential
+   MTBF clock (one ``Timer`` per node; clock index = node index) and
+   stalks one year-long facility process; every firing interrupts the
+   target with the failing node's identity.
 2. **A year of batch scheduling** — ~80 k jobs from the utilization-
    targeted synthetic stream, replayed through the scheduler with
    checkpoint/requeue fault churn.
@@ -44,22 +44,22 @@ def facility(eng: Engine):
 
 
 def main() -> None:
-    # -- 1. per-node failure clocks as one numpy timer bank -----------------
+    # -- 1. per-node failure clocks, one Timer per node ---------------------
     print(f"1. A year of per-node failure clocks ({N_NODES:,} nodes)")
     print("=" * 64)
     eng = Engine()
     target = eng.spawn(facility(eng), name="facility")
     injector = FailureInjector(eng, seed=0)
-    injector.attach(target, N_NODES, timer_bank=True)
+    injector.attach(target, N_NODES, per_node=True)
     t0 = time.perf_counter()
     eng.run()
-    bank_wall = time.perf_counter() - t0
+    clocks_wall = time.perf_counter() - t0
     nodes_hit = len({e.node for e in injector.events})
     print(f"  {len(injector.events)} node failures over "
           f"{eng.now / 86400:.0f} simulated days "
-          f"({nodes_hit} distinct nodes) in {bank_wall:.3f} s wall-clock")
-    print("  (one engine queue entry carries all "
-          f"{N_NODES:,} exponential clocks)\n")
+          f"({nodes_hit} distinct nodes) in {clocks_wall:.3f} s wall-clock")
+    print(f"  (one Timer process per node: {N_NODES:,} exponential clocks "
+          "on the engine's event heap)\n")
 
     # -- 2. a year of batch scheduling ----------------------------------------
     print("2. A year of batch scheduling")

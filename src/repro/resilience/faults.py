@@ -102,101 +102,91 @@ class FailureInjector:
             self.telemetry = self.engine.telemetry
 
     def attach(
-        self, target: Process, n_nodes: int, timer_bank: bool = False
-    ) -> Any:
+        self, target: Process, n_nodes: int, per_node: bool = False
+    ) -> Process | list[Process]:
         """Spawn the injector stalking ``target``; returns its handle.
 
         The default is the historical single system-MTBF clock (one
         :class:`~repro.sim.engine.Timer`, alternating exponential-wait and
         victim-index draws) — existing seeds and goldens are untouched.
 
-        ``timer_bank=True`` switches to *per-node* exponential clocks in
-        one numpy :class:`~repro.sim.timerbank.TimerBank`: every node
-        gets its own MTBF clock (lane index = node index, so the victim is
-        the lane that fired — no separate draw), scaling to all 4 608
-        Summit nodes for the same cost as one. The superposed per-node
-        Poisson processes compose to exactly the same system MTBF law, but
-        the rng stream differs from the single-clock path, so this is an
-        explicit opt-in, returning the bank instead of a process. A bank
-        run is byte-identical to the same clocks run as per-lane timers on
-        a one-pop-per-event heap engine (the differential suite pins
-        this).
+        ``per_node=True`` gives every node its own exponential MTBF clock
+        instead: one ``Timer`` per node, named
+        ``injector:<target>[<node>]``, so the victim is the clock that
+        fired and no index is drawn. The first fires are one block draw of
+        ``n_nodes`` exponentials, and each re-arm is one scalar draw. The
+        superposed per-node Poisson processes compose to the same system
+        MTBF law, but the rng stream differs from the single-clock path, so
+        this is an explicit model choice. It returns the list of per-node
+        clock processes.
         """
         if n_nodes < 1:
             raise ConfigurationError("need at least one node")
-        if timer_bank:
-            return self._attach_bank(target, n_nodes)
+        if per_node:
+            clocks = self._node_clocks(target, n_nodes)
+        else:
+            clocks = [self._system_clock(target, n_nodes)]
+        # stop the injector the moment the target completes, so the engine
+        # clock is not dragged past the interesting part of the simulation
+        self.engine.spawn(
+            self._sentinel(target, clocks), name=f"sentinel:{target.name}"
+        )
+        return clocks if per_node else clocks[0]
+
+    def _system_clock(self, target: Process, n_nodes: int) -> Process:
+        """One clock at the system MTBF; each fire draws the victim node."""
         mtbf = self.model.system_mtbf(n_nodes)
+        rng = self._rng
 
         def fire() -> float | None:
             if target.finished:
                 return None
-            event = FailureEvent(
-                time=self.engine.now,
-                node=int(self._rng.integers(0, n_nodes)),
-            )
-            self.events.append(event)
-            if self.telemetry is not None:
-                self.telemetry.instant(
-                    f"failure:node{event.node}", "fault",
-                    facility="faults", track=target.name,
-                    time=event.time, node=event.node,
-                    target=target.name,
-                )
-                self.telemetry.metrics.counter("faults.injected").inc()
-            target.interrupt(event)
-            return float(self._rng.exponential(mtbf))
+            self._inject(target, int(rng.integers(0, n_nodes)))
+            return float(rng.exponential(mtbf))
 
-        proc = self.engine.spawn(
-            Timer(float(self._rng.exponential(mtbf)), fire),
+        return self.engine.spawn(
+            Timer(float(rng.exponential(mtbf)), fire),
             name=f"injector:{target.name}",
         )
-        # stop the injector the moment the target completes, so the engine
-        # clock is not dragged past the interesting part of the simulation
-        self.engine.spawn(
-            self._sentinel(target, proc), name=f"sentinel:{target.name}"
-        )
-        return proc
 
-    def _attach_bank(self, target: Process, n_nodes: int):
-        """Per-node MTBF clocks as one numpy timer bank."""
-        from repro.sim.timerbank import ExponentialRearm, TimerBank
-
+    def _node_clocks(self, target: Process, n_nodes: int) -> list[Process]:
+        """One clock per node at the node MTBF; the clock's index is the node."""
         node_mtbf = self.model.node_mtbf_seconds
         rng = self._rng
 
-        def on_fire(node: int) -> bool:
-            if target.finished:
-                return False
-            event = FailureEvent(time=self.engine.now, node=node)
-            self.events.append(event)
-            if self.telemetry is not None:
-                self.telemetry.instant(
-                    f"failure:node{event.node}", "fault",
-                    facility="faults", track=target.name,
-                    time=event.time, node=event.node,
-                    target=target.name,
-                )
-                self.telemetry.metrics.counter("faults.injected").inc()
-            target.interrupt(event)
-            return True
+        def clock(node: int):
+            def fire() -> float | None:
+                if target.finished:
+                    return None
+                self._inject(target, node)
+                return float(rng.exponential(node_mtbf))
 
-        bank = TimerBank(
-            self.engine,
-            rng.exponential(node_mtbf, n_nodes),  # one block: all first fires
-            on_fire=on_fire,
-            rearm=ExponentialRearm(node_mtbf, rng),
-            name=f"injector:{target.name}",
-        )
-        self.engine.spawn(
-            self._bank_sentinel(target, bank), name=f"sentinel:{target.name}"
-        )
-        return bank
+            return fire
 
-    def _sentinel(self, target: Process, injector: Process):
+        first = rng.exponential(node_mtbf, n_nodes).tolist()  # one block
+        return [
+            self.engine.spawn(
+                Timer(delay, clock(node)),
+                name=f"injector:{target.name}[{node}]",
+            )
+            for node, delay in enumerate(first)
+        ]
+
+    def _inject(self, target: Process, node: int) -> None:
+        """Record a failure of ``node`` now and interrupt ``target``."""
+        event = FailureEvent(time=self.engine.now, node=node)
+        self.events.append(event)
+        if self.telemetry is not None:
+            self.telemetry.instant(
+                f"failure:node{event.node}", "fault",
+                facility="faults", track=target.name,
+                time=event.time, node=event.node,
+                target=target.name,
+            )
+            self.telemetry.metrics.counter("faults.injected").inc()
+        target.interrupt(event)
+
+    def _sentinel(self, target: Process, clocks: list[Process]):
         yield target
-        injector.interrupt("target-finished")
-
-    def _bank_sentinel(self, target: Process, bank):
-        yield target
-        bank.cancel("target-finished")
+        for clock in clocks:
+            clock.interrupt("target-finished")

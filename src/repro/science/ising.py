@@ -114,11 +114,11 @@ class MonteCarlo:
 
     The checkerboard decomposition updates all same-colour sites at once
     (they do not interact), giving numpy-speed sweeps — the guide-recommended
-    vectorisation of the classic site-by-site loop. :meth:`sweep_scalar` is
-    the site-by-site reference: it consumes the random stream in exactly the
-    same pattern (one full-lattice uniform draw per colour), so the fast and
-    reference paths produce **bit-identical spin trajectories** for the same
-    seed — asserted at the observable level by the parity tests.
+    vectorisation of the classic site-by-site loop. The site-by-site
+    reference lives with the test oracles (``tests/oracles/ising.py``): it
+    consumes the random stream in exactly the same pattern (one full-lattice
+    uniform draw per colour), so the two produce **bit-identical spin
+    trajectories** for the same seed — asserted by the parity tests.
     """
 
     def __init__(self, lattice: AlloyLattice, seed: int | None = None):
@@ -152,46 +152,12 @@ class MonteCarlo:
             accepted += int(flip.sum())
         return accepted / self.lattice.spins.size
 
-    def sweep_scalar(self, temperature: float) -> float:
-        """Site-by-site reference implementation of one full sweep.
-
-        Walks each colour sub-lattice in row-major order, recomputing the
-        local neighbour sum per site. Same-colour sites do not interact, so
-        this is mathematically the simultaneous checkerboard update; drawing
-        the *same* full-lattice uniform array per colour makes the two paths
-        agree bit for bit on every spin, not just in distribution.
-        """
-        if temperature <= 0:
-            raise ConfigurationError("temperature must be positive")
-        accepted = 0
-        size = self.lattice.size
-        j = self.lattice.j
-        for color in (self._color, ~self._color):
-            s = self.lattice.spins
-            uniform = self.rng.random(s.shape)
-            for a in range(size):
-                for b in range(size):
-                    if not color[a, b]:
-                        continue
-                    nbr = (
-                        int(s[(a + 1) % size, b]) + int(s[a - 1, b])
-                        + int(s[a, (b + 1) % size]) + int(s[a, b - 1])
-                    )
-                    d_e = -2.0 * j * int(s[a, b]) * nbr
-                    if d_e <= 0 or uniform[a, b] < float(
-                        np.exp(-max(d_e, 0.0) / temperature)
-                    ):
-                        s[a, b] = -s[a, b]
-                        accepted += 1
-        return accepted / self.lattice.spins.size
-
     def run(
         self,
         temperature: float,
         n_sweeps: int = 200,
         n_warmup: int = 100,
         energy_model=None,
-        method: str = "checkerboard",
     ) -> MCResult:
         """Equilibrate then measure at ``temperature``.
 
@@ -201,28 +167,17 @@ class MonteCarlo:
         Proposal acceptance always uses the exact local rule; the surrogate
         path exercises the *measurement* substitution the materials workflow
         makes, keeping detailed balance intact.
-
-        ``method`` selects the update path: ``"checkerboard"`` (the
-        vectorised fast path) or ``"scalar"`` (the site-by-site reference) —
-        the two produce identical trajectories for the same seed.
         """
         if n_sweeps < 1 or n_warmup < 0:
             raise ConfigurationError("need n_sweeps >= 1, n_warmup >= 0")
-        try:
-            step = {"checkerboard": self.sweep, "scalar": self.sweep_scalar}[method]
-        except KeyError:
-            raise ConfigurationError(
-                f"unknown update method {method!r}; "
-                "choose 'checkerboard' or 'scalar'"
-            ) from None
         for _ in range(n_warmup):
-            step(temperature)
+            self.sweep(temperature)
         energies = np.empty(n_sweeps)
         orders = np.empty(n_sweeps)
         acc = 0.0
         n_sites = self.lattice.spins.size
         for i in range(n_sweeps):
-            acc += step(temperature)
+            acc += self.sweep(temperature)
             if energy_model is None:
                 energies[i] = self.lattice.energy_per_site()
             else:

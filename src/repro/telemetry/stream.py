@@ -432,24 +432,3 @@ class ShardAggregator:
             },
             "metrics": self.metrics.as_dict(),
         }
-
-    def summary_lines(self) -> list[str]:
-        lines = [
-            f"shard rollup: {self.n_spans} spans "
-            f"({self.n_root_spans} roots), {self.n_instants} instants, "
-            f"{self.n_samples} samples",
-        ]
-        for cat in sorted(self.by_category):
-            stats = self.by_category[cat]
-            lines.append(
-                f"  {cat:<18} n={stats.n:<6} total={stats.total:.6g} s  "
-                f"mean={stats.mean:.6g} s"
-            )
-        for resource, acc in self.utilization.items():
-            lines.append(
-                f"  {resource:<18} busy={acc.busy_time():.6g} node-s  "
-                f"util={acc.utilization():.1%}  "
-                f"peak={acc.peak():g}/{acc.capacity():g}"
-            )
-        return lines
-

@@ -1,31 +1,30 @@
 """Reference implementations kept only as test oracles.
 
-- :mod:`.heap_engine` — :class:`HeapEngine`, the production engine
-  drained by a one-pop-per-event ``heapq`` loop;
-- :mod:`.timer_bank` — :class:`ObjectTimerBank`, a timer bank's
-  population run as per-lane :class:`~repro.sim.engine.Timer` processes;
+- :mod:`.scan_engine` — :class:`ScanEngine`, the production engine with
+  a linear-scan event queue in place of its heap;
 - :mod:`.forest` — :class:`NodeTreeRegressor` and
   :class:`NodeForestRegressor`, CART trees of node objects split one
-  feature at a time and walked row by row.
+  feature at a time and walked row by row;
+- :mod:`.ising` — :class:`ScalarMonteCarlo`, the Ising Monte Carlo swept
+  site by site.
 
-Production code never imports these. The differential suites, the golden
-tests and ``benchmarks/bench_engine.py`` run them beside the production
-paths.
+Production code never imports these. The differential suites and the
+golden tests run them beside the production paths.
 """
 
 from repro.sim import Engine
 from .forest import NodeForestRegressor, NodeTreeRegressor
-from .heap_engine import HeapEngine
-from .timer_bank import ObjectTimerBank
+from .ising import ScalarMonteCarlo
+from .scan_engine import ScanEngine
 
-#: Engine class by name: the ``heap`` oracle and the production
-#: ``calendar`` engine, the two sides of every engine differential test.
-ENGINES = {"heap": HeapEngine, "calendar": Engine}
+#: Engine class by name: the ``scan`` oracle and the production ``heap``
+#: engine, the two sides of every engine differential test.
+ENGINES = {"scan": ScanEngine, "heap": Engine}
 
 __all__ = [
     "ENGINES",
-    "HeapEngine",
     "NodeForestRegressor",
     "NodeTreeRegressor",
-    "ObjectTimerBank",
+    "ScalarMonteCarlo",
+    "ScanEngine",
 ]

@@ -1,16 +1,15 @@
-"""Differential testing: the calendar engine against the heap oracle.
+"""Differential testing: the heap engine against the linear-scan oracle.
 
 The engine contract (see :mod:`repro.sim.engine`) is a ``(time, seq)``
-total order, so the production calendar engine and the one-pop-per-event
-heap oracle (:class:`tests.oracles.HeapEngine`) are *indistinguishable*:
-same seed and workload give the same event order, the same final process
-states, and — with telemetry attached — byte-identical Chrome-trace
-exports.
+total order, so the production heap engine and the linear-scan oracle
+(:class:`tests.oracles.ScanEngine`) are *indistinguishable*: same seed and
+workload give the same event order, the same final process states, and —
+with telemetry attached — byte-identical Chrome-trace exports.
 
 Hypothesis generates adversarial programs over the full effect surface:
 timeouts drawn from a small quantized delay set (so zero-delay cascades
-and same-timestamp collisions are common, exercising the calendar's
-batched dispatch), child waits, resource acquire/release over a shared
+and same-timestamp collisions are common, exercising the seq tie-break
+and stale-entry skips), child waits, resource acquire/release over a shared
 pool, interrupts (caught and uncaught, of generators and of timers), and
 generator-free :class:`Timer` processes with re-arming fire callbacks.
 Each program runs once per engine; every observable is compared.
@@ -127,47 +126,24 @@ def run_program(program, timers, impl, with_telemetry=False):
 @STANDARD_SETTINGS
 @given(program=PROGRAMS, timers=TIMERS)
 def test_event_order_and_final_state_equivalent(program, timers):
+    scan = run_program(program, timers, "scan")
     heap = run_program(program, timers, "heap")
-    calendar = run_program(program, timers, "calendar")
-    assert heap == calendar
+    assert scan == heap
 
 
 @SLOW_SETTINGS
 @given(program=PROGRAMS, timers=TIMERS)
 def test_telemetry_traces_byte_identical(program, timers):
+    scan = run_program(program, timers, "scan", with_telemetry=True)
     heap = run_program(program, timers, "heap", with_telemetry=True)
-    calendar = run_program(program, timers, "calendar", with_telemetry=True)
-    assert heap["trace"] == calendar["trace"]
-    assert heap == calendar
-
-
-@STANDARD_SETTINGS
-@given(
-    delays=st.lists(DELAYS, min_size=1, max_size=40),
-    impl=st.sampled_from(list(ENGINES)),
-)
-def test_spawn_timers_matches_loop_spawn(delays, impl):
-    """Bulk spawn is observably identical to a loop of single spawns."""
-    bulk_eng = ENGINES[impl]()
-    bulk = bulk_eng.spawn_timers(delays)
-    bulk_eng.run()
-
-    loop_eng = ENGINES[impl]()
-    loop = [loop_eng.spawn(Timer(d)) for d in delays]
-    loop_eng.run()
-
-    assert bulk_eng.now == loop_eng.now
-    assert [
-        (p.finished, p.killed, p.result, p.finished_at) for p in bulk
-    ] == [
-        (p.finished, p.killed, p.result, p.finished_at) for p in loop
-    ]
+    assert scan["trace"] == heap["trace"]
+    assert scan == heap
 
 
 @SLOW_SETTINGS
 @given(program=PROGRAMS, timers=TIMERS)
 def test_same_impl_rerun_is_deterministic(program, timers):
     """Sanity anchor for the differential tests: reruns are identical."""
-    first = run_program(program, timers, "calendar")
-    second = run_program(program, timers, "calendar")
+    first = run_program(program, timers, "heap")
+    second = run_program(program, timers, "heap")
     assert first == second

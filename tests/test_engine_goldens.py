@@ -3,14 +3,14 @@
 Each golden is the byte-exact Chrome-trace export of one seeded reference
 workload (timers, re-arming timers, sleeps, a child wait, resource
 contention and an interrupt). The files are committed; the tests
-regenerate each trace in-process, on the production calendar engine and
-on the ``heap`` oracle (:class:`tests.oracles.HeapEngine`), and require
-both to match the one per-seed file exactly. That pins three properties
-at once:
+regenerate each trace in-process, on the production heap engine and on
+the ``scan`` oracle (:class:`tests.oracles.ScanEngine`), and require both
+to match the one per-seed file exactly. That pins three properties at
+once:
 
 - *temporal determinism* — rerunning a seed reproduces its trace;
-- *oracle equivalence* — the batched calendar drain and the
-  one-pop-per-event heap loop export the same bytes;
+- *oracle equivalence* — the heap loop and the linear-scan queue export
+  the same bytes;
 - *schedule stability* — any change to event ordering, tie-breaking or
   telemetry emission shows up as a golden diff in review, not as silent
   drift.
@@ -39,7 +39,8 @@ IMPLS = tuple(ENGINES)
 
 
 def _golden_path(seed: int) -> pathlib.Path:
-    # the file keeps its historical name from when each engine had its own
+    # a historical name: the production engine has reproduced these bytes
+    # through every queue rewrite since the calendar queue wrote them
     return GOLDEN_DIR / f"engine_trace_seed{seed}_calendar.json"
 
 
@@ -110,7 +111,7 @@ def build_reference_trace(seed: int, impl: str) -> str:
 def test_regenerating_golden_is_a_noop(seed, impl):
     path = _golden_path(seed)
     regenerated = build_reference_trace(seed, impl)
-    if os.environ.get("REPRO_REGEN_GOLDENS") and impl == "calendar":
+    if os.environ.get("REPRO_REGEN_GOLDENS") and impl == "heap":
         path.write_text(regenerated)
         pytest.skip(f"regenerated {path.name}")
     assert path.exists(), (
@@ -125,10 +126,11 @@ def test_regenerating_golden_is_a_noop(seed, impl):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_heap_and_calendar_goldens_identical(seed):
     """The oracle and the production engine agree in-process, golden or
-    not — a regeneration can never bless a calendar-only drift."""
+    not — a regeneration can never bless a production-only drift. (The
+    name is historical, like the golden files'.)"""
+    scan = build_reference_trace(seed, "scan")
     heap = build_reference_trace(seed, "heap")
-    calendar = build_reference_trace(seed, "calendar")
-    assert heap == calendar, f"seed {seed}: heap and calendar traces diverged"
+    assert scan == heap, f"seed {seed}: scan and heap traces diverged"
 
 
 def test_goldens_are_nontrivial():

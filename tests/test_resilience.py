@@ -2,6 +2,11 @@
 retry policies, checkpoint-restart simulation, Young/Daly validation, the
 fault-aware DAG executor and batch scheduler, and the goodput wiring."""
 
+import hashlib
+import json
+import os
+import pathlib
+
 import pytest
 
 from repro.errors import ConfigurationError, SimulationError
@@ -16,7 +21,7 @@ from repro.resilience import (
 from repro.scheduler import FaultModel, Job, Scheduler
 from repro.sim import Engine, Interrupt, Resource, Timeout
 from repro.storage.checkpoint import CheckpointPlan
-from repro.telemetry import Telemetry
+from repro.telemetry import Telemetry, chrome_trace_json
 from repro.workflows.dag import TaskGraph, _attempt_timeline
 from repro.workflows.facility import Facility
 
@@ -230,6 +235,84 @@ class TestFailureInjector:
         # the sentinel kills the injector at t=1; the clock never advances
         # to the injector's (astronomically far) next draw
         assert eng.now == 1.0
+
+    def test_per_node_matches_golden(self):
+        """Per-node clocks are pinned by a committed golden: seeds 0-3 x
+        16/64/256 nodes stalking a 40-day target with telemetry on, plus
+        ``examples/facility_year.py``'s 4,608-node year at seed 0."""
+        cases = [
+            _per_node_case(seed, n_nodes)
+            for seed in PER_NODE_SEEDS
+            for n_nodes in PER_NODE_SIZES
+        ]
+        regenerated = json.dumps(
+            {"cases": cases, "facility_year": _facility_year_case()},
+            indent=2, sort_keys=True,
+        ) + "\n"
+        if os.environ.get("REPRO_REGEN_GOLDENS"):
+            PER_NODE_GOLDEN.write_text(regenerated)
+            pytest.skip(f"regenerated {PER_NODE_GOLDEN.name}")
+        assert regenerated == PER_NODE_GOLDEN.read_text(), (
+            f"{PER_NODE_GOLDEN.name} drifted: the per-node injector no "
+            "longer reproduces its committed failure timelines"
+        )
+
+
+PER_NODE_GOLDEN = (
+    pathlib.Path(__file__).parent / "goldens" / "injector_per_node.json"
+)
+PER_NODE_SEEDS = (0, 1, 2, 3)
+PER_NODE_SIZES = (16, 64, 256)
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _stalk(eng, horizon, model, seed, n_nodes, name):
+    """Run a ``horizon``-long target under per-node failure clocks."""
+
+    def target_gen():
+        hits = 0
+        remaining = horizon
+        while True:
+            started = eng.now
+            try:
+                yield Timeout(remaining)
+                return hits
+            except Interrupt:
+                hits += 1
+                remaining -= eng.now - started
+
+    target = eng.spawn(target_gen(), name=name)
+    injector = FailureInjector(eng, model, seed=seed)
+    injector.attach(target, n_nodes, per_node=True)
+    eng.run()
+    events = [[e.time, e.node] for e in injector.events]
+    return {
+        "n_events": len(events),
+        "distinct_nodes": len({node for _, node in events}),
+        "events_sha256": _sha256(json.dumps(events)),
+        "now": eng.now,
+        "result": target.result,
+    }
+
+
+def _per_node_case(seed: int, n_nodes: int) -> dict:
+    telemetry = Telemetry()
+    case = _stalk(
+        Engine(telemetry), 40.0 * 86400.0, NodeFailureModel(1.0e7),
+        seed, n_nodes, "job",
+    )
+    case.update(
+        seed=seed, n_nodes=n_nodes,
+        trace_sha256=_sha256(chrome_trace_json(telemetry)),
+    )
+    return case
+
+
+def _facility_year_case() -> dict:
+    return _stalk(Engine(), YEAR, NodeFailureModel(), 0, 4608, "facility")
 
 
 # -- retry policy ------------------------------------------------------------------

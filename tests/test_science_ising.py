@@ -13,6 +13,7 @@ from repro.science.ising import (
     estimate_critical_temperature,
     exact_critical_temperature,
 )
+from .oracles import ScalarMonteCarlo
 
 
 class TestAlloyLattice:
@@ -136,18 +137,18 @@ class TestScalarReferenceParity:
     @pytest.mark.parametrize("temperature", [1.5, 2.27, 4.0])
     def test_sweep_trajectories_bit_identical(self, temperature):
         fast = MonteCarlo(AlloyLattice(8, seed=4), seed=9)
-        ref = MonteCarlo(AlloyLattice(8, seed=4), seed=9)
+        ref = ScalarMonteCarlo(AlloyLattice(8, seed=4), seed=9)
         for _ in range(25):
             acc_fast = fast.sweep(temperature)
-            acc_ref = ref.sweep_scalar(temperature)
+            acc_ref = ref.sweep(temperature)
             assert acc_fast == acc_ref
             assert np.array_equal(fast.lattice.spins, ref.lattice.spins)
 
     def test_run_observables_identical(self):
         fast = MonteCarlo(AlloyLattice(8, seed=5), seed=6)
-        ref = MonteCarlo(AlloyLattice(8, seed=5), seed=6)
+        ref = ScalarMonteCarlo(AlloyLattice(8, seed=5), seed=6)
         a = fast.run(2.0, n_sweeps=30, n_warmup=10)
-        b = ref.run(2.0, n_sweeps=30, n_warmup=10, method="scalar")
+        b = ref.run(2.0, n_sweeps=30, n_warmup=10)
         assert a.energy_per_site == b.energy_per_site
         assert a.order_parameter == b.order_parameter
         assert a.specific_heat == b.specific_heat
@@ -155,14 +156,9 @@ class TestScalarReferenceParity:
         assert a.acceptance_rate == b.acceptance_rate
 
     def test_scalar_temperature_validated(self):
-        mc = MonteCarlo(AlloyLattice(8, seed=0))
+        mc = ScalarMonteCarlo(AlloyLattice(8, seed=0))
         with pytest.raises(ConfigurationError):
-            mc.sweep_scalar(0.0)
-
-    def test_unknown_method_rejected(self):
-        mc = MonteCarlo(AlloyLattice(8, seed=0))
-        with pytest.raises(ConfigurationError):
-            mc.run(2.0, n_sweeps=1, n_warmup=0, method="typo")
+            mc.sweep(0.0)
 
 
 class TestExactTc:

@@ -3,14 +3,65 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Engine, Process, Resource, Timeout
+from repro.sim import Engine, Process, Resource, Timeout, Timer
 from .oracles import ENGINES
+
+#: Delays no event may be scheduled at: NaN and infinities would leave the
+#: clock NaN or the run unending.
+BAD_DELAYS = (-1.0, float("nan"), float("inf"), float("-inf"))
 
 
 class TestTimeout:
     def test_negative_rejected(self):
-        with pytest.raises(SimulationError):
-            Timeout(-1.0)
+        for delay in BAD_DELAYS:
+            with pytest.raises(SimulationError, match=repr(delay)):
+                Timeout(delay)
+
+
+class TestTimer:
+    def test_bad_delay_rejected(self):
+        for delay in BAD_DELAYS:
+            with pytest.raises(SimulationError, match=repr(delay)):
+                Timer(delay)
+
+    def test_bad_rearm_delay_rejected(self):
+        for delay in BAD_DELAYS:
+            eng = Engine()
+            eng.spawn(Timer(1.0, lambda delay=delay: delay), name="clock")
+            with pytest.raises(SimulationError, match=repr(delay)):
+                eng.run()
+            assert eng.now == 1.0
+
+    def test_rearming_timer_parity(self):
+        """A re-arming Timer fires at the same instants as the equivalent
+        looping generator."""
+        n_ticks = 5
+        period = 7.0
+
+        def looping(eng, log):
+            for _ in range(n_ticks):
+                yield Timeout(period)
+                log.append(eng.now)
+
+        gen_log: list[float] = []
+        eng_gen = Engine()
+        eng_gen.spawn(looping(eng_gen, gen_log))
+        eng_gen.run()
+
+        timer_log: list[float] = []
+        eng_t = Engine()
+        remaining = [n_ticks]
+
+        def fire():
+            timer_log.append(eng_t.now)
+            remaining[0] -= 1
+            return period if remaining[0] else None
+
+        eng_t.spawn(Timer(period, fire))
+        eng_t.run()
+
+        assert timer_log == gen_log
+        assert eng_t.now == eng_gen.now == n_ticks * period
 
 
 class TestEngine:
@@ -73,18 +124,6 @@ class TestEngine:
         eng.run()
         assert proc.result == "x"
         assert eng.now == 5.0
-
-    def test_run_until_pauses_clock(self):
-        eng = Engine()
-
-        def job():
-            yield Timeout(10.0)
-
-        eng.spawn(job())
-        eng.run(until=4.0)
-        assert eng.now == 4.0
-        eng.run()
-        assert eng.now == 10.0
 
     def test_simultaneous_events_fire_in_spawn_order(self):
         eng = Engine()
@@ -201,8 +240,8 @@ class TestTraceDeterminism:
 class TestTieBreakFIFO:
     """The documented ``(time, seq)`` contract: simultaneous events fire in
     scheduling order — spawn order for fresh processes — on the production
-    engine and the heap oracle, even at batch sizes where the calendar
-    queue drains the whole instant in one pass."""
+    heap engine and the linear-scan oracle, even with a thousand events at
+    one instant."""
 
     N = 1000
 
