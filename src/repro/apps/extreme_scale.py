@@ -122,8 +122,6 @@ class ExtremeScaleApp:
         self,
         n_nodes,
         system: System | None = None,
-        n_jobs: int = 1,
-        cache=None,
         machine: "MachineSpec | str | None" = None,
     ):
         """Vectorized step-time sweep over a node-count axis.
@@ -131,17 +129,10 @@ class ExtremeScaleApp:
         ``n_nodes`` is any 1-D integer sequence; node counts must be
         multiples of the replica span for model-parallel apps. Returns a
         :class:`~repro.cost.sweep.SweepResult`.
-
-        ``n_jobs`` shards the grid over a process pool (bit-identical to
-        the serial pass) and ``cache`` is an optional
-        :class:`~repro.exec.ResultCache` for content-addressed reuse.
         """
         from repro.cost import sweep
 
-        return sweep(
-            self.cost_model(system, machine), {"n_nodes": n_nodes},
-            n_jobs=n_jobs, cache=cache,
-        )
+        return sweep(self.cost_model(system, machine), {"n_nodes": n_nodes})
 
     def resilience_report(
         self,

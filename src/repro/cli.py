@@ -39,15 +39,14 @@ Commands mirror the paper's strands:
   complete) against a running server.
 
 ``resilience``, ``sweep``, ``telemetry`` and ``verify`` accept ``--json``
-for machine-readable output, and all four accept ``--jobs N`` to fan work
-out over a process pool — results are bit-identical at every worker count.
-The same four accept ``--machine NAME`` to run against a machine-registry
-entry instead of Summit (``repro sweep --machine frontier-like``); omitting
-the flag — or naming ``summit`` — keeps every output byte-identical to
-earlier releases.
-``sweep`` caches results content-addressed under ``.repro-cache/``
-(``--no-cache`` disables); ``telemetry`` and ``resilience`` accept
-``--replicas N`` for seeded Monte-Carlo ensembles.
+for machine-readable output, and ``--machine NAME`` to run against a
+machine-registry entry instead of Summit (``repro sweep --machine
+frontier-like``); omitting the flag — or naming ``summit`` — keeps every
+output byte-identical to earlier releases. ``verify``, ``telemetry`` and
+``resilience`` accept ``--jobs N`` to fan their coarse tasks out over a
+process pool — results are bit-identical at every worker count — and
+``telemetry`` and ``resilience`` accept ``--replicas N`` for seeded
+Monte-Carlo ensembles.
 
 Library errors exit with distinct nonzero codes (see ``EXIT_CODES``) and a
 one-line ``error:`` message on stderr — never a traceback.
@@ -117,8 +116,7 @@ def _cmd_scaling(args: argparse.Namespace) -> int:
     runner = ScalingStudyRunner(
         args.model, plan, data_source=DataSource(args.data_source)
     )
-    nodes = [int(n) for n in args.nodes.split(",")]
-    print(runner.table(nodes, strong=args.strong))
+    print(runner.table(_parse_nodes(args.nodes), strong=args.strong))
     return 0
 
 
@@ -144,6 +142,7 @@ def _cmd_survey(args: argparse.Namespace) -> int:
 def _cmd_resilience(args: argparse.Namespace) -> int:
     from repro.apps.extreme_scale import get_app
 
+    _check_replicas(args.replicas)
     app = get_app(args.app)
     nodes = args.nodes if args.nodes is not None else app.peak_nodes
     mtbf_seconds = args.mtbf_years * 365 * 24 * 3600.0
@@ -211,30 +210,50 @@ def _cmd_resilience(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_replicas(replicas: int) -> None:
+    if replicas < 1:
+        raise errors.ConfigurationError(
+            f"--replicas must be >= 1, got {replicas}"
+        )
+
+
+def _parse_list(spec: str, kind: type, flag: str, sep: str = ",") -> list:
+    """``sep``-separated ``kind`` values; a bad token is a config error."""
+    values = []
+    for token in spec.split(sep):
+        try:
+            values.append(kind(token))
+        except ValueError:
+            raise errors.ConfigurationError(
+                f"{flag}: {token!r} is not a valid {kind.__name__}"
+            ) from None
+    return values
+
+
 def _parse_nodes(spec: str) -> list[int]:
     """Node-count grid: ``1,16,256`` (list) or ``4:4608:16`` (range w/ step)."""
-    if ":" in spec:
-        start, stop, step = (int(x) for x in spec.split(":"))
-        return list(range(start, stop + 1, step))
-    return [int(n) for n in spec.split(",")]
+    if ":" not in spec:
+        return _parse_list(spec, int, "--nodes")
+    bounds = _parse_list(spec, int, "--nodes", sep=":")
+    if len(bounds) != 3 or bounds[2] == 0:
+        raise errors.ConfigurationError(
+            f"--nodes: range {spec!r} must be start:stop:step with a "
+            "nonzero step"
+        )
+    start, stop, step = bounds
+    return list(range(start, stop + 1, step))
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     import numpy as np
 
     nodes = _parse_nodes(args.nodes)
-    cache = None
-    if not args.no_cache:
-        from repro.exec import ResultCache
-
-        cache = ResultCache()
-
     if args.crossover:
         sim = SummitSimulator.for_machine(args.machine)
-        sizes = np.array([float(s) * 1e6 for s in args.message_mb.split(",")])
+        message_mb = _parse_list(args.message_mb, float, "--message-mb")
+        sizes = np.array([mb * 1e6 for mb in message_mb])
         result = sim.crossover_surface(
             sizes, np.array(nodes), compute_time=args.compute_ms * 1e-3,
-            n_jobs=args.jobs, cache=cache,
         )
         from repro.cost import crossover_nodes
 
@@ -276,16 +295,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 f"{units.format_time(paper[i]):>10}  "
                 f"{units.format_time(ring[i, -1]):>10}  {at:>15}"
             )
-        if cache is not None:
-            print(_cache_note(cache))
         return 0
 
     from repro.apps.extreme_scale import get_app
 
     app = get_app(args.app)
-    result = app.sweep_nodes(
-        nodes, n_jobs=args.jobs, cache=cache, machine=args.machine
-    )
+    result = app.sweep_nodes(nodes, machine=args.machine)
     total = result.total()
     if args.json:
         import json
@@ -320,8 +335,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             f"{bd['straggler'] * 1e3:>8.2f}m  {total[i] * 1e3:>8.2f}m  "
             f"{bd['samples'] / total[i]:>12.0f}"
         )
-    if cache is not None:
-        print(_cache_note(cache))
     return 0
 
 
@@ -337,11 +350,6 @@ def _machine_field(args: argparse.Namespace) -> dict:
     return {"machine": args.machine}
 
 
-def _cache_note(cache) -> str:
-    state = "hit (reused)" if cache.hits else "miss (stored)"
-    return f"result cache: {state} under {cache.root}"
-
-
 def _cmd_telemetry(args: argparse.Namespace) -> int:
     from repro.telemetry import (
         ShardedJsonlSink,
@@ -353,6 +361,7 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
     )
     from repro.telemetry.scenarios import run_scenario, run_scenario_replicas
 
+    _check_replicas(args.replicas)
     sink = None
     if args.shard_dir:
         from repro.telemetry import DEFAULT_SHARD_MAX_BYTES
@@ -613,14 +622,10 @@ def _cmd_gordon_bell(args: argparse.Namespace) -> int:
 
 
 _EPILOG = """\
-parallel execution & caching:
-  --jobs N       fan the work out over N worker processes (sweep, verify,
+parallel execution:
+  --jobs N       fan the work out over N worker processes (verify,
                  telemetry, resilience); results are bit-identical to the
                  serial run at every worker count
-  --no-cache     (sweep) disable the content-addressed result cache; by
-                 default sweeps are cached under .repro-cache/ (override
-                 the location with $REPRO_CACHE_DIR), keyed by model,
-                 grid, fixed parameters and a source-tree fingerprint
   --replicas N   (telemetry, resilience) run N seeded Monte-Carlo replicas
                  over SeedSequence child seeds; telemetry merges the
                  replica traces into one well-formed Chrome trace
@@ -673,7 +678,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scaling", help="scaling study for a catalog model")
     p.add_argument("--model", choices=sorted(CATALOG), default="resnet50")
     p.add_argument("--nodes", default="1,16,256,4096",
-                   help="comma-separated node counts")
+                   help="node counts: comma list or start:stop:step range")
     p.add_argument("--batch", type=int, default=32)
     p.add_argument("--accumulation", type=int, default=1)
     p.add_argument("--shards", type=int, default=1)
@@ -742,12 +747,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "default ResNet-50 and BERT-large)")
     p.add_argument("--compute-ms", type=float, default=50.0,
                    help="per-step compute budget in ms (crossover mode)")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for the grid evaluation "
-                        "(0 = all cores); bit-identical to serial")
-    p.add_argument("--no-cache", action="store_true",
-                   help="skip the content-addressed result cache "
-                        "(.repro-cache/ or $REPRO_CACHE_DIR)")
     p.add_argument("--json", action="store_true",
                    help="emit the sweep table as JSON")
     _add_machine_arg(p)

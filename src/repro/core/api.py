@@ -103,15 +103,12 @@ class SummitSimulator:
         node_counts,
         compute_time: float,
         bandwidth=None,
-        n_jobs: int = 1,
-        cache=None,
     ) -> SweepResult:
         """Section VI-B comm-vs-compute crossover surface on this machine.
 
         Any of ``message_bytes`` / ``node_counts`` / ``bandwidth`` may be a
         sequence (a grid axis); ``bandwidth`` defaults to the system
-        interconnect's aggregate injection bandwidth. ``n_jobs`` / ``cache``
-        are forwarded to the underlying :func:`repro.cost.sweep`.
+        interconnect's aggregate injection bandwidth.
         """
         link = self.system.interconnect
         return crossover_sweep(
@@ -120,8 +117,6 @@ class SummitSimulator:
             link.total_bandwidth if bandwidth is None else bandwidth,
             latency=link.latency,
             compute_time=compute_time,
-            n_jobs=n_jobs,
-            cache=cache,
         )
 
     def io_report(self, model_key: str, n_nodes: int | None = None) -> dict:

@@ -70,16 +70,12 @@ def crossover_sweep(
     latency: float,
     compute_time: float,
     algorithm: str | None = "ring",
-    n_jobs: int = 1,
-    cache: Any = None,
 ) -> SweepResult:
     """Map the crossover surface over (message size x ranks x bandwidth).
 
     Any of the first three arguments may be a 1-D sequence (becoming a grid
     axis) or a scalar (held fixed). Returns a :class:`SweepResult` whose
     ``comm_compute_ratio`` term locates the comm-bound region.
-
-    ``n_jobs`` / ``cache`` are forwarded to :func:`repro.cost.sweep`.
     """
     grid: dict[str, Any] = {}
     fixed: dict[str, Any] = {
@@ -96,9 +92,7 @@ def crossover_sweep(
             grid[name] = value
         else:
             fixed[name] = value
-    return sweep(
-        DataParallelCrossoverModel(), grid, n_jobs=n_jobs, cache=cache, **fixed
-    )
+    return sweep(DataParallelCrossoverModel(), grid, **fixed)
 
 
 def machine_crossover_sweep(
@@ -107,8 +101,6 @@ def machine_crossover_sweep(
     machine: Any = None,
     compute_time: float = 0.1,
     algorithm: str | None = "ring",
-    n_jobs: int = 1,
-    cache: Any = None,
 ) -> SweepResult:
     """The Section VI-B crossover surface recomputed for one machine.
 
@@ -127,8 +119,6 @@ def machine_crossover_sweep(
         latency=spec.injection_latency,
         compute_time=compute_time,
         algorithm=algorithm,
-        n_jobs=n_jobs,
-        cache=cache,
     )
 
 

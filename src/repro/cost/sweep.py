@@ -6,17 +6,6 @@ as an array over the grid shape. :func:`sweep_scalar` is the reference
 implementation (a Python loop over ``evaluate``); the property suite asserts
 the two are element-wise **bit-identical**, which is what licenses the fast
 path for paper-figure reproduction.
-
-``sweep`` also rides the execution fabric (:mod:`repro.exec`):
-
-- ``n_jobs > 1`` chunks the longest grid axis into contiguous shards,
-  evaluates each shard's sub-grid in a worker process and reassembles the
-  term arrays with ``np.concatenate`` along that axis. The formulas are
-  elementwise over the grid, so the merged arrays are **bit-identical** to
-  the serial pass at any worker count;
-- ``cache=`` consults a :class:`~repro.exec.cache.ResultCache` keyed by a
-  content digest of (model, axes, fixed config, package source) before
-  evaluating anything, and stores the :class:`SweepResult` on a miss.
 """
 
 from __future__ import annotations
@@ -24,7 +13,6 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
-from functools import partial
 from typing import Any
 
 import numpy as np
@@ -156,108 +144,10 @@ class SweepResult:
         return "\n".join(lines)
 
 
-def _shard_config(
-    axes: dict[str, np.ndarray],
-    fixed: dict[str, Any],
-    shard_axis: str,
-    bounds: tuple[int, int],
-) -> tuple[dict[str, np.ndarray], dict[str, Any], tuple[int, ...]]:
-    """The sub-grid covering ``bounds`` of ``shard_axis``: axes, config, shape."""
-    lo, hi = bounds
-    sub_axes = dict(axes)
-    sub_axes[shard_axis] = axes[shard_axis][lo:hi]
-    meshes = np.meshgrid(*sub_axes.values(), indexing="ij", sparse=True)
-    config = dict(fixed)
-    config.update(zip(sub_axes, meshes))
-    shape = tuple(len(v) for v in sub_axes.values())
-    return sub_axes, config, shape
-
-
-def _eval_shard(
-    model: Any,
-    axes: dict[str, np.ndarray],
-    fixed: dict[str, Any],
-    shard_axis: str,
-    instrument: bool,
-    bounds: tuple[int, int],
-) -> tuple[CostBreakdown, Any]:
-    """Worker: evaluate one contiguous slice of the shard axis.
-
-    Terms are densified to the full sub-grid shape so the parent can merge
-    with one ``np.concatenate`` per term. When ``instrument`` is set the
-    shard carries its own wall-clock :class:`~repro.telemetry.Telemetry`
-    (one ``sweep_shard`` span), which the parent absorbs into the caller's
-    handle — per-shard spans merged into one well-formed trace.
-    """
-    _, config, shape = _shard_config(axes, fixed, shard_axis, bounds)
-    tel = None
-    if instrument:
-        from repro.telemetry import Telemetry
-
-        tel = Telemetry()
-        t0 = time.perf_counter()
-        span = tel.begin(
-            "sweep_shard", "sweep", facility="cost", track=model.name,
-            time=0.0, axis=shard_axis, lo=bounds[0], hi=bounds[1],
-        )
-        breakdown = model.evaluate_batch(**config)
-        tel.end(span, time=time.perf_counter() - t0)
-    else:
-        breakdown = model.evaluate_batch(**config)
-    dense = {
-        term: np.ascontiguousarray(np.broadcast_to(np.asarray(value), shape))
-        for term, value in breakdown.items()
-    }
-    merged = CostBreakdown(
-        model=breakdown.model,
-        terms=dense,
-        provenance=breakdown.provenance,
-        critical=breakdown.critical,
-    )
-    return merged, tel
-
-
-def _parallel_breakdown(
-    model: Any,
-    axes: dict[str, np.ndarray],
-    fixed: dict[str, Any],
-    n_jobs: int,
-    telemetry: Any,
-    parent_span: Any = None,
-) -> CostBreakdown:
-    """Axis-chunked parallel evaluation, merged in shard order."""
-    from repro.exec.parallel import ParallelMap, resolve_jobs, shard_ranges
-
-    # Longest axis hosts the shards (first wins ties — deterministic).
-    shard_axis = max(axes, key=lambda name: len(axes[name]))
-    dim = tuple(axes).index(shard_axis)
-    ranges = shard_ranges(len(axes[shard_axis]), resolve_jobs(n_jobs))
-    worker = partial(
-        _eval_shard, model, axes, fixed, shard_axis, telemetry is not None
-    )
-    shards = ParallelMap(n_jobs).map(worker, ranges)
-    first = shards[0][0]
-    terms = {
-        term: np.concatenate([bd[term] for bd, _ in shards], axis=dim)
-        for term in first
-    }
-    if telemetry is not None:
-        for _, shard_tel in shards:
-            telemetry.absorb(shard_tel, parent=parent_span)
-    return CostBreakdown(
-        model=first.model,
-        terms=terms,
-        provenance=first.provenance,
-        critical=first.critical,
-    )
-
-
 def sweep(
     model: Any,
     grid: dict[str, Any],
     telemetry: Any = None,
-    n_jobs: int = 1,
-    cache: Any = None,
     **fixed: Any,
 ) -> SweepResult:
     """Evaluate ``model`` over the outer product of the ``grid`` axes.
@@ -267,18 +157,10 @@ def sweep(
     instead of materialising N full-rank copies of every input. ``fixed``
     entries are passed through as scalars.
 
-    ``n_jobs > 1`` shards the longest axis across a process pool and
-    reassembles term arrays in shard order — bit-identical to ``n_jobs=1``
-    (the formulas are elementwise over the grid). ``cache`` is an optional
-    :class:`~repro.exec.cache.ResultCache`; the key covers the model, the
-    axes, the fixed config and the package source fingerprint, never
-    ``n_jobs``, so serial and parallel runs share entries.
-
     A :class:`~repro.telemetry.Telemetry` handle wraps the whole sweep in a
     wall-clock span on the ``cost`` facility; composite models additionally
     get one span per stage (via ``evaluate_batch_staged``), so a slow sweep
-    shows which stage's formulas the time went into. Parallel sweeps record
-    one ``sweep_shard`` span per shard, absorbed into the same handle.
+    shows which stage's formulas the time went into.
 
     A ``"machine"`` axis is special: its values are machine registry names
     (or :class:`~repro.machine.spec.MachineSpec` objects), each resolved to
@@ -296,29 +178,32 @@ def sweep(
     if not grid:
         raise ConfigurationError("sweep() needs at least one grid axis")
     if "machine" in grid:
-        return _machine_sweep(model, grid, telemetry, n_jobs, cache, fixed)
+        return _machine_sweep(model, grid, telemetry, fixed)
     axes = {name: np.asarray(values) for name, values in grid.items()}
     for name, values in axes.items():
         if values.ndim != 1 or values.size == 0:
             raise ConfigurationError(
                 f"sweep axis {name!r} must be a non-empty 1-D sequence"
             )
-    if cache is not None:
-        payload = {"model": model, "axes": axes, "fixed": fixed}
-        return cache.get_or_compute(
-            "cost.sweep",
-            payload,
-            lambda: _sweep_impl(model, axes, fixed, telemetry, n_jobs),
-        )
-    return _sweep_impl(model, axes, fixed, telemetry, n_jobs)
+    meshes = np.meshgrid(*axes.values(), indexing="ij", sparse=True)
+    config = dict(fixed)
+    config.update(zip(axes, meshes))
+    if telemetry is None:
+        breakdown = model.evaluate_batch(**config)
+    else:
+        size = int(np.prod([len(v) for v in axes.values()]))
+        with _sweep_span(telemetry, "sweep", model, size):
+            if hasattr(model, "evaluate_batch_staged"):
+                breakdown = model.evaluate_batch_staged(telemetry, **config)
+            else:
+                breakdown = model.evaluate_batch(**config)
+    return SweepResult(model=model.name, axes=axes, breakdown=breakdown)
 
 
 def _machine_sweep(
     model: Any,
     grid: dict[str, Any],
     telemetry: Any,
-    n_jobs: int,
-    cache: Any,
     fixed: dict[str, Any],
 ) -> SweepResult:
     """One sweep per machine over the remaining axes, stacked along a
@@ -326,8 +211,7 @@ def _machine_sweep(
 
     Each machine contributes its ``model.machine_config`` overrides (which
     shadow any same-named ``fixed`` entries — the axis exists to vary
-    them). The cache, when given, is consulted by the per-machine
-    sub-sweeps, so single-machine and multi-machine runs share entries.
+    them).
     """
     from repro.machine.spec import resolve_machine
 
@@ -341,7 +225,7 @@ def _machine_sweep(
     if rest:
         subs = [
             sweep(
-                model, rest, telemetry=telemetry, n_jobs=n_jobs, cache=cache,
+                model, rest, telemetry=telemetry,
                 **{**fixed, **model.machine_config(spec)},
             )
             for spec in specs
@@ -370,39 +254,6 @@ def _machine_sweep(
         provenance=inner.provenance,
         critical=inner.critical,
     )
-    return SweepResult(model=model.name, axes=axes, breakdown=breakdown)
-
-
-def _sweep_impl(
-    model: Any,
-    axes: dict[str, np.ndarray],
-    fixed: dict[str, Any],
-    telemetry: Any,
-    n_jobs: int,
-) -> SweepResult:
-    parallel = n_jobs != 1 and max(len(v) for v in axes.values()) > 1
-    if parallel:
-        if telemetry is None:
-            breakdown = _parallel_breakdown(model, axes, fixed, n_jobs, None)
-        else:
-            size = int(np.prod([len(v) for v in axes.values()]))
-            with _sweep_span(telemetry, "sweep", model, size) as span:
-                breakdown = _parallel_breakdown(
-                    model, axes, fixed, n_jobs, telemetry, span
-                )
-        return SweepResult(model=model.name, axes=axes, breakdown=breakdown)
-    meshes = np.meshgrid(*axes.values(), indexing="ij", sparse=True)
-    config = dict(fixed)
-    config.update(zip(axes, meshes))
-    if telemetry is None:
-        breakdown = model.evaluate_batch(**config)
-    else:
-        size = int(np.prod([len(v) for v in axes.values()]))
-        with _sweep_span(telemetry, "sweep", model, size):
-            if hasattr(model, "evaluate_batch_staged"):
-                breakdown = model.evaluate_batch_staged(telemetry, **config)
-            else:
-                breakdown = model.evaluate_batch(**config)
     return SweepResult(model=model.name, axes=axes, breakdown=breakdown)
 
 

@@ -1,36 +1,33 @@
-"""Data-parallel execution fabric with content-addressed result caching.
+"""Data-parallel execution fabric and the campaign service's result cache.
 
 The paper's core quantitative story (Sections IV-B and VI-B) is
 data-parallel scaling: identical work fanned out over many workers with
-deterministic aggregation. This package gives the reproduction the same
+deterministic aggregation — worth it only while each worker's compute
+outweighs the exchange. This package gives the reproduction the same
 discipline at the process level:
 
-- :mod:`repro.exec.parallel` — :class:`ParallelMap`, the shard->merge
-  abstraction (serial / process-pool backends) every hot path fans out
-  through, plus the contiguous-sharding and ``SeedSequence``-spawning
-  helpers that make ``n_jobs=1`` and ``n_jobs=8`` agree bit for bit;
-- :mod:`repro.exec.cache` — :class:`ResultCache`, a content-addressed
-  on-disk store under ``.repro-cache/`` keyed by a digest of
-  (model/config, axes, seed, code fingerprint), with hit/miss counters and
-  automatic invalidation when the package source changes;
+- :mod:`repro.exec.parallel` — :class:`ParallelMap`, the ordered fan-out
+  (serial / process-pool backends) of coarse tasks such as the ``repro
+  verify`` sections and replica ensembles, plus the ``SeedSequence``
+  spawning helper that makes ``n_jobs=1`` and ``n_jobs=8`` agree bit for
+  bit;
+- :mod:`repro.exec.cache` — :class:`ResultCache`, the campaign service's
+  content-addressed on-disk memo of JSON job results under
+  ``.repro-cache/``, keyed by a digest of (handler, params, seed, code
+  fingerprint), one checksummed line per entry;
 - :mod:`repro.exec.replicas` — Monte-Carlo fan-out over per-replica child
-  seeds for workflow runs, scheduler simulations and checkpoint-restart
-  ensembles.
+  seeds for scheduler simulations, checkpoint-restart ensembles and
+  telemetry scenario replicas.
 
 Determinism contract: parallelism only changes *which process* evaluates a
-shard, never the values — every consumer (``cost.sweep``, ``repro verify``,
-the replica ensembles) reassembles results in a stable order and the test
-suite asserts byte-identity against the serial path.
+task, never the values — every consumer (``repro verify``, the replica
+ensembles) reassembles results in a stable order and the test suite
+asserts byte-identity against the serial path.
 """
 
 from repro.exec.cache import ResultCache, code_fingerprint, content_key
-from repro.exec.parallel import (
-    ParallelMap,
-    resolve_jobs,
-    shard_ranges,
-    spawn_seeds,
-)
-from repro.exec.replicas import monte_carlo, workflow_replicas
+from repro.exec.parallel import ParallelMap, resolve_jobs, spawn_seeds
+from repro.exec.replicas import monte_carlo
 
 __all__ = [
     "ParallelMap",
@@ -39,7 +36,5 @@ __all__ = [
     "content_key",
     "monte_carlo",
     "resolve_jobs",
-    "shard_ranges",
     "spawn_seeds",
-    "workflow_replicas",
 ]

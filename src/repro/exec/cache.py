@@ -1,42 +1,38 @@
-"""Content-addressed on-disk result cache under ``.repro-cache/``.
+"""Content-addressed on-disk memo of the campaign service's job results.
 
-Results are keyed by a SHA-256 digest of *what was computed*: a canonical
-encoding of the (model/config mapping, grid axes, seed, fixed parameters)
-payload plus a fingerprint of the ``repro`` package source. Because the
-fingerprint participates in the key, editing any ``.py`` file under the
-package silently invalidates every prior entry — stale results can never be
-returned after a refactor.
+The campaign server (:mod:`repro.service.server`) keys each completed job's
+result by a SHA-256 digest of *what was computed*: a canonical encoding of
+the job's (handler, params, seed) payload plus a fingerprint of the
+``repro`` package source. Because the fingerprint participates in the key,
+editing any ``.py`` file under the package silently invalidates every prior
+entry — stale results can never be returned after a refactor.
 
-Entries are stored as pickle files, two-level sharded by digest prefix
-(``.repro-cache/ab/ab12...pkl``). A hit returns exactly the bytes that were
-stored; hit/miss totals land both on the instance and, when a
-:class:`~repro.telemetry.metrics.MetricsRegistry` is attached, in
-``cache.hits`` / ``cache.misses`` counters. ``enabled=False`` (the CLI's
-``--no-cache``) turns every lookup into a recompute without touching disk.
+Each entry is one :func:`repro.segmentlog.encode_line` line — a CRC-32
+prefix and the canonical JSON of ``{"value": result}`` — two-level sharded
+by digest prefix (``.repro-cache/ab/ab12...json``; ``$REPRO_CACHE_DIR``
+moves the root). A missing, truncated or damaged entry loads as a miss,
+never as a different value or an exception.
 
 >>> import tempfile
 >>> cache = ResultCache(root=tempfile.mkdtemp())
->>> cache.get_or_compute("demo", {"x": 1}, lambda: [1, 2, 3])
-[1, 2, 3]
->>> cache.get_or_compute("demo", {"x": 1}, lambda: (_ for _ in ()).throw(
-...     RuntimeError("never recomputed on a hit")))
-[1, 2, 3]
->>> (cache.hits, cache.misses)
-(1, 1)
+>>> key = content_key("demo", {"x": 1})
+>>> cache.load(key)
+(False, None)
+>>> _ = cache.store(key, [1, 2, 3])
+>>> cache.load(key)
+(True, [1, 2, 3])
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-import pickle
-from dataclasses import fields, is_dataclass
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
-import numpy as np
-
+from repro.atomicio import atomic_write_bytes
 from repro.errors import ConfigurationError
+from repro.segmentlog import decode_line, encode_line
 
 __all__ = ["ResultCache", "code_fingerprint", "content_key"]
 
@@ -83,15 +79,6 @@ def _feed(digest: Any, obj: Any) -> None:
         digest.update(f"f:{obj.hex()};".encode())
     elif isinstance(obj, str):
         digest.update(f"s:{len(obj)}:".encode() + obj.encode() + b";")
-    elif isinstance(obj, bytes):
-        digest.update(f"y:{len(obj)}:".encode() + obj + b";")
-    elif isinstance(obj, np.ndarray):
-        arr = np.ascontiguousarray(obj)
-        digest.update(
-            f"a:{arr.dtype.str}:{arr.shape}:".encode() + arr.tobytes() + b";"
-        )
-    elif isinstance(obj, np.generic):
-        _feed(digest, obj.item())
     elif isinstance(obj, dict):
         digest.update(b"d:")
         for key in sorted(obj, key=repr):
@@ -103,30 +90,21 @@ def _feed(digest: Any, obj: Any) -> None:
         for item in obj:
             _feed(digest, item)
         digest.update(b";")
-    elif is_dataclass(obj) and not isinstance(obj, type):
-        cls = type(obj)
-        digest.update(f"o:{cls.__module__}.{cls.__qualname__}:".encode())
-        _feed(digest, {f.name: getattr(obj, f.name) for f in fields(obj)})
-        digest.update(b";")
-    elif hasattr(obj, "__dict__") and not callable(obj):
-        cls = type(obj)
-        digest.update(f"o:{cls.__module__}.{cls.__qualname__}:".encode())
-        _feed(digest, vars(obj))
-        digest.update(b";")
     else:
         raise ConfigurationError(
             f"cannot build a content key over {type(obj).__name__!r} "
-            f"({obj!r}); pass plain data, arrays or dataclasses"
+            f"({obj!r}); pass JSON data: dicts, lists, strings, numbers, "
+            "booleans or None"
         )
 
 
 def content_key(kind: str, payload: Any) -> str:
     """The cache key: digest of (kind, canonical payload, code fingerprint).
 
-    >>> a = content_key("sweep", {"x": [1, 2]})
-    >>> a == content_key("sweep", {"x": [1, 2]})
+    >>> a = content_key("job", {"handler": "quadrature", "seed": 1})
+    >>> a == content_key("job", {"seed": 1, "handler": "quadrature"})
     True
-    >>> a == content_key("sweep", {"x": [1, 3]})
+    >>> a == content_key("job", {"handler": "quadrature", "seed": 2})
     False
     """
     digest = hashlib.sha256()
@@ -137,86 +115,28 @@ def content_key(kind: str, payload: Any) -> str:
 
 
 class ResultCache:
-    """Content-addressed pickle store with hit/miss accounting."""
+    """Content-addressed store of JSON values, one checksummed line each."""
 
-    def __init__(
-        self,
-        root: str | Path | None = None,
-        enabled: bool = True,
-        metrics: Any = None,
-    ):
+    def __init__(self, root: str | Path | None = None):
         if root is None:
             root = os.environ.get(CACHE_DIR_ENV, DEFAULT_CACHE_DIR)
         self.root = Path(root)
-        self.enabled = enabled
-        self.metrics = metrics
-        self.hits = 0
-        self.misses = 0
-
-    # -- low-level ----------------------------------------------------------------
 
     def path_for(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.pkl"
+        return self.root / key[:2] / f"{key}.json"
 
     def load(self, key: str) -> tuple[bool, Any]:
-        """``(hit, value)``; unreadable or corrupt entries count as misses."""
-        if not self.enabled:
-            return False, None
-        path = self.path_for(key)
+        """``(hit, value)``; a missing or damaged entry is a miss."""
         try:
-            raw = path.read_bytes()
-            value = pickle.loads(raw)
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError):
+            record = decode_line(self.path_for(key).read_bytes())
+        except OSError:
             return False, None
-        return True, value
+        if record is None:
+            return False, None
+        return True, record["value"]
 
-    def store(self, key: str, value: Any) -> Path | None:
-        """Persist ``value`` under ``key`` (atomic rename; no-op if disabled)."""
-        if not self.enabled:
-            return None
-        from repro.atomicio import atomic_write_bytes
-
+    def store(self, key: str, value: Any) -> Path:
+        """Persist the JSON ``value`` under ``key`` (atomic rename)."""
         return atomic_write_bytes(
-            self.path_for(key),
-            pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL),
-        )
-
-    # -- the one entry point callers use ------------------------------------------
-
-    def get_or_compute(
-        self, kind: str, payload: Any, compute: Callable[[], Any]
-    ) -> Any:
-        """Return the cached value for (kind, payload), computing on miss."""
-        if not self.enabled:
-            return compute()
-        key = content_key(kind, payload)
-        hit, value = self.load(key)
-        if hit:
-            self.hits += 1
-            self._count("cache.hits")
-            return value
-        self.misses += 1
-        self._count("cache.misses")
-        value = compute()
-        self.store(key, value)
-        return value
-
-    def _count(self, name: str) -> None:
-        if self.metrics is not None:
-            self.metrics.counter(name).inc()
-
-    def clear(self) -> int:
-        """Delete every stored entry; returns the number removed."""
-        removed = 0
-        if self.root.exists():
-            for path in self.root.rglob("*.pkl"):
-                path.unlink()
-                removed += 1
-        return removed
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "on" if self.enabled else "off"
-        return (
-            f"ResultCache({str(self.root)!r}, {state}, "
-            f"hits={self.hits}, misses={self.misses})"
+            self.path_for(key), encode_line({"value": value})
         )

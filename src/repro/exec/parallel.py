@@ -8,19 +8,15 @@ One abstraction, two backends:
   order**, so a caller that shards deterministically and merges in order
   is bit-identical to the serial path regardless of worker count.
 
-The helpers encode the two sharding disciplines the repo uses:
-
-- :func:`shard_ranges` — contiguous, balanced index ranges for axis-chunked
-  work (a cost-sweep grid axis split into ``n_shards`` slices);
-- :func:`spawn_seeds` — per-item child seeds via ``np.random.SeedSequence``
-  spawning, keyed by *item index* rather than shard layout, so a
-  Monte-Carlo ensemble draws the same streams at every ``n_jobs``.
+Its callers fan out coarse tasks — verify sections, replica ensembles —
+where each task outweighs the pool's scatter/gather. :func:`spawn_seeds`
+gives per-item child seeds via ``np.random.SeedSequence`` spawning, keyed
+by *item index* rather than worker layout, so a Monte-Carlo ensemble draws
+the same streams at every ``n_jobs``.
 
 >>> pm = ParallelMap(n_jobs=1)
 >>> pm.map(abs, [-3, -1, 2])
 [3, 1, 2]
->>> shard_ranges(10, 4)
-[(0, 3), (3, 6), (6, 8), (8, 10)]
 >>> len(spawn_seeds(0, 3)) == 3 and spawn_seeds(0, 3) == spawn_seeds(0, 3)
 True
 """
@@ -35,7 +31,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 
-__all__ = ["ParallelMap", "resolve_jobs", "shard_ranges", "spawn_seeds"]
+__all__ = ["ParallelMap", "resolve_jobs", "spawn_seeds"]
 
 
 def resolve_jobs(n_jobs: int | None) -> int:
@@ -45,33 +41,11 @@ def resolve_jobs(n_jobs: int | None) -> int:
     return int(n_jobs)
 
 
-def shard_ranges(n_items: int, n_shards: int) -> list[tuple[int, int]]:
-    """Contiguous ``(lo, hi)`` index ranges covering ``range(n_items)``.
-
-    Shards are balanced to within one item, larger shards first, and the
-    layout depends only on ``(n_items, n_shards)`` — the deterministic
-    decomposition both the sweep sharder and the tests rely on.
-    """
-    if n_items < 0:
-        raise ConfigurationError(f"n_items must be >= 0, got {n_items}")
-    if n_shards < 1:
-        raise ConfigurationError(f"n_shards must be >= 1, got {n_shards}")
-    n_shards = min(n_shards, n_items) or 1
-    base, extra = divmod(n_items, n_shards)
-    ranges = []
-    lo = 0
-    for i in range(n_shards):
-        hi = lo + base + (1 if i < extra else 0)
-        ranges.append((lo, hi))
-        lo = hi
-    return ranges
-
-
 def spawn_seeds(seed: int, n: int) -> list[int]:
     """``n`` independent child seeds from ``SeedSequence(seed).spawn(n)``.
 
     Child ``i`` depends only on ``(seed, i)`` — never on how items are later
-    grouped into shards — which is what makes replica ensembles agree
+    packed onto workers — which is what makes replica ensembles agree
     exactly between ``n_jobs=1`` and ``n_jobs=8``.
     """
     if n < 0:

@@ -25,7 +25,7 @@ from typing import Any, Callable
 from repro.errors import ConfigurationError
 from repro.exec.parallel import ParallelMap, spawn_seeds
 
-__all__ = ["monte_carlo", "workflow_replicas"]
+__all__ = ["monte_carlo"]
 
 
 def monte_carlo(
@@ -42,32 +42,3 @@ def monte_carlo(
     if n_replicas < 1:
         raise ConfigurationError(f"n_replicas must be >= 1, got {n_replicas}")
     return ParallelMap(n_jobs).map(fn, spawn_seeds(seed, n_replicas))
-
-
-def _workflow_replica(builder, execute_kwargs, child_seed):
-    graph = builder()
-    return graph.execute(seed=child_seed, **execute_kwargs)
-
-
-def workflow_replicas(
-    builder: Callable[[], Any],
-    n_replicas: int,
-    seed: int = 0,
-    n_jobs: int = 1,
-    **execute_kwargs: Any,
-) -> list[Any]:
-    """Execute ``n_replicas`` same-shape workflow DAGs with child seeds.
-
-    ``builder`` is a picklable zero-argument callable returning a fresh
-    :class:`~repro.workflows.dag.TaskGraph`; each replica executes with its
-    own child seed and the returned :class:`~repro.workflows.dag.WorkflowRun`
-    list is in replica order — identical for any ``n_jobs``.
-    """
-    from functools import partial
-
-    return monte_carlo(
-        partial(_workflow_replica, builder, execute_kwargs),
-        n_replicas,
-        seed=seed,
-        n_jobs=n_jobs,
-    )

@@ -92,9 +92,7 @@ class CampaignServer:
         self.journal_dir = Path(journal_dir)
         self.socket_path = Path(socket_path)
         self.telemetry = Telemetry(clock=time.monotonic)
-        self.cache = cache if cache is not None else ResultCache(
-            metrics=self.telemetry.metrics
-        )
+        self.cache = cache if cache is not None else ResultCache()
         self.sweep_interval_s = (
             sweep_interval_s if sweep_interval_s is not None
             else max(0.05, spec.heartbeat_interval_s / 2.0)

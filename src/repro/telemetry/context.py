@@ -250,21 +250,15 @@ class Telemetry:
         if self._outputs:
             self._emit(sample_record(sample))
 
-    # -- shard merging -----------------------------------------------------------
+    # -- replica merging ---------------------------------------------------------
 
-    def absorb(
-        self,
-        other: "Telemetry",
-        parent: Span | None = None,
-        suffix: str | None = None,
-    ) -> None:
-        """Fold a shard's telemetry into this handle, keeping the tree valid.
+    def absorb(self, other: "Telemetry", suffix: str | None = None) -> None:
+        """Fold a replica's telemetry into this handle, keeping the tree valid.
 
         Span ids are re-issued from this handle's counter with parent links
         remapped (a parent is always begun before its children, so the
-        mapping is complete by the time a child arrives); ``parent``
-        optionally re-roots the shard's top-level spans under a span of this
-        handle. Instants and counter samples append; metrics merge via
+        mapping is complete by the time a child arrives). Instants and
+        counter samples append; metrics merge via
         :meth:`MetricsRegistry.merge`. The absorbed handle must be
         discarded afterwards — its records now belong to this one.
 
@@ -275,11 +269,10 @@ class Telemetry:
         non-monotonically (and their Perfetto tracks would overlap).
 
         Sink-aware: when *this* handle spills to a sink, the absorbed
-        shard's finished spans, instants and samples are emitted straight
-        to the sink (and taps) instead of the lists — the shard-merge path
-        the exec fabric's replica ensembles ride stays O(1) in merged-trace
-        memory. The absorbed handle itself must be in-memory (its records
-        have to be readable to merge).
+        handle's finished spans, instants and samples are emitted straight
+        to the sink (and taps) instead of the lists — the replica merge
+        stays O(1) in merged-trace memory. The absorbed handle itself must
+        be in-memory (its records have to be readable to merge).
         """
         import dataclasses
 
@@ -301,8 +294,6 @@ class Telemetry:
                         f"#{span.parent_id} outside the absorbed handle"
                     )
                 span.parent_id = mapping[span.parent_id]
-            elif parent is not None:
-                span.parent_id = parent.span_id
             if suffix:
                 span.facility = f"{span.facility}{suffix}"
             if self.sink is None:

@@ -1,9 +1,8 @@
 """Tests for crash-safe writes — including the two-process cache race:
 concurrent stores to the same key must each leave a complete, loadable
-artifact behind (last rename wins, no torn pickle ever visible)."""
+artifact behind (last rename wins, no torn entry ever visible)."""
 
 import os
-import pickle
 import subprocess
 import sys
 import textwrap
@@ -12,6 +11,7 @@ import pytest
 
 from repro.atomicio import atomic_write_bytes, atomic_write_text, fsync_dir
 from repro.exec.cache import ResultCache
+from repro.segmentlog import decode_line
 
 
 class TestAtomicWrite:
@@ -55,7 +55,7 @@ class TestAtomicWrite:
 
 
 _RACER = textwrap.dedent("""
-    import pickle, sys
+    import sys
     from repro.exec.cache import ResultCache
 
     root, key, tag, n = sys.argv[1], sys.argv[2], sys.argv[3], int(sys.argv[4])
@@ -91,9 +91,9 @@ class TestCacheRace:
         assert hit, "race left no complete artifact"
         assert value["writer"] in ("alpha", "beta")
         assert value["round"] == 199  # both writers finished all rounds
-        # the pickle on disk is complete and parseable on its own
+        # the entry on disk is complete and passes its checksum on its own
         raw = cache.path_for(key).read_bytes()
-        assert pickle.loads(raw) == value
+        assert decode_line(raw) == {"value": value}
         # no scratch files survive the race
         leftovers = [
             p for p in cache.path_for(key).parent.iterdir()

@@ -80,7 +80,9 @@ class TestCommands:
         assert payload["n_nodes"] == 64
         assert 0.0 < payload["goodput_fraction"] <= 1.0
 
-    def test_sweep_json(self, capsys):
+    def test_sweep_json(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
         assert main(["sweep", "--nodes", "64,256", "--json"]) == 0
         import json
 
@@ -88,6 +90,30 @@ class TestCommands:
         assert payload["mode"] == "app"
         assert [r["nodes"] for r in payload["rows"]] == [64, 256]
         assert all(r["total_seconds"] > 0 for r in payload["rows"])
+        assert list(tmp_path.iterdir()) == []  # a sweep writes no files
+
+    @pytest.mark.parametrize("argv, token", [
+        (["sweep", "--nodes", "4:10:0"], "'4:10:0'"),
+        (["sweep", "--nodes", "1,abc"], "'abc'"),
+        (["sweep", "--crossover", "--message-mb", "x"], "'x'"),
+        (["scaling", "--nodes", "1,x"], "'x'"),
+    ], ids=["sweep-step-zero", "sweep-node-token", "sweep-message-mb",
+            "scaling-node-token"])
+    def test_malformed_grid_is_a_config_error(self, capsys, argv, token):
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: [ConfigurationError]") and token in err
+        assert "Traceback" not in err
+
+    def test_telemetry_rejects_zero_replicas(self, capsys):
+        assert main([
+            "telemetry", "--scenario", "restart", "--replicas", "0", "--json",
+        ]) == 3
+        assert "--replicas" in capsys.readouterr().err
+
+    def test_resilience_rejects_negative_replicas(self, capsys):
+        assert main(["resilience", "--replicas", "-3", "--json"]) == 3
+        assert "--replicas" in capsys.readouterr().err
 
 
 class TestTelemetryCommand:

@@ -319,7 +319,7 @@ class TestMachineCli:
     def test_sweep_crossover_machine_json(self, capsys):
         assert main([
             "sweep", "--crossover", "--machine", "frontier-like",
-            "--nodes", "2,64,256", "--no-cache", "--json",
+            "--nodes", "2,64,256", "--json",
         ]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["machine"] == "frontier-like"
@@ -328,7 +328,7 @@ class TestMachineCli:
     def test_sweep_machine_summit_json_omits_key(self, capsys):
         assert main([
             "sweep", "--crossover", "--machine", "summit",
-            "--nodes", "2,64", "--no-cache", "--json",
+            "--nodes", "2,64", "--json",
         ]) == 0
         assert "machine" not in json.loads(capsys.readouterr().out)
 
