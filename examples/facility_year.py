@@ -4,7 +4,8 @@
 Two paths make a year of Summit-scale operation a coffee-sip-sized run:
 the event engine's generator-free ``Timer`` processes, and the batch
 scheduler, which keeps its running jobs in one ``heapq`` of completion
-times:
+times and places each queued job once, in priority order, instead of
+re-sorting the queue at every event:
 
 1. **Per-node failure clocks** — a :class:`~repro.resilience.faults.
    FailureInjector` gives each of Summit's 4 608 nodes its own exponential

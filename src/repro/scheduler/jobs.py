@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -32,10 +33,14 @@ class Job:
     def __post_init__(self) -> None:
         if self.nodes < 1:
             raise ConfigurationError(f"{self.job_id}: nodes must be >= 1")
-        if self.duration <= 0:
-            raise ConfigurationError(f"{self.job_id}: duration must be positive")
-        if self.submit_time < 0:
-            raise ConfigurationError(f"{self.job_id}: negative submit time")
+        if not math.isfinite(self.duration) or self.duration <= 0:
+            raise ConfigurationError(
+                f"{self.job_id}: duration must be positive and finite"
+            )
+        if not math.isfinite(self.submit_time) or self.submit_time < 0:
+            raise ConfigurationError(
+                f"{self.job_id}: submit time must be finite and non-negative"
+            )
 
     @property
     def node_seconds(self) -> float:

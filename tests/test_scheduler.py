@@ -1,11 +1,19 @@
 """Tests for the batch-scheduler simulation."""
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.portfolio import generate_portfolio
-from repro.scheduler import Job, Policy, Scheduler, campaign_from_portfolio
+from repro.scheduler import (
+    FaultModel,
+    Job,
+    Policy,
+    Scheduler,
+    campaign_from_portfolio,
+)
 from repro.scheduler.jobs import SUMMIT_QUEUE_BINS, walltime_limit
 from repro.scheduler.policy import priority_key
 
@@ -22,6 +30,16 @@ class TestJob:
             Job("j", nodes=1, duration=0.0, submit_time=0.0)
         with pytest.raises(ConfigurationError):
             Job("j", nodes=1, duration=1.0, submit_time=-1.0)
+
+    @pytest.mark.parametrize("duration", [math.nan, math.inf, -math.inf])
+    def test_non_finite_duration_rejected(self, duration):
+        with pytest.raises(ConfigurationError, match="finite"):
+            Job("j", nodes=1, duration=duration, submit_time=0.0)
+
+    @pytest.mark.parametrize("submit", [math.nan, math.inf])
+    def test_non_finite_submit_time_rejected(self, submit):
+        with pytest.raises(ConfigurationError, match="finite"):
+            Job("j", nodes=1, duration=1.0, submit_time=submit)
 
 
 class TestWalltimeLimits:
@@ -64,6 +82,14 @@ class TestPriorityKey:
 
 
 class TestScheduler:
+    @pytest.mark.parametrize("faults", [None, FaultModel(seed=0)])
+    def test_duplicate_job_ids_rejected(self, faults):
+        """Results are keyed by job id, so a repeated id would merge two
+        jobs' starts and remaining work into one entry."""
+        jobs = [Job("a", 4, 300.0, 0.0), Job("a", 4, 300.0, 0.0)]
+        with pytest.raises(ConfigurationError, match="duplicate job_id"):
+            Scheduler(4).run(jobs, faults=faults)
+
     def test_single_job(self):
         result = Scheduler(10).run([Job("j", 4, 100.0, 0.0)])
         assert result.makespan == 100.0

@@ -19,14 +19,12 @@ import os
 import pathlib
 
 import hypothesis.strategies as st
-import numpy as np
 import pytest
 from hypothesis import given
 
 from .hypothesis_settings import SLOW_SETTINGS
 from repro.scheduler import FaultModel, Job, Policy, Scheduler
 from repro.scheduler.jobs import synthetic_facility_year
-from repro.scheduler.policy import priority_key
 from repro.telemetry import Telemetry
 
 
@@ -92,38 +90,6 @@ def test_scheduler_invariants(jobspec, policy, with_faults):
         rel_tol=1e-9,
     )
     assert plain.n_requeues + len(plain.abandoned) == plain.n_failures
-
-
-def test_scheduler_queue_key_lockstep():
-    """The scheduler's inlined sort keys must equal priority_key exactly.
-
-    ``Scheduler.run`` specialises the queue sort key per policy to skip
-    per-event enum dispatch; this pins the float-for-float lockstep the
-    inline comments promise.
-    """
-    rng = np.random.default_rng(5)
-    jobs = [
-        Job(f"k{i}", int(rng.integers(1, 4000)),
-            float(rng.uniform(300, 86400)), float(rng.uniform(0, 1e6)))
-        for i in range(200)
-    ]
-    for now in (0.0, 1234.56789, 1e6, 3.15e7):
-        for policy in Policy:
-            expected = [priority_key(policy, j, now) for j in jobs]
-            if policy is Policy.CAPABILITY:
-                inlined = [
-                    (
-                        -(j.nodes
-                          + 4.0 * max(0.0, (now - j.submit_time) / 3600.0)),
-                        j.submit_time,
-                    )
-                    for j in jobs
-                ]
-            elif policy is Policy.FIFO:
-                inlined = [(j.submit_time,) for j in jobs]
-            else:
-                inlined = expected
-            assert inlined == expected
 
 
 # -- facility-year seed-matrix goldens ------------------------------------
