@@ -929,6 +929,10 @@ def exit_code_for(exc: errors.ReproError) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:  # every command that takes --seed
+            raise errors.ConfigurationError(
+                f"--seed must be >= 0, got {args.seed}"
+            )
         return args.fn(args)
     except errors.ReproError as exc:
         print(f"error: [{type(exc).__name__}] {exc}", file=sys.stderr)

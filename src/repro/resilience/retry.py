@@ -9,6 +9,7 @@ queue in lockstep.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -37,15 +38,18 @@ class RetryPolicy:
     deadline_s: float | None = None
 
     def __post_init__(self) -> None:
+        # each check is written so that NaN fails it
         if self.max_attempts < 1:
             raise ConfigurationError("max_attempts must be >= 1")
-        if self.backoff_base < 0 or self.backoff_max < 0:
-            raise ConfigurationError("backoff delays must be non-negative")
-        if self.backoff_factor < 1.0:
-            raise ConfigurationError("backoff_factor must be >= 1")
+        if not self.backoff_base >= 0:
+            raise ConfigurationError("backoff_base must be >= 0")
+        if not self.backoff_max >= 0:
+            raise ConfigurationError("backoff_max must be >= 0")
+        if not 1.0 <= self.backoff_factor < math.inf:
+            raise ConfigurationError("backoff_factor must be finite and >= 1")
         if not 0.0 <= self.jitter_fraction < 1.0:
             raise ConfigurationError("jitter_fraction must be in [0, 1)")
-        if self.deadline_s is not None and self.deadline_s <= 0:
+        if self.deadline_s is not None and not self.deadline_s > 0:
             raise ConfigurationError("deadline_s must be positive")
 
     def delay(self, attempt: int, rng: np.random.Generator | None = None) -> float:

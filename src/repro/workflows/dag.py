@@ -16,7 +16,10 @@ identical to the fault-free executor.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from dataclasses import dataclass, field
 
@@ -45,6 +48,8 @@ class Task:
     (wall-clock seconds on the placed facility, ``None`` = no checkpoints)
     commits progress every interval at a cost of ``checkpoint_write_time``
     seconds per write; a failed attempt then resumes from the last commit.
+    Every number must be finite except ``checkpoint_interval``, whose
+    ``math.inf`` never commits; NaN is rejected everywhere.
     """
 
     name: str
@@ -57,19 +62,26 @@ class Task:
     checkpoint_write_time: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.duration < 0:
-            raise ConfigurationError(f"{self.name}: negative duration")
+        # each check is written so that NaN fails it
+        if not 0.0 <= self.duration < math.inf:
+            raise ConfigurationError(
+                f"{self.name}: duration must be finite and >= 0"
+            )
         if self.nodes < 1:
             raise ConfigurationError(f"{self.name}: need at least one node")
-        if self.failure_rate < 0:
-            raise ConfigurationError(f"{self.name}: negative failure rate")
-        if self.checkpoint_interval is not None and self.checkpoint_interval <= 0:
+        if not 0.0 <= self.failure_rate < math.inf:
+            raise ConfigurationError(
+                f"{self.name}: failure rate must be finite and >= 0"
+            )
+        if self.checkpoint_interval is not None and not (
+            self.checkpoint_interval > 0
+        ):
             raise ConfigurationError(
                 f"{self.name}: checkpoint interval must be positive"
             )
-        if self.checkpoint_write_time < 0:
+        if not 0.0 <= self.checkpoint_write_time < math.inf:
             raise ConfigurationError(
-                f"{self.name}: negative checkpoint write time"
+                f"{self.name}: checkpoint write time must be finite and >= 0"
             )
 
 
@@ -208,6 +220,81 @@ def _attempt_timeline(
     return wall, gained, writes, True
 
 
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx)
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hasher(init: int, mult: int):
+    """numpy's ``uint32`` hash whose multiplier advances on every call."""
+    const = init
+
+    def hash32(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+
+    return hash32
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return result ^ (result >> np.uint32(16))
+
+
+def _seed_states(seed: int, indices: np.ndarray) -> np.ndarray:
+    """PCG64 seed states of many tasks at once: row ``i`` equals
+    ``SeedSequence([seed, indices[i]]).generate_state(4, np.uint64)``.
+
+    numpy hashes the entropy words (the seed's little-endian 32-bit words,
+    then the index's) into a pool of four ``uint32`` words, mixes the pool,
+    folds in any words beyond it, then hashes the pool into the state. The
+    hash multipliers advance by a fixed rule on every call, whatever the
+    data, so the same ``uint32`` arithmetic runs on every index as one
+    vector; the seed's words are shared by all rows. Each index must fit
+    in one ``uint32`` word.
+    """
+    words = [
+        np.array([seed >> shift & _MASK32], dtype=np.uint32)
+        for shift in range(0, max(seed.bit_length(), 1), 32)
+    ]
+    words.append(np.asarray(indices, dtype=np.uint32))
+    # numpy hashes a zero into each pool word the entropy does not fill
+    words += [np.zeros(1, dtype=np.uint32)] * (_POOL_SIZE - len(words))
+
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(word) for word in words[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+
+    hash_state = _hasher(_INIT_B, _MULT_B)
+    state = [hash_state(pool[i % _POOL_SIZE]) for i in range(2 * _POOL_SIZE)]
+    # numpy pairs the uint32 words little-endian into uint64 words
+    pairs = np.stack(state, axis=1).astype("<u4")
+    return pairs.view("<u8").astype(np.uint64)
+
+
+class _SeedRow(ISeedSequence):
+    """One row of :func:`_seed_states` as a seed sequence: ``PCG64`` asks
+    it once for ``generate_state(4, np.uint64)`` and gets the row."""
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+        return self.state
+
+
 class TaskGraph:
     """A DAG of :class:`Task` objects with validation and execution."""
 
@@ -270,9 +357,13 @@ class TaskGraph:
 
         Tasks with a positive ``failure_rate`` are retried under ``retry``
         (defaults to :class:`RetryPolicy` when any task can fail), resuming
-        from their last committed checkpoint. ``seed`` drives the per-task
-        failure draws; the same seed reproduces the exact same failure
-        times, retry counts and makespan.
+        from their last committed checkpoint. ``seed``, an int >= 0, drives
+        the per-task failure and backoff-jitter draws: the task added
+        ``i``-th draws from PCG64 seeded by ``SeedSequence([seed, i])``, so
+        tasks added after it never change its draws, and the same seed
+        reproduces the exact same failure times, retry counts and makespan.
+        Every task's seed state is computed in one vectorised pass before
+        the engine runs.
 
         With a ``telemetry`` handle the executor additionally records one
         span per task attempt (facility "workflow"), per-node occupancy
@@ -287,8 +378,15 @@ class TaskGraph:
         """
         if not self.tasks:
             raise ConfigurationError("empty task graph")
+        if not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ConfigurationError(
+                f"seed must be an integer >= 0, got {seed!r}"
+            )
         if retry is None:
             retry = RetryPolicy()
+        states = _seed_states(
+            int(seed), np.arange(len(self.tasks), dtype=np.uint32)
+        )
         engine = Engine(telemetry)
         pools = {
             key: Resource(engine, fac.nodes, name=fac.name)
@@ -395,7 +493,7 @@ class TaskGraph:
                     telemetry.metrics.counter("dag.tasks_completed").inc()
                 return
             # resilient path: retry loop with checkpoint-restart
-            rng = np.random.default_rng([seed, index])
+            rng = np.random.Generator(np.random.PCG64(_SeedRow(states[index])))
             committed = 0.0
             attempts = 0
             while True:

@@ -9,6 +9,7 @@ executor acquires nodes from it for each task.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
@@ -29,8 +30,10 @@ class Facility:
     def __post_init__(self) -> None:
         if self.nodes < 1:
             raise ConfigurationError(f"{self.name}: need at least one node")
-        if self.speed <= 0:
-            raise ConfigurationError(f"{self.name}: speed must be positive")
+        if not 0.0 < self.speed < math.inf:  # NaN fails too
+            raise ConfigurationError(
+                f"{self.name}: speed must be finite and positive"
+            )
 
     def duration(self, reference_seconds: float) -> float:
         """Wall-clock on this facility for work that takes

@@ -115,6 +115,21 @@ class TestCommands:
         assert main(["resilience", "--replicas", "-3", "--json"]) == 3
         assert "--replicas" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["verify"],
+        ["survey"],
+        ["resilience"],
+        ["telemetry", "--scenario", "dag"],
+        ["telemetry", "--scenario", "restart"],
+        ["telemetry", "--scenario", "scheduler"],
+        ["submit", "--drug", "2", "--socket", "absent.sock"],
+    ], ids=["verify", "survey", "resilience", "telemetry-dag",
+            "telemetry-restart", "telemetry-scheduler", "submit"])
+    def test_negative_seed_is_a_config_error(self, capsys, argv):
+        assert main([*argv, "--seed", "-1"]) == 3
+        err = capsys.readouterr().err
+        assert err == "error: [ConfigurationError] --seed must be >= 0, got -1\n"
+
 
 class TestTelemetryCommand:
     def test_unknown_scenario_rejected(self):

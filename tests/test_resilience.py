@@ -4,6 +4,7 @@ fault-aware DAG executor and batch scheduler, and the goodput wiring."""
 
 import hashlib
 import json
+import math
 import os
 import pathlib
 
@@ -22,7 +23,7 @@ from repro.scheduler import FaultModel, Job, Scheduler
 from repro.sim import Engine, Interrupt, Resource, Timeout
 from repro.storage.checkpoint import CheckpointPlan
 from repro.telemetry import Telemetry, chrome_trace_json
-from repro.workflows.dag import TaskGraph, _attempt_timeline
+from repro.workflows.dag import Task, TaskGraph, _attempt_timeline
 from repro.workflows.facility import Facility
 
 YEAR = 365 * 24 * 3600.0
@@ -354,6 +355,24 @@ class TestRetryPolicy:
         with pytest.raises(ConfigurationError):
             RetryPolicy().delay(0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("backoff_base", math.nan),
+        ("backoff_factor", math.nan),
+        ("backoff_factor", math.inf),
+        ("backoff_max", math.nan),
+        ("deadline_s", math.nan),
+    ])
+    def test_nan_and_non_finite_factor_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            RetryPolicy(**{field: value})
+
+    def test_infinite_cap_and_deadline_stay_legal(self):
+        policy = RetryPolicy(
+            backoff_max=math.inf, deadline_s=math.inf, jitter_fraction=0.0
+        )
+        assert policy.delay(4) == 240.0
+        assert not policy.exhausted(1, elapsed_s=1e300)
+
 
 # -- checkpoint-restart simulation -------------------------------------------------
 
@@ -542,6 +561,33 @@ class TestDagFailures:
             _graph(rate=0.1, ckpt=0.0)
         with pytest.raises(ConfigurationError):
             _graph(rate=0.1, ckpt=10.0, write=-1.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("duration", math.nan),
+        ("duration", math.inf),
+        ("failure_rate", math.nan),
+        ("failure_rate", math.inf),
+        ("checkpoint_interval", math.nan),
+        ("checkpoint_write_time", math.nan),
+        ("checkpoint_write_time", math.inf),
+    ])
+    def test_non_finite_task_inputs_rejected(self, field, value):
+        task = dict(
+            name="t", duration=400.0, facility="hpc", failure_rate=1 / 200.0,
+            checkpoint_interval=50.0, checkpoint_write_time=1.0,
+        )
+        task[field] = value
+        with pytest.raises(ConfigurationError, match=field.replace("_", " ")):
+            Task(**task)
+
+    def test_infinite_checkpoint_interval_never_commits(self):
+        policy = RetryPolicy(max_attempts=100)
+        cold = _graph(rate=1 / 150.0).execute(retry=policy, seed=3)
+        never = _graph(rate=1 / 150.0, ckpt=math.inf, write=1.0).execute(
+            retry=policy, seed=3
+        )
+        assert cold.n_failures > 0
+        assert never == cold
 
 
 # -- scheduler under failures ------------------------------------------------------

@@ -31,6 +31,11 @@ class TestFacility:
         with pytest.raises(ConfigurationError):
             Facility("x", nodes=1, speed=0)
 
+    @pytest.mark.parametrize("speed", [float("nan"), float("inf")])
+    def test_non_finite_speed_rejected(self, speed):
+        with pytest.raises(ConfigurationError, match="speed"):
+            Facility("x", nodes=1, speed=speed)
+
 
 class TestTaskGraph:
     def _graph(self):
