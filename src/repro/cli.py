@@ -42,11 +42,10 @@ Commands mirror the paper's strands:
 for machine-readable output, and ``--machine NAME`` to run against a
 machine-registry entry instead of Summit (``repro sweep --machine
 frontier-like``); omitting the flag — or naming ``summit`` — keeps every
-output byte-identical to earlier releases. ``verify``, ``telemetry`` and
-``resilience`` accept ``--jobs N`` to fan their coarse tasks out over a
-process pool — results are bit-identical at every worker count — and
-``telemetry`` and ``resilience`` accept ``--replicas N`` for seeded
-Monte-Carlo ensembles.
+output byte-identical to earlier releases. ``telemetry`` and
+``resilience`` accept ``--replicas N`` for seeded Monte-Carlo ensembles,
+and ``resilience`` accepts ``--jobs N`` to run its replicas over a process
+pool — the results are bit-identical at every worker count.
 
 Library errors exit with distinct nonzero codes (see ``EXIT_CODES``) and a
 one-line ``error:`` message on stderr — never a traceback.
@@ -143,6 +142,11 @@ def _cmd_resilience(args: argparse.Namespace) -> int:
     from repro.apps.extreme_scale import get_app
 
     _check_replicas(args.replicas)
+    if args.analytic_only and args.replicas > 1:
+        raise errors.ConfigurationError(
+            f"--replicas {args.replicas} needs the empirical simulation "
+            "that --analytic-only skips"
+        )
     app = get_app(args.app)
     nodes = args.nodes if args.nodes is not None else app.peak_nodes
     mtbf_seconds = args.mtbf_years * 365 * 24 * 3600.0
@@ -157,7 +161,7 @@ def _cmd_resilience(args: argparse.Namespace) -> int:
         machine=args.machine,
     )
     ensemble = None
-    if args.replicas > 1 and not args.analytic_only:
+    if args.replicas > 1:
         ensemble = app.resilience_ensemble(
             n_nodes=nodes,
             node_mtbf_seconds=mtbf_seconds,
@@ -381,7 +385,7 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
         raise errors.ConfigurationError("--shard-bytes requires --shard-dir")
     if args.replicas > 1:
         tel, replicas = run_scenario_replicas(
-            args.scenario, args.replicas, seed=args.seed, n_jobs=args.jobs,
+            args.scenario, args.replicas, seed=args.seed,
             machine=args.machine, sink=sink,
         )
         results = [r.results for r in replicas]
@@ -504,8 +508,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         return 0
     sections = args.sections.split(",") if args.sections else None
     report = run_conformance(
-        seed=args.seed, sections=sections, n_jobs=args.jobs,
-        machine=args.machine,
+        seed=args.seed, sections=sections, machine=args.machine,
     )
     output = report.to_json() if args.json else report.format() + "\n"
     if args.out:
@@ -622,13 +625,13 @@ def _cmd_gordon_bell(args: argparse.Namespace) -> int:
 
 
 _EPILOG = """\
-parallel execution:
-  --jobs N       fan the work out over N worker processes (verify,
-                 telemetry, resilience); results are bit-identical to the
-                 serial run at every worker count
+common options:
   --replicas N   (telemetry, resilience) run N seeded Monte-Carlo replicas
                  over SeedSequence child seeds; telemetry merges the
                  replica traces into one well-formed Chrome trace
+  --jobs N       (resilience) run the replicas over N worker processes;
+                 results are bit-identical to the serial run at every
+                 worker count
   --machine NAME (sweep, verify, telemetry, resilience) run against a
                  machine-registry entry (summit, frontier-like,
                  perlmutter-like, tpu-pod-like); the default is Summit and
@@ -780,8 +783,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replicas", type=int, default=1,
                    help="run N seeded replicas and merge their traces "
                         "into one (default 1)")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for the replicas (0 = all cores)")
     p.add_argument("--json", action="store_true",
                    help="emit scenario results + metrics as JSON")
     _add_machine_arg(p)
@@ -883,10 +884,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sections", default=None,
                    help="comma-separated registry sections to check "
                         "(e.g. fig1,section4b; default: all)")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes — one task per paper section "
-                        "plus the differential/invariant batteries; the "
-                        "report is byte-identical at every worker count")
     p.add_argument("--json", action="store_true",
                    help="emit the full conformance report as JSON "
                         "(byte-identical for identical seeds)")

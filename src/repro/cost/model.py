@@ -18,6 +18,7 @@ allreduce ∘ io ∘ straggler`` is wired without duplicating any expression.
 from __future__ import annotations
 
 import abc
+import time
 from collections.abc import Mapping
 from typing import Any, Protocol, runtime_checkable
 
@@ -88,11 +89,14 @@ class AnalyticCostModel(abc.ABC):
     def evaluate_batch(self, **config: Any) -> CostBreakdown:
         """Vectorized path: list/tuple values are promoted to arrays and all
         array-valued keys broadcast together through the same formulas."""
+        return self._wrap(self._terms(self._batch_config(config)))
+
+    def _batch_config(self, config: Mapping[str, Any]) -> dict[str, Any]:
         c = self._config(config)
         for key, value in c.items():
             if isinstance(value, (list, tuple)):
                 c[key] = np.asarray(value)
-        return self._wrap(self._terms(c))
+        return c
 
     def _wrap(self, terms: dict[str, Any]) -> CostBreakdown:
         return CostBreakdown(
@@ -169,11 +173,26 @@ class CompositeCostModel(AnalyticCostModel):
             prov.update(stage.provenance)
         self.provenance = prov
 
-    def _terms(self, c: Mapping[str, Any]) -> dict[str, Any]:
+    def _terms(
+        self, c: Mapping[str, Any], telemetry: Any = None
+    ) -> dict[str, Any]:
+        """Run the stages in order; with ``telemetry``, time each one."""
         env = dict(c)
         out: dict[str, Any] = {}
+        t0 = time.perf_counter()
         for stage in self.stages:
+            if telemetry is not None:
+                span = telemetry.begin(
+                    stage.name, "cost-stage", facility="cost",
+                    track=stage.name, time=time.perf_counter() - t0,
+                )
             produced = stage._terms(stage._config(env))
+            if telemetry is not None:
+                telemetry.end(span, time=time.perf_counter() - t0,
+                              terms=len(produced))
+                telemetry.metrics.histogram("cost.stage_seconds").record(
+                    span.duration
+                )
             clash = set(produced) & set(out)
             if clash:
                 raise ConfigurationError(
@@ -205,41 +224,14 @@ class CompositeCostModel(AnalyticCostModel):
     ) -> CostBreakdown:
         """``evaluate_batch`` with one wall-clock telemetry span per stage.
 
-        Identical result to :meth:`evaluate_batch` (same ``_terms`` per
-        stage, same dataflow); the only addition is observability: each
-        stage lands as a span on the ``cost`` facility (track = stage name,
-        measured with :func:`time.perf_counter` relative to the start of
-        this call) plus a ``cost.stage_seconds`` histogram sample. Use it
-        to see where a big sweep's evaluation time actually goes.
+        Identical result to :meth:`evaluate_batch` (same stage loop, same
+        dataflow); the only addition is observability: each stage lands as
+        a span on the ``cost`` facility (track = stage name, measured with
+        :func:`time.perf_counter` relative to the start of the stage loop)
+        plus a ``cost.stage_seconds`` histogram sample. Use it to see where
+        a big sweep's evaluation time actually goes.
         """
-        import time
-
-        c = self._config(config)
-        for key, value in c.items():
-            if isinstance(value, (list, tuple)):
-                c[key] = np.asarray(value)
-        t0 = time.perf_counter()
-        env = dict(c)
-        out: dict[str, Any] = {}
-        for stage in self.stages:
-            span = telemetry.begin(
-                stage.name, "cost-stage", facility="cost",
-                track=stage.name, time=time.perf_counter() - t0,
-            )
-            produced = stage._terms(stage._config(env))
-            telemetry.end(span, time=time.perf_counter() - t0,
-                          terms=len(produced))
-            telemetry.metrics.histogram("cost.stage_seconds").record(
-                span.duration
-            )
-            clash = set(produced) & set(out)
-            if clash:
-                raise ConfigurationError(
-                    f"{self.name}: stages {sorted(clash)} produced twice"
-                )
-            env.update(produced)
-            out.update(produced)
-        return self._wrap(out)
+        return self._wrap(self._terms(self._batch_config(config), telemetry))
 
     def __or__(self, other: AnalyticCostModel) -> "CompositeCostModel":
         if not isinstance(other, AnalyticCostModel):

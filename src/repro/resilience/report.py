@@ -15,6 +15,7 @@ from repro import units
 from repro.errors import ConfigurationError
 
 from repro.resilience.restart import RestartStats
+from repro.resilience.validate import young_daly_error
 
 
 @dataclass(frozen=True)
@@ -102,11 +103,8 @@ class ResilienceReport:
         """|empirical - analytical| / analytical, when a prediction exists."""
         if self.analytical_overhead is None:
             return None
-        if self.analytical_overhead == 0:
-            return 0.0 if self.overhead_fraction == 0 else float("inf")
-        return (
-            abs(self.overhead_fraction - self.analytical_overhead)
-            / self.analytical_overhead
+        return young_daly_error(
+            self.overhead_fraction, self.analytical_overhead
         )
 
     def matches_analytical(self, tolerance: float = 0.2) -> bool:
@@ -136,7 +134,7 @@ class ResilienceReport:
         if self.analytical_overhead is not None:
             agreement = self.agreement()
             assert agreement is not None
-            verdict = "OK" if agreement <= 0.2 else "MISMATCH"
+            verdict = "OK" if self.matches_analytical() else "MISMATCH"
             lines.append(
                 f"  Young/Daly overhead  {self.analytical_overhead:.2%}"
                 f"  (rel. err {agreement:.1%} [{verdict}])"

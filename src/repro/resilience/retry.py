@@ -56,10 +56,15 @@ class RetryPolicy:
         """Backoff before retry number ``attempt`` (1 = first retry)."""
         if attempt < 1:
             raise ConfigurationError("attempt must be >= 1")
-        base = min(
-            self.backoff_base * self.backoff_factor ** (attempt - 1),
-            self.backoff_max,
-        )
+        try:
+            base = min(
+                self.backoff_base * self.backoff_factor ** (attempt - 1),
+                self.backoff_max,
+            )
+        except OverflowError:
+            # growth past the float range: any positive base is capped,
+            # and a zero base stays zero (0 * inf would be NaN)
+            base = self.backoff_max if self.backoff_base > 0 else 0.0
         if rng is not None and self.jitter_fraction > 0:
             base *= 1.0 + self.jitter_fraction * float(rng.uniform(-1.0, 1.0))
         return base

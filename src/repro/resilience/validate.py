@@ -24,6 +24,17 @@ from repro.resilience.restart import RestartStats, simulate_checkpoint_restart
 DEFAULT_WORK_MTBF_MULTIPLE = 150.0
 
 
+def young_daly_error(empirical: float, analytical: float) -> float:
+    """|empirical - analytical| / analytical overhead fraction.
+
+    A zero prediction is matched exactly by a zero measurement and missed
+    infinitely by anything else.
+    """
+    if analytical == 0:
+        return 0.0 if empirical == 0 else float("inf")
+    return abs(empirical - analytical) / analytical
+
+
 @dataclass(frozen=True)
 class ValidationResult:
     """One empirical-vs-analytical comparison point."""
@@ -38,11 +49,8 @@ class ValidationResult:
 
     @property
     def relative_error(self) -> float:
-        if self.analytical_overhead == 0:
-            return 0.0 if self.empirical_overhead == 0 else float("inf")
-        return (
-            abs(self.empirical_overhead - self.analytical_overhead)
-            / self.analytical_overhead
+        return young_daly_error(
+            self.empirical_overhead, self.analytical_overhead
         )
 
     @property

@@ -65,21 +65,6 @@ class Telemetry:
         self._outputs: list[Any] = [] if sink is None else [sink]
         self._next_id = 1
 
-    # -- pickling (handles cross process boundaries in the exec fabric) -----------
-
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        # Clocks, sinks and taps are process-local (callables, open files,
-        # live hubs); a handle crossing a process boundary carries records
-        # and metrics only.
-        state["clock"] = None
-        state["sink"] = None
-        state["_outputs"] = []
-        state["_next_id"] = max(
-            (s.span_id for s in self.spans), default=0
-        ) + 1
-        return state
-
     # -- sinks and taps ------------------------------------------------------------
 
     def add_tap(self, tap) -> None:

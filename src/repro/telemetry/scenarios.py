@@ -268,44 +268,35 @@ def run_scenario(
     return SCENARIOS[name](seed, machine=machine, sink=sink)
 
 
-def _scenario_replica(name: str, machine, child_seed: int) -> Scenario:
-    return run_scenario(name, seed=child_seed, machine=machine)
-
-
 def run_scenario_replicas(
     name: str,
     n_replicas: int,
     seed: int = 0,
-    n_jobs: int = 1,
     machine=None,
     sink=None,
 ) -> tuple[Telemetry, list[Scenario]]:
     """Run ``n_replicas`` seeded replicas of one scenario and merge traces.
 
-    Replica ``i`` runs with the ``i``-th ``SeedSequence`` child of ``seed``
-    (the assignment never depends on ``n_jobs``), and every replica's
+    Replica ``i`` runs with ``spawn_seeds(seed, n_replicas)[i]``, the
+    ``i``-th ``SeedSequence`` child of ``seed``, and every replica's
     telemetry is absorbed — span ids re-issued, parent links preserved,
     facility and resource names suffixed with ``" [rI]"`` so replica
     timelines stay distinct — into one merged handle whose trace passes
-    the span-tree invariant audit. Both the merged handle and the
-    per-replica :class:`Scenario` list are identical whether the replicas
-    ran serially or in a pool.
+    the span-tree invariant audit.
 
     ``sink`` makes the *merged* handle sink-backed: each replica still runs
-    in-memory (its shard has to cross the pool boundary), but the merge
-    streams every absorbed record straight to the sink, so the combined
-    trace never materializes — the out-of-core path for wide ensembles.
+    in-memory, but the merge streams every absorbed record straight to the
+    sink, so the combined trace never materializes — the out-of-core path
+    for wide ensembles.
     """
-    from functools import partial
-
-    from repro.exec.replicas import monte_carlo
+    from repro.exec.parallel import spawn_seeds
 
     if n_replicas < 1:
         raise ConfigurationError("need at least one replica")
-    replicas = monte_carlo(
-        partial(_scenario_replica, name, machine),
-        n_replicas, seed=seed, n_jobs=n_jobs,
-    )
+    replicas = [
+        run_scenario(name, seed=child_seed, machine=machine)
+        for child_seed in spawn_seeds(seed, n_replicas)
+    ]
     merged = Telemetry(sink=sink)
     for i, replica in enumerate(replicas):
         merged.absorb(replica.telemetry, suffix=f" [r{i}]")

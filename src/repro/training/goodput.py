@@ -19,6 +19,7 @@ from repro.errors import ConfigurationError
 from repro.resilience.faults import DEFAULT_NODE_MTBF_SECONDS
 from repro.resilience.report import ResilienceReport
 from repro.resilience.restart import RestartStats, simulate_checkpoint_restart
+from repro.resilience.validate import DEFAULT_WORK_MTBF_MULTIPLE
 from repro.storage.burst_buffer import BurstBuffer
 from repro.storage.checkpoint import CheckpointPlan
 from repro.storage.filesystem import SharedFileSystem
@@ -38,10 +39,6 @@ def _summit_gpfs() -> SharedFileSystem:
     from repro.storage.filesystem import SUMMIT_GPFS
 
     return SUMMIT_GPFS
-
-#: How much useful work the empirical run simulates, in units of the
-#: job-wide MTBF — enough failures for the rework term to converge.
-_EMPIRICAL_WORK_MTBF_MULTIPLE = 150.0
 
 #: Default checkpoint payload per node for campaign-level reports (30 GB):
 #: real jobs persist framework and data-pipeline state alongside the model,
@@ -180,7 +177,7 @@ class GoodputModel:
         """
         plan = self.plan()
         if work_seconds is None:
-            work_seconds = _EMPIRICAL_WORK_MTBF_MULTIPLE * plan.system_mtbf
+            work_seconds = DEFAULT_WORK_MTBF_MULTIPLE * plan.system_mtbf
         return simulate_checkpoint_restart(
             work_seconds=work_seconds,
             interval=self.optimal_interval(tier),
@@ -211,7 +208,7 @@ class GoodputModel:
 
         plan = self.plan()
         if work_seconds is None:
-            work_seconds = _EMPIRICAL_WORK_MTBF_MULTIPLE * plan.system_mtbf
+            work_seconds = DEFAULT_WORK_MTBF_MULTIPLE * plan.system_mtbf
         return restart_ensemble(
             work_seconds=work_seconds,
             interval=self.optimal_interval(tier),
@@ -259,7 +256,7 @@ class GoodputModel:
         work = (
             work_seconds
             if work_seconds is not None
-            else _EMPIRICAL_WORK_MTBF_MULTIPLE * plan.system_mtbf
+            else DEFAULT_WORK_MTBF_MULTIPLE * plan.system_mtbf
         )
         tau = self.optimal_interval(tier)
         delta = self.write_time(tier)

@@ -126,35 +126,9 @@ def _jsonify(value):
     raise TypeError(f"not JSON-serializable: {value!r}")
 
 
-def _check_section(seed: int, section: str) -> list[CheckResult]:
-    """Worker: measure one paper section's expectations with its own context.
-
-    Each shard builds a private :class:`VerifyContext`, so the expensive
-    cached artifacts (portfolio, app simulations, workflow campaigns) are
-    computed at most once per section per worker — and because every
-    measurement is deterministic in ``seed``, the sharded results are
-    byte-identical to the single-context serial pass.
-    """
-    ctx = VerifyContext(seed=seed)
-    return [
-        e.check(ctx) for e in build_registry() if e.section == section
-    ]
-
-
-def _verify_task(seed: int, task: tuple[str, str | None]):
-    kind, section = task
-    if kind == "expect":
-        assert section is not None
-        return _check_section(seed, section)
-    if kind == "differentials":
-        return run_differentials(seed=seed)
-    return run_invariants(seed=seed)
-
-
 def run_conformance(
     seed: int = 0,
     sections: tuple[str, ...] | list[str] | None = None,
-    n_jobs: int = 1,
     machine=None,
 ) -> ConformanceReport:
     """Run the full conformance battery and return the report.
@@ -163,18 +137,13 @@ def run_conformance(
     sections (e.g. ``("fig1", "section4b")``); the differential and
     invariant batteries always run in full — they are cheap and global.
 
-    ``n_jobs > 1`` fans the work out over a process pool — one task per
-    paper section plus one each for the differential and invariant
-    batteries — and reassembles results in registry order, so the report
-    (and its JSON bytes) is identical at every worker count.
-
     ``machine`` selects a registry machine. Summit (the default, also
     reachable as ``machine="summit"``) runs the full 80-entry paper-pinned
     battery through the unchanged code path — byte-identical to every
     earlier release. Any other machine has no paper numbers to pin, so it
     runs the small structural battery of
     :func:`repro.verify.machines.run_machine_conformance` instead
-    (``sections`` / ``n_jobs`` do not apply there).
+    (``sections`` does not apply there).
     """
     if machine is not None:
         from repro.machine.spec import resolve_machine
@@ -195,31 +164,11 @@ def run_conformance(
                 f"unknown registry sections: {sorted(unknown)}"
             )
         registry = tuple(e for e in registry if e.section in wanted)
-    ordered: dict[str, None] = {}
-    for e in registry:
-        ordered.setdefault(e.section, None)
-
-    if n_jobs != 1:
-        from functools import partial
-
-        from repro.exec.parallel import ParallelMap
-
-        tasks: list[tuple[str, str | None]] = [
-            ("expect", section) for section in ordered
-        ]
-        tasks += [("differentials", None), ("invariants", None)]
-        results = ParallelMap(n_jobs).map(partial(_verify_task, seed), tasks)
-        expectations = [r for shard in results[: len(ordered)] for r in shard]
-        differentials, invariants = results[len(ordered)], results[-1]
-    else:
-        ctx = VerifyContext(seed=seed)
-        expectations = [e.check(ctx) for e in registry]
-        differentials = run_differentials(seed=seed)
-        invariants = run_invariants(seed=seed)
+    ctx = VerifyContext(seed=seed)
     return ConformanceReport(
         seed=seed,
-        sections=tuple(ordered),
-        expectations=expectations,
-        differentials=differentials,
-        invariants=invariants,
+        sections=tuple(dict.fromkeys(e.section for e in registry)),
+        expectations=[e.check(ctx) for e in registry],
+        differentials=run_differentials(seed=seed),
+        invariants=run_invariants(seed=seed),
     )

@@ -18,6 +18,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["comm", "--model", "alexnet"])
 
+    @pytest.mark.parametrize("command", ["verify", "telemetry"])
+    def test_jobs_only_on_resilience(self, command):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command, "--jobs", "2"])
+        assert exc.value.code == 2
+
 
 class TestCommands:
     def test_machine(self, capsys):
@@ -114,6 +120,16 @@ class TestCommands:
     def test_resilience_rejects_negative_replicas(self, capsys):
         assert main(["resilience", "--replicas", "-3", "--json"]) == 3
         assert "--replicas" in capsys.readouterr().err
+
+    def test_resilience_rejects_analytic_only_ensemble(self, capsys):
+        # --analytic-only runs no simulation, so there is no ensemble to run
+        assert main([
+            "resilience", "--analytic-only", "--replicas", "4", "--json",
+        ]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: [ConfigurationError]")
+        assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("argv", [
         ["verify"],

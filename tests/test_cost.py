@@ -345,8 +345,12 @@ class TestCompositionAndProtocol:
             _Double().evaluate()
 
     def test_duplicate_terms_rejected(self):
+        from repro.telemetry import Telemetry
+
         with pytest.raises(ConfigurationError, match="twice"):
             (_Double() | _Double()).evaluate(x=1)
+        with pytest.raises(ConfigurationError, match="twice"):
+            (_Double() | _Double()).evaluate_batch_staged(Telemetry(), x=1)
 
     def test_evaluate_rejects_arrays(self):
         with pytest.raises(ConfigurationError, match="evaluate_batch"):
@@ -355,6 +359,20 @@ class TestCompositionAndProtocol:
     def test_evaluate_batch_promotes_sequences(self):
         bd = _Double().evaluate_batch(x=[1.0, 2.0])
         assert np.array_equal(bd["doubled"], np.array([2.0, 4.0]))
+
+    def test_staged_batch_adds_only_one_span_per_stage(self):
+        from repro.telemetry import Telemetry
+
+        model = _Double() | _PlusOne()
+        telemetry = Telemetry()
+        staged = model.evaluate_batch_staged(telemetry, x=[1.0, 2.0])
+        plain = model.evaluate_batch(x=[1.0, 2.0])
+        assert staged.terms.keys() == plain.terms.keys()
+        for term in plain.terms:
+            assert np.array_equal(staged[term], plain[term])
+        assert [s.name for s in telemetry.finished_spans()] == [
+            "double", "plus_one",
+        ]
 
 
 class TestSweepApi:

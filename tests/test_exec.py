@@ -1,11 +1,11 @@
-"""Tests for the data-parallel execution fabric and the result cache.
+"""Tests for the replica fan-out and the result cache.
 
-The fabric's whole contract is *determinism*: any work fanned out over a
-process pool must come back bit-identical to the serial pass, and anything
+Their whole contract is *determinism*: replicas fanned out over a process
+pool must come back bit-identical to the serial loop, and anything
 replayed from the content-addressed cache must be exactly what was stored
 (or, if the entry is damaged, a miss). These tests pin that contract at
-every layer — the fan-out helpers, the conformance report, the Monte-Carlo
-replica ensembles, the telemetry trace merge and the result cache.
+every layer — the seed helpers, the Monte-Carlo replica ensembles, the
+telemetry trace merge and the result cache.
 """
 
 import pickle
@@ -15,7 +15,6 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.exec import (
-    ParallelMap,
     ResultCache,
     code_fingerprint,
     content_key,
@@ -23,10 +22,6 @@ from repro.exec import (
     resolve_jobs,
     spawn_seeds,
 )
-
-
-def _square(x):
-    return x * x
 
 
 def _seeded_draw(child_seed):
@@ -55,39 +50,13 @@ class TestSpawnSeeds:
 
 
 class TestParallelMap:
+    """Worker-count resolution for the replica pool."""
+
     def test_resolve_jobs(self):
         assert resolve_jobs(3) == 3
         assert resolve_jobs(None) >= 1
         assert resolve_jobs(0) >= 1
         assert resolve_jobs(-2) >= 1
-
-    def test_serial_matches_comprehension(self):
-        items = list(range(10))
-        assert ParallelMap(1).map(_square, items) == [x * x for x in items]
-
-    def test_pool_matches_serial_in_order(self):
-        items = list(range(23))
-        assert ParallelMap(4).map(_square, items) == ParallelMap(1).map(
-            _square, items
-        )
-
-    def test_single_item_stays_in_process(self):
-        # len(items) <= 1 short-circuits the pool even with n_jobs > 1
-        assert ParallelMap(8).map(_square, [5]) == [25]
-
-
-# -- conformance report -----------------------------------------------------------
-
-
-class TestParallelConformance:
-    def test_report_json_byte_identical(self):
-        from repro.verify import run_conformance
-
-        sections = ("fig1", "table1")
-        serial = run_conformance(seed=0, sections=sections)
-        pooled = run_conformance(seed=0, sections=sections, n_jobs=4)
-        assert serial.to_json() == pooled.to_json()
-        assert serial.passed and pooled.passed
 
 
 # -- Monte-Carlo replicas ---------------------------------------------------------
@@ -99,6 +68,12 @@ class TestReplicaEnsembles:
         pooled = monte_carlo(_seeded_draw, 7, seed=11, n_jobs=3)
         assert serial == pooled
         assert len(set(serial)) == 7
+
+    def test_single_replica_stays_in_process(self):
+        # a lambda cannot cross a process boundary, so this passes only if
+        # one replica short-circuits the pool even with n_jobs > 1
+        [value] = monte_carlo(lambda child_seed: child_seed, 1, n_jobs=8)
+        assert value == spawn_seeds(0, 1)[0]
 
     def test_restart_ensemble_jobs_invariant(self):
         from repro.resilience.restart import restart_ensemble
@@ -137,16 +112,14 @@ class TestTelemetryMerge:
         from repro.telemetry.scenarios import run_scenario_replicas
         from repro.verify.invariants import audit_span_tree
 
-        merged, replicas = run_scenario_replicas(
-            "restart", 3, seed=0, n_jobs=1
-        )
+        merged, replicas = run_scenario_replicas("restart", 3, seed=0)
         assert len(replicas) == 3
         assert len(merged.finished_spans()) == sum(
             len(r.telemetry.finished_spans()) for r in replicas
         )
         assert audit_span_tree(merged).passed
-        # the merge itself is deterministic, serial or pooled
-        merged2, _ = run_scenario_replicas("restart", 3, seed=0, n_jobs=2)
+        # the merge itself is deterministic
+        merged2, _ = run_scenario_replicas("restart", 3, seed=0)
         assert chrome_trace_json(merged) == chrome_trace_json(merged2)
 
     def test_replicas_reject_zero(self):

@@ -366,6 +366,16 @@ class TestRetryPolicy:
         with pytest.raises(ConfigurationError, match=field):
             RetryPolicy(**{field: value})
 
+    def test_growth_past_float_range_caps_instead_of_raising(self):
+        # 2.0 ** 1024 overflows a float: attempt 1,025 at factor 2
+        assert RetryPolicy(max_attempts=2000).delay(1025) == 3600.0
+        assert RetryPolicy(
+            backoff_base=0.0, max_attempts=2000
+        ).delay(1500) == 0.0
+        delays = list(RetryPolicy(max_attempts=1100).delays())
+        assert len(delays) == 1099
+        assert delays[-1] == 3600.0
+
     def test_infinite_cap_and_deadline_stay_legal(self):
         policy = RetryPolicy(
             backoff_max=math.inf, deadline_s=math.inf, jitter_fraction=0.0
