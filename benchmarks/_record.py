@@ -1,18 +1,12 @@
 """Machine-readable benchmark records: ``BENCH_<name>.json`` emitters.
 
 Human-facing benchmark output (the ``report`` tables in ``conftest``)
-scrolls away with the CI log; these records persist the numbers. Each
+scrolls away with the CI log; these records persist the numbers. A
 benchmark calls :func:`record` once with its key scalars; the helper adds
 wall-clock, the git SHA and the smoke flag, and writes
 ``BENCH_<name>.json`` into ``$REPRO_BENCH_DIR`` (default: the current
-working directory) so CI can upload the files as artifacts and successive
-runs can be diffed.
-
-Benchmarks whose scalars correspond to paper-stated numbers (the
-``BENCH_BINDINGS`` map in :mod:`repro.verify.expectations`) additionally
-get a ``"conformance"`` block: per-scalar pass/fail verdicts against the
-expectation registry, with the paper citation and relative error — so a
-downloaded record is self-judging, not just a bag of floats.
+working directory) so CI can upload the files as artifacts and
+``check_engine_floor.py`` can ratchet them.
 """
 
 from __future__ import annotations
@@ -20,11 +14,10 @@ from __future__ import annotations
 import json
 import os
 import subprocess
-import time
 from pathlib import Path
 from typing import Any
 
-__all__ = ["record", "timed"]
+__all__ = ["record"]
 
 
 def _git_sha() -> str | None:
@@ -42,15 +35,6 @@ def _git_sha() -> str | None:
     return out.stdout.strip() or None
 
 
-def _conformance(name: str, scalars: dict[str, Any]) -> dict | None:
-    """Expectation-registry verdicts for this record's scalars, if bound."""
-    try:
-        from repro.verify import verdicts_for
-    except ImportError:  # pragma: no cover - repro not importable
-        return None
-    return verdicts_for(name, scalars)
-
-
 def record(
     name: str, scalars: dict[str, Any], wall_seconds: float | None = None
 ) -> Path:
@@ -58,15 +42,12 @@ def record(
 
     ``scalars`` is the benchmark's own payload (timings, speedups, grid
     sizes — JSON-serialisable values only); ``wall_seconds`` is the
-    benchmark's overall wall-clock when the caller measured one. Scalars
-    bound to the expectation registry gain a ``"conformance"`` verdict
-    block (see the module docstring).
+    benchmark's overall wall-clock when the caller measured one.
     """
     payload = {
         "name": name,
         "wall_seconds": wall_seconds,
         "scalars": scalars,
-        "conformance": _conformance(name, scalars),
         "git_sha": _git_sha(),
         "smoke": bool(os.environ.get("REPRO_SMOKE")),
     }
@@ -81,22 +62,3 @@ def record(
     atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path
 
-
-class timed:
-    """Context manager measuring one block's wall-clock for :func:`record`.
-
-    >>> with timed() as t:
-    ...     _ = sum(range(10))
-    >>> t.seconds >= 0.0
-    True
-    """
-
-    seconds: float
-
-    def __enter__(self) -> "timed":
-        self._t0 = time.perf_counter()
-        self.seconds = 0.0
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.seconds = time.perf_counter() - self._t0

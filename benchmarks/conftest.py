@@ -1,18 +1,11 @@
-"""Shared helpers for the benchmark harness.
+"""Shared helpers for the facility-year benchmark.
 
-Every benchmark regenerates one of the paper's tables or figures and prints
-a paper-vs-measured comparison (visible with ``pytest benchmarks/
---benchmark-only -s``). Assertions pin the reproduced *shape* so the bench
-suite doubles as a regression gate for the calibrations in EXPERIMENTS.md.
+``report`` prints the benchmark's aligned summary table (visible with
+``pytest benchmarks/bench_facility_year.py -s``). Paper numbers are judged
+by the expectation registry (``repro verify``), not here.
 """
 
 from __future__ import annotations
-
-import sys
-from pathlib import Path
-
-# the test oracles (``tests.oracles``) double as benchmark baselines
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 
 def report(title: str, rows: list[tuple], header: tuple = ()) -> None:

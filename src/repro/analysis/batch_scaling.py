@@ -15,7 +15,6 @@ from typing import Callable
 
 import numpy as np
 
-from repro.cost import kernels
 from repro.errors import ConfigurationError, ConvergenceError
 from repro.ml.mlp import MLP
 from repro.ml.losses import mse
@@ -35,13 +34,6 @@ class BatchScalingResult:
         """Step-count speedup relative to the smallest batch."""
         base = self.steps_to_target[0]
         return [base / s for s in self.steps_to_target]
-
-    def predicted_steps(self, batch):
-        """Fitted two-regime law evaluated at ``batch`` (scalar or array),
-        via the shared :func:`repro.cost.kernels.two_regime_steps` kernel."""
-        return kernels.two_regime_steps(
-            batch, self.fitted_min_samples, self.fitted_critical_batch
-        )
 
 
 def _make_problem(seed: int) -> tuple[np.ndarray, np.ndarray]:

@@ -11,9 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.cost import RooflineCostModel, kernels
+from repro.cost import kernels
 from repro.errors import ConfigurationError
 from repro.machine.gpu import GpuSpec, Precision
 
@@ -51,25 +49,4 @@ def roofline_point(
         arithmetic_intensity=intensity,
         attainable_flops=attainable,
         ridge_intensity=ridge,
-    )
-
-
-def roofline_sweep(
-    gpu: GpuSpec,
-    flops: np.ndarray,
-    bytes_moved: np.ndarray,
-    precision: Precision = Precision.MIXED,
-):
-    """Vectorized roofline placement over (flops x bytes_moved) grids.
-
-    Returns the :class:`~repro.cost.breakdown.CostBreakdown` from
-    :class:`~repro.cost.RooflineCostModel` with ``arithmetic_intensity``,
-    ``ridge_intensity`` and ``attainable_flops`` terms broadcast over the
-    inputs.
-    """
-    return RooflineCostModel().evaluate_batch(
-        flops=np.asarray(flops, dtype=float),
-        bytes_moved=np.asarray(bytes_moved, dtype=float),
-        peak_flops=gpu.peak(precision),
-        memory_bandwidth=gpu.memory_bandwidth,
     )

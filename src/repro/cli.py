@@ -54,6 +54,7 @@ one-line ``error:`` message on stderr — never a traceback.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from repro import errors, units
@@ -221,6 +222,14 @@ def _check_replicas(replicas: int) -> None:
         )
 
 
+def _check_positive(value: float, flag: str) -> float:
+    if not 0.0 < value < math.inf:  # NaN fails this too
+        raise errors.ConfigurationError(
+            f"{flag} must be positive and finite, got {value}"
+        )
+    return value
+
+
 def _parse_list(spec: str, kind: type, flag: str, sep: str = ",") -> list:
     """``sep``-separated ``kind`` values; a bad token is a config error."""
     values = []
@@ -253,11 +262,20 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     nodes = _parse_nodes(args.nodes)
     if args.crossover:
+        compute_ms = _check_positive(
+            50.0 if args.compute_ms is None else args.compute_ms,
+            "--compute-ms",
+        )
+        message_mb = [
+            _check_positive(mb, "--message-mb") for mb in _parse_list(
+                "102.4,1400" if args.message_mb is None else args.message_mb,
+                float, "--message-mb",
+            )
+        ]
         sim = SummitSimulator.for_machine(args.machine)
-        message_mb = _parse_list(args.message_mb, float, "--message-mb")
         sizes = np.array([mb * 1e6 for mb in message_mb])
         result = sim.crossover_surface(
-            sizes, np.array(nodes), compute_time=args.compute_ms * 1e-3,
+            sizes, np.array(nodes), compute_time=compute_ms * 1e-3,
         )
         from repro.cost import crossover_nodes
 
@@ -269,7 +287,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
             payload = {
                 "mode": "crossover",
-                "compute_ms": args.compute_ms,
+                "compute_ms": compute_ms,
                 "nodes": nodes,
                 **_machine_field(args),
                 "rows": [
@@ -288,7 +306,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             return 0
         print(
             f"Section VI-B crossover surface "
-            f"(compute budget {args.compute_ms:g} ms/step)"
+            f"(compute budget {compute_ms:g} ms/step)"
         )
         print(f"{'message':>10}  {'paper est.':>10}  {'ring@max':>10}  "
               f"{'comm>compute at':>15}")
@@ -301,6 +319,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             )
         return 0
 
+    for flag, value in (("--compute-ms", args.compute_ms),
+                        ("--message-mb", args.message_mb)):
+        if value is not None:
+            raise errors.ConfigurationError(f"{flag} needs --crossover")
     from repro.apps.extreme_scale import get_app
 
     app = get_app(args.app)
@@ -631,7 +653,9 @@ common options:
                  replica traces into one well-formed Chrome trace
   --jobs N       (resilience) run the replicas over N worker processes;
                  results are bit-identical to the serial run at every
-                 worker count
+                 worker count. Worker start-up costs about eight laanait
+                 replicas, so the pool pays only for larger ensembles
+                 (2 workers: 32 replicas ~1.3x faster, 8 no faster)
   --machine NAME (sweep, verify, telemetry, resilience) run against a
                  machine-registry entry (summit, frontier-like,
                  perlmutter-like, tpu-pod-like); the default is Summit and
@@ -727,7 +751,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default 1: the single seeded run)")
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes for the replica ensemble "
-                        "(0 = all cores)")
+                        "(0 = all cores); pays only past about 8 replicas")
     p.add_argument("--json", action="store_true",
                    help="emit the report as JSON")
     _add_machine_arg(p)
@@ -745,11 +769,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--crossover", action="store_true",
                    help="map the Section VI-B comm-vs-compute crossover "
                         "surface instead of an app sweep")
-    p.add_argument("--message-mb", default="102.4,1400",
+    p.add_argument("--message-mb",
                    help="gradient message sizes in MB (crossover mode; "
-                        "default ResNet-50 and BERT-large)")
-    p.add_argument("--compute-ms", type=float, default=50.0,
-                   help="per-step compute budget in ms (crossover mode)")
+                        "default 102.4,1400: ResNet-50 and BERT-large)")
+    p.add_argument("--compute-ms", type=float,
+                   help="per-step compute budget in ms (crossover mode; "
+                        "default 50)")
     p.add_argument("--json", action="store_true",
                    help="emit the sweep table as JSON")
     _add_machine_arg(p)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro import units
-from repro.cost import crossover_sweep, sweep
+from repro.cost import crossover_sweep
 from repro.cost.sweep import SweepResult
 from repro.errors import ConfigurationError
 from repro.machine.summit import summit
@@ -75,28 +75,6 @@ class SummitSimulator:
         self.system.require_nodes(n_nodes)
         return ring_allreduce_time(n_nodes, model.gradient_bytes, self.system.interconnect)
 
-    def step_sweep(
-        self,
-        model_key: str,
-        node_counts,
-        plan: ParallelismPlan | None = None,
-        data_source: DataSource = DataSource.NVME,
-    ) -> SweepResult:
-        """Vectorized step-time sweep for a catalog model over node counts.
-
-        One ``evaluate_batch`` pass through the :mod:`repro.cost` composite;
-        scalar points are bit-identical to :meth:`TrainingJob.breakdown`.
-        """
-        from repro.training.step_time import step_cost
-
-        cost = step_cost(
-            get_model(model_key),
-            self.system,
-            plan or ParallelismPlan(local_batch=32),
-            data_source=data_source,
-        )
-        return sweep(cost, {"n_nodes": node_counts})
-
     def crossover_surface(
         self,
         message_bytes,
@@ -122,7 +100,8 @@ class SummitSimulator:
     def io_report(self, model_key: str, n_nodes: int | None = None) -> dict:
         """The Section VI-B read-bandwidth feasibility analysis."""
         model = get_model(model_key)
-        n = n_nodes or self.system.node_count
+        n = self.system.node_count if n_nodes is None else n_nodes
+        self.system.require_nodes(n)
         gpus = n * self.system.node.gpu_count
         samples_per_s = model.samples_per_second(self.system.node.gpus)
         req = read_requirement(samples_per_s, model.bytes_per_sample, gpus)

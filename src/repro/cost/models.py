@@ -26,7 +26,6 @@ from typing import Any
 import numpy as np
 
 from repro.cost import kernels
-from repro.cost.breakdown import CostBreakdown
 from repro.cost.model import AnalyticCostModel, CompositeCostModel, compose
 from repro.errors import CapacityError, ConfigurationError
 
@@ -518,17 +517,3 @@ class ConvergenceCostModel(AnalyticCostModel):
             "samples_to_target": samples,
             "steps_to_target": samples / c["batch"],
         }
-
-
-def breakdown_to_step_terms(bd: CostBreakdown) -> dict[str, Any]:
-    """Project a step-composite breakdown onto the StepBreakdown field set."""
-    return {
-        "compute": bd["compute"],
-        "comm": bd["comm"],
-        "comm_exposed": bd["comm_exposed"],
-        "io": bd["io"],
-        "io_exposed": bd["io_exposed"],
-        "mp_exchange": bd["mp_exchange"],
-        "straggler": bd["straggler"],
-        "samples": bd["samples"],
-    }

@@ -218,18 +218,6 @@ class MachineSpec:
         burst buffer): per-node rate x node count."""
         return self.nvme_read_bandwidth * self.node_count
 
-    @property
-    def hbm_bytes_per_node(self) -> float:
-        if self.gpus is None:
-            return 0.0
-        return self.gpus_per_node * self.gpus.memory_bytes
-
-    def gpu_peak_flops(self, precision: Precision = Precision.MIXED) -> float:
-        """Per-accelerator peak at ``precision`` (0 for CPU-only machines)."""
-        if self.gpus is None:
-            return 0.0
-        return self.gpus.peak(precision)
-
     def peak_flops(self, precision: Precision = Precision.MIXED) -> float:
         """Main-partition peak FLOP/s at ``precision``."""
         return self.node_count * self.node().peak_flops(precision)

@@ -1,4 +1,4 @@
-"""Synthetic dataset generators for tests, examples and benchmarks."""
+"""Synthetic dataset generators for tests and examples."""
 
 from __future__ import annotations
 

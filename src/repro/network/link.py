@@ -8,6 +8,7 @@ MPI-level latency.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -37,10 +38,15 @@ class LinkSpec:
     rails: int = 1
 
     def __post_init__(self) -> None:
-        if self.latency < 0:
-            raise ConfigurationError(f"negative latency: {self.latency}")
-        if self.bandwidth <= 0:
-            raise ConfigurationError(f"non-positive bandwidth: {self.bandwidth}")
+        # each check is written so that NaN fails it
+        if not 0.0 <= self.latency < math.inf:
+            raise ConfigurationError(
+                f"latency must be finite and >= 0: {self.latency}"
+            )
+        if not 0.0 < self.bandwidth < math.inf:
+            raise ConfigurationError(
+                f"bandwidth must be positive and finite: {self.bandwidth}"
+            )
         if self.rails < 1:
             raise ConfigurationError(f"rails must be >= 1, got {self.rails}")
 
@@ -60,13 +66,6 @@ class LinkSpec:
         if size_bytes <= 0:
             raise ConfigurationError(f"message size must be positive: {size_bytes}")
         return size_bytes / self.transfer_time(size_bytes)
-
-
-def injection_link(machine: "MachineSpec | str | None" = None) -> LinkSpec:
-    """Per-node injection :class:`LinkSpec` for ``machine`` (default Summit)."""
-    from repro.machine.spec import resolve_machine
-
-    return resolve_machine(machine).interconnect
 
 
 def intra_node_link(machine: "MachineSpec | str | None" = None) -> LinkSpec:

@@ -180,10 +180,6 @@ class FatTree:
     def n_hosts(self) -> int:
         return self.spec.hosts
 
-    @property
-    def n_switches(self) -> int:
-        return sum(1 for _, d in self.graph.nodes(data=True) if d["kind"] != "host")
-
     def host(self, i: int) -> tuple:
         if not 0 <= i < self.spec.hosts:
             raise ConfigurationError(f"host index {i} out of range")
@@ -210,7 +206,3 @@ class FatTree:
         """
         n_leaves_half = self.spec.n_leaves // 2
         return n_leaves_half * self.spec.uplinks_per_leaf
-
-    def reset_loads(self) -> None:
-        for _, _, data in self.graph.edges(data=True):
-            data["load"] = 0

@@ -3,7 +3,7 @@
 Every Section IV-B application uses a large-batch optimizer — LARC (Kurth),
 LARS (Laanait), LAMB (Khan, Blanchard). These are real, tested
 implementations that operate on lists of numpy parameter arrays, used by the
-:mod:`repro.ml` networks and by the large-batch ablation benchmarks.
+:mod:`repro.ml` networks and by :mod:`repro.analysis.batch_scaling`.
 """
 
 from repro.optim.adam import Adam

@@ -11,9 +11,10 @@ Two provenance classes:
   cell; the top five motifs cover over 3/4 of usage).
 
 The synthetic portfolio generator consumes these tables; the analytics
-recompute them from generated records; the benchmarks print paper-vs-
-measured for each figure. All cross-table consistency (row/column sums,
-cohort totals) is enforced by the test suite.
+recompute them from generated records; the expectation registry
+(``repro verify``) judges each figure against these values. All
+cross-table consistency (row/column sums, cohort totals) is enforced by
+the test suite.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Text-table rendering of the survey figures — what the benchmarks print."""
+"""Text tables of the survey figures — what ``repro survey`` prints."""
 
 from __future__ import annotations
 

@@ -35,13 +35,6 @@ class TrendFit:
         """Linear extrapolation, clipped to [0, 1]."""
         return float(np.clip(self.intercept + self.slope_per_year * year, 0, 1))
 
-    def logistic_projection(self, year: int) -> float:
-        if self.logistic_midpoint is None or self.logistic_rate is None:
-            raise ConfigurationError("logistic fit unavailable")
-        return float(
-            1.0 / (1.0 + np.exp(-self.logistic_rate * (year - self.logistic_midpoint)))
-        )
-
     def year_reaching(self, fraction: float) -> float:
         """Year at which the linear trend crosses ``fraction``."""
         if not 0 < fraction < 1:
@@ -94,12 +87,6 @@ def fit_adoption_trend(
         logistic_midpoint=midpoint,
         logistic_rate=rate,
     )
-
-
-def hours_weighted_usage(analytics: PortfolioAnalytics) -> dict[AdoptionStatus, float]:
-    """Figure 1 weighted by allocation hours instead of project counts —
-    the accounting Section II-C warns "could be misrepresentative"."""
-    return analytics.overall_usage(by_hours=True)
 
 
 def usage_accounting_comparison(

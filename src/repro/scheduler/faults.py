@@ -11,12 +11,13 @@ time-to-solution at scale.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.resilience.faults import DEFAULT_NODE_MTBF_SECONDS, NodeFailureModel
+from repro.resilience.faults import DEFAULT_NODE_MTBF_SECONDS
 
 
 @dataclass(frozen=True)
@@ -29,16 +30,17 @@ class FaultModel:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.node_mtbf_seconds <= 0:
-            raise ConfigurationError("node MTBF must be positive")
-        if self.checkpoint_interval is not None and self.checkpoint_interval <= 0:
-            raise ConfigurationError("checkpoint interval must be positive")
+        # each check is written so that NaN fails it
+        if not 0.0 < self.node_mtbf_seconds < math.inf:
+            raise ConfigurationError("node MTBF must be positive and finite")
+        if self.checkpoint_interval is not None and not (
+            0.0 < self.checkpoint_interval < math.inf
+        ):
+            raise ConfigurationError(
+                "checkpoint interval must be positive and finite"
+            )
         if self.max_requeues < 0:
             raise ConfigurationError("max_requeues must be >= 0")
-
-    @property
-    def failure_model(self) -> NodeFailureModel:
-        return NodeFailureModel(self.node_mtbf_seconds)
 
     def rng(self) -> np.random.Generator:
         return np.random.default_rng(self.seed)

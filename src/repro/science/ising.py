@@ -77,10 +77,6 @@ class AlloyLattice:
         """Long-range (staggered) order in [0, 1]: 1 = perfect B2 order."""
         return float(abs((self.spins * self._stagger).mean()))
 
-    def composition(self) -> float:
-        """Fraction of species A."""
-        return float((self.spins == 1).mean())
-
     # -- correlation features (inputs to the cluster expansion) ----------------------
 
     def correlations(self) -> np.ndarray:

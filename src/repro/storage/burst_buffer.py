@@ -10,14 +10,10 @@ per-epoch global shuffling is expensive once the dataset is partitioned.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.errors import CapacityError, ConfigurationError
 from repro.storage.dataset import Dataset, ShardingPlan
 from repro.storage.filesystem import SharedFileSystem
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.machine.spec import MachineSpec
 
 
 @dataclass(frozen=True)
@@ -123,16 +119,6 @@ class CachingLayer:
         else:
             rate = self.nvme.read_bandwidth
         return per_node / rate
-
-
-def burst_buffer(
-    machine: "MachineSpec | str | None" = None,
-) -> BurstBuffer | None:
-    """The per-node NVMe of ``machine`` (default Summit), or ``None`` for
-    machines without a node-local burst buffer."""
-    from repro.machine.spec import resolve_machine
-
-    return resolve_machine(machine).nvme
 
 
 # ``SUMMIT_NVME`` — 1.6 TB, ~6 GB/s read / ~2.1 GB/s write per node — resolves

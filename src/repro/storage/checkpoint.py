@@ -12,15 +12,11 @@ intervals and less lost work.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.cost import kernels
 from repro.errors import ConfigurationError
 from repro.storage.burst_buffer import BurstBuffer
 from repro.storage.filesystem import SharedFileSystem
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.machine.spec import MachineSpec
 
 
 @dataclass(frozen=True)
@@ -91,23 +87,3 @@ class CheckpointPlan:
                 "overhead": self.overhead_fraction(write_time),
             }
         return out
-
-    def compare_machine_tiers(
-        self, machine: "MachineSpec | str | None" = None
-    ) -> dict[str, dict[str, float]]:
-        """Tier comparison against ``machine``'s storage hierarchy (default
-        Summit); machines without node-local NVMe report only the shared
-        filesystem tier."""
-        from repro.machine.spec import resolve_machine
-
-        spec = resolve_machine(machine)
-        if spec.has_nvme:
-            return self.compare_tiers(spec.nvme, spec.shared_fs)
-        write_time = self.write_time_shared(spec.shared_fs)
-        return {
-            "shared_fs": {
-                "write_time": write_time,
-                "optimal_interval": self.optimal_interval(write_time),
-                "overhead": self.overhead_fraction(write_time),
-            }
-        }

@@ -10,13 +10,9 @@ paper highlights.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.cost import kernels
 from repro.errors import ConfigurationError
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.machine.spec import MachineSpec
 
 
 @dataclass(frozen=True)
@@ -79,15 +75,6 @@ class SharedFileSystem:
         if size_bytes == 0:
             return 0.0
         return size_bytes / self.read_bandwidth(n_clients, random_access)
-
-
-def shared_filesystem(
-    machine: "MachineSpec | str | None" = None,
-) -> SharedFileSystem:
-    """The center-wide filesystem of ``machine`` (default Summit's Alpine)."""
-    from repro.machine.spec import resolve_machine
-
-    return resolve_machine(machine).shared_fs
 
 
 # ``SUMMIT_GPFS`` — Alpine, 2.5 TB/s read, 250 PB — resolves lazily (PEP 562)

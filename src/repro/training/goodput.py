@@ -11,6 +11,7 @@ that full-machine time-to-solution is a resilience number, not a peak one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -64,10 +65,13 @@ class GoodputModel:
     shared_fs: SharedFileSystem = field(default_factory=_summit_gpfs)
 
     def __post_init__(self) -> None:
-        if self.node_mtbf_seconds <= 0:
-            raise ConfigurationError("node MTBF must be positive")
-        if self.state_bytes_per_node is not None and self.state_bytes_per_node <= 0:
-            raise ConfigurationError("state size must be positive")
+        # each check is written so that NaN fails it
+        if not 0.0 < self.node_mtbf_seconds < math.inf:
+            raise ConfigurationError("node MTBF must be positive and finite")
+        if self.state_bytes_per_node is not None and not (
+            0.0 < self.state_bytes_per_node < math.inf
+        ):
+            raise ConfigurationError("state size must be positive and finite")
 
     @classmethod
     def for_machine(

@@ -59,7 +59,7 @@ class ParallelismPlan:
     compute_jitter_cv: float = 0.0
     #: None = tuned library behaviour (pick the fastest algorithm per
     #: message size, as NCCL/MPI do); a specific value pins the algorithm
-    #: (the ablation benchmarks pin RING to expose the latency wall).
+    #: (the ablation tests pin RING to expose the latency wall).
     allreduce_algorithm: AllreduceAlgorithm | None = None
 
     def __post_init__(self) -> None:

@@ -118,7 +118,7 @@ class ScalingStudy:
 
     @staticmethod
     def table(points: list[ScalingPoint], title: str = "") -> str:
-        """Render points as the fixed-width table the benches print."""
+        """Render points as the fixed-width table ``repro scaling`` prints."""
         lines = []
         if title:
             lines.append(title)

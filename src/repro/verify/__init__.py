@@ -35,14 +35,12 @@ from repro.verify.differential import (
     workflow_telemetry_parity,
 )
 from repro.verify.expectations import (
-    BENCH_BINDINGS,
     CheckResult,
     Expectation,
     VerifyContext,
     build_registry,
     expectation_sections,
     get_expectation,
-    verdicts_for,
 )
 from repro.verify.invariants import (
     InvariantResult,
@@ -57,7 +55,6 @@ from repro.verify.machines import build_machine_registry, run_machine_conformanc
 from repro.verify.report import ConformanceReport, run_conformance
 
 __all__ = [
-    "BENCH_BINDINGS",
     "CheckResult",
     "ConformanceReport",
     "DifferentialResult",
@@ -81,6 +78,5 @@ __all__ = [
     "run_machine_conformance",
     "sweep_bit_parity",
     "telemetry_sweep_parity",
-    "verdicts_for",
     "workflow_telemetry_parity",
 ]

@@ -7,9 +7,8 @@ commits to it (``provenance``: ``stated`` / ``estimated`` / ``structural``,
 the convention of :mod:`repro.portfolio.reference`) — plus the measurement
 that reproduces it from this codebase. The registry is the single gate
 proving the whole reproduction still matches the paper after a refactor:
-``repro verify`` runs it end to end, ``tests/test_conformance.py`` runs it
-as tier-1 tests, and benchmark records embed per-scalar verdicts via
-:func:`verdicts_for`.
+``repro verify`` runs it end to end and ``tests/test_conformance.py`` runs
+it as tier-1 tests.
 
 Comparisons are self-contained, so an expectation can also judge an
 externally measured value:
@@ -43,14 +42,12 @@ from typing import Any, Callable
 from repro.errors import ConfigurationError
 
 __all__ = [
-    "BENCH_BINDINGS",
     "CheckResult",
     "Expectation",
     "VerifyContext",
     "build_registry",
     "expectation_sections",
     "get_expectation",
-    "verdicts_for",
 ]
 
 #: Comparison rules an expectation may use.
@@ -990,72 +987,3 @@ def get_expectation(key: str) -> Expectation:
         if e.key == key:
             return e
     raise ConfigurationError(f"no expectation registered under {key!r}")
-
-
-# ---------------------------------------------------------------------------
-# Benchmark-record bindings: BENCH_<name>.json scalar -> registry key.
-# ---------------------------------------------------------------------------
-
-#: Which benchmark-record scalars map onto which registry entries. Used by
-#: ``benchmarks/_record.py`` to stamp a conformance verdict into every
-#: record whose numbers correspond to a paper claim.
-BENCH_BINDINGS: dict[str, dict[str, str]] = {
-    "scaling_kurth": {
-        "peak_flops": "section4b.kurth.peak_flops",
-        "efficiency": "section4b.kurth.efficiency",
-    },
-    "scaling_yang": {
-        "peak_flops": "section4b.yang.peak_flops",
-        "efficiency": "section4b.yang.efficiency",
-    },
-    "scaling_laanait": {
-        "peak_flops": "section4b.laanait.peak_flops",
-        "global_batch": "section4b.laanait.global_batch",
-    },
-    "scaling_khan": {
-        "efficiency": "section4b.khan.efficiency",
-    },
-    "scaling_blanchard": {
-        "peak_flops": "section4b.blanchard.peak_flops",
-        "efficiency_with_io": "section4b.blanchard.efficiency_with_io",
-        "efficiency_without_io": "section4b.blanchard.efficiency_without_io",
-        "max_global_batch": "section4b.blanchard.max_global_batch",
-    },
-    "section6b_read_requirement": {
-        "required_bandwidth": "section6b.read_requirement",
-        "shared_fs_bandwidth": "section6b.gpfs_read_bandwidth",
-        "nvme_bandwidth": "section6b.nvme_read_bandwidth",
-        "shared_fs_feasible": "section6b.gpfs_feasible",
-        "nvme_feasible": "section6b.nvme_feasible",
-    },
-    "section6b_allreduce": {
-        "resnet50_seconds": "section6b.resnet50_allreduce_time",
-        "bert_large_seconds": "section6b.bert_large_allreduce_time",
-    },
-}
-
-
-def verdicts_for(name: str, scalars: dict[str, Any]) -> dict | None:
-    """Registry verdicts for one benchmark record, or None if unmapped.
-
-    For every scalar of benchmark ``name`` bound to a registry key, returns
-    ``{scalar: {expectation, paper, expected, cmp, rel_error, passed}}`` —
-    the machine-readable pass/fail that rides inside ``BENCH_<name>.json``.
-    """
-    bindings = BENCH_BINDINGS.get(name)
-    if not bindings:
-        return None
-    out: dict[str, dict] = {}
-    for scalar_key, registry_key in bindings.items():
-        if scalar_key not in scalars:
-            continue
-        result = get_expectation(registry_key).compare(scalars[scalar_key])
-        out[scalar_key] = {
-            "expectation": registry_key,
-            "paper": result.paper,
-            "expected": result.expected,
-            "cmp": result.cmp,
-            "rel_error": result.rel_error,
-            "passed": result.passed,
-        }
-    return out or None

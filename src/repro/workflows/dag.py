@@ -394,10 +394,12 @@ class TaskGraph:
         }
         run = WorkflowRun(makespan=0.0, start_times={}, end_times={})
         procs: dict[str, object] = {}
-        # deterministic node-index assignment for per-node trace tracks
+        # deterministic node-index assignment for per-node trace tracks,
+        # kept only for the facilities small enough to get them
         free_nodes = {
             key: list(range(fac.nodes))
             for key, fac in self.facilities.items()
+            if fac.nodes <= DEFAULT_MAX_NODE_TRACKS
         }
 
         def trace(category: str, name: str, payload=None, duration=None):
@@ -445,9 +447,10 @@ class TaskGraph:
             )
             for node_span in node_spans:
                 telemetry.end(node_span)
-            pool_free = free_nodes[task.facility]
-            pool_free.extend(assigned)
-            pool_free.sort()
+            if assigned:
+                pool_free = free_nodes[task.facility]
+                pool_free.extend(assigned)
+                pool_free.sort()
             m = telemetry.metrics
             m.histogram("dag.attempt_seconds").record(wall)
             m.counter("dag.busy_node_seconds").inc(wall * task.nodes)

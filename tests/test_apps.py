@@ -15,6 +15,7 @@ from repro.errors import ConfigurationError
 from repro.portfolio import reference as ref
 from repro.portfolio.taxonomy import Motif
 from repro.training.parallelism import DataSource
+from repro.training.scaling import ScalingStudy
 
 
 class TestGordonBellRegistry:
@@ -141,3 +142,22 @@ class TestExtremeScaleApps:
         for key, app in EXTREME_SCALE_APPS.items():
             claims = ref.EXTREME_SCALE_CLAIMS[key]
             assert app.peak_nodes == claims["nodes"]
+
+    @pytest.mark.parametrize("key", sorted(EXTREME_SCALE_APPS))
+    def test_weak_scaling_peak_is_the_simulated_peak(self, key, results):
+        """A ScalingStudy sweep's peak point carries the exact numbers the
+        registry judges through ``simulate()``."""
+        app = EXTREME_SCALE_APPS[key]
+        peak = ScalingStudy(app.job(app.baseline_nodes)).weak_scaling(
+            [app.baseline_nodes, app.peak_nodes]
+        )[-1]
+        assert peak.sustained_flops == results[key]["measured_flops"]
+        assert peak.efficiency == results[key]["measured_efficiency"]
+        assert peak.global_batch == app.job(app.peak_nodes).global_batch()
+
+    def test_yang_shards_each_replica_across_a_node(self):
+        # model parallelism on top of data parallelism (GAN batch limits)
+        assert get_app("yang").plan.model_shards == 6
+
+    def test_khan_trains_with_lamb(self):
+        assert ref.EXTREME_SCALE_CLAIMS["khan"]["optimizer"] == "lamb"

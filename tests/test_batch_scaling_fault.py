@@ -97,6 +97,7 @@ class TestFaultDetectionWorkflow:
         result = workflow.run(n_frames=100, fault_probability=0.05)
         assert result.faults_injected > 0
         assert result.recall >= 0.75
+        assert result.false_alarms <= 5
         assert result.rollbacks >= result.faults_detected
         assert result.final_energy_finite
 

@@ -67,6 +67,11 @@ class TestCheckpointPlan:
             "optimal_interval"
         ]
 
+    def test_nvme_wins_checkpointing_at_4096_nodes(self):
+        plan = CheckpointPlan(100e9, 4096, 5 * 365 * 24 * 3600.0)
+        tiers = plan.compare_tiers(SUMMIT_NVME, SUMMIT_GPFS)
+        assert tiers["nvme"]["overhead"] < tiers["shared_fs"]["overhead"]
+
     def test_more_nodes_more_overhead(self):
         small = CheckpointPlan(100e9, 64, 5 * 365 * 24 * 3600.0)
         large = CheckpointPlan(100e9, 4096, 5 * 365 * 24 * 3600.0)
@@ -132,6 +137,24 @@ class TestRoutingUnderPatterns:
                 Router(tree, RoutingPolicy.ADAPTIVE).route(flows).max_load,
             )
         assert worst_adaptive <= worst_static
+
+    def test_adaptive_never_loses_and_wins_on_shuffle(self, tree):
+        patterns = {
+            "ring": ring_pattern(32),
+            "permutation": permutation_pattern(32, seed=3),
+            "incast": incast_pattern(32),
+        }
+        loads = {
+            name: {
+                policy: Router(tree, policy).route(flows).max_load
+                for policy in RoutingPolicy
+            }
+            for name, flows in patterns.items()
+        }
+        static, adaptive = RoutingPolicy.STATIC, RoutingPolicy.ADAPTIVE
+        for name, row in loads.items():
+            assert row[adaptive] <= row[static] + 1e-9, name
+        assert loads["permutation"][adaptive] < loads["permutation"][static]
 
     def test_incast_bottleneck_is_the_target_link(self, tree):
         flows = incast_pattern(32, target=0)

@@ -131,6 +131,45 @@ class TestCommands:
         assert captured.err.startswith("error: [ConfigurationError]")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("flag", ["--mtbf-years", "--state-gb"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e308"])
+    def test_resilience_rejects_non_finite_inputs(self, capsys, flag, value):
+        # 1e308 years or GB overflows to infinite seconds or bytes
+        assert main(["resilience", "--analytic-only", flag, value]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: [ConfigurationError]")
+        assert captured.err.count("\n") == 1
+
+    def test_io_rejects_zero_nodes(self, capsys):
+        # --nodes 0 used to fall back to the full machine
+        assert main(["io", "--nodes", "0"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: [ConfigurationError]")
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--compute-ms", "nan"),
+        ("--compute-ms", "-5"),
+        ("--compute-ms", "inf"),
+        ("--message-mb", "102.4,nan"),
+    ])
+    def test_sweep_crossover_rejects_non_positive_numbers(
+        self, capsys, flag, value
+    ):
+        assert main(["sweep", "--crossover", flag, value]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: [ConfigurationError] {flag}")
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--compute-ms", "10"),
+        ("--message-mb", "5"),
+    ])
+    def test_crossover_flags_need_crossover(self, capsys, flag, value):
+        assert main(["sweep", "--nodes", "64", flag, value]) == 3
+        assert f"{flag} needs --crossover" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [
         ["verify"],
         ["survey"],

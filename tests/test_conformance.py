@@ -8,15 +8,11 @@ structural auditors run over the session-scoped report fixture, and the
 pinned here too.
 """
 
-import importlib.util
 import json
-import sys
-from pathlib import Path
 
 import pytest
 
 from repro.verify import (
-    BENCH_BINDINGS,
     VerifyContext,
     build_registry,
     expectation_sections,
@@ -53,13 +49,6 @@ def test_every_section4b_app_has_registry_entries():
     keys = set(REGISTRY_KEYS)
     for app in ("kurth", "yang", "laanait", "khan", "blanchard"):
         assert any(k.startswith(f"section4b.{app}.") for k in keys), app
-
-
-def test_bench_bindings_reference_real_expectations():
-    for name, bindings in BENCH_BINDINGS.items():
-        assert bindings, name
-        for registry_key in bindings.values():
-            get_expectation(registry_key)  # raises on unknown key
 
 
 def test_get_expectation_rejects_unknown_key():
@@ -209,55 +198,6 @@ def test_cli_verify_list(capsys):
     out = capsys.readouterr().out
     assert "section4b.kurth.peak_flops" in out
     assert "Sec. VI-B" in out
-
-
-# ---------------------------------------------------------------------------
-# Benchmark-record verdict embedding (satellite)
-# ---------------------------------------------------------------------------
-
-
-def _load_record_module():
-    path = Path(__file__).resolve().parent.parent / "benchmarks" / "_record.py"
-    spec = importlib.util.spec_from_file_location("bench_record", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_bench_record_embeds_conformance_verdicts(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_BENCH_DIR", str(tmp_path))
-    record = _load_record_module().record
-
-    path = record(
-        "scaling_kurth",
-        {"peak_flops": 1.13e18, "efficiency": 0.907, "nodes": 4560},
-    )
-    payload = json.loads(path.read_text())
-    verdicts = payload["conformance"]
-    assert verdicts["peak_flops"]["expectation"] == "section4b.kurth.peak_flops"
-    assert verdicts["peak_flops"]["passed"] is True
-    assert verdicts["peak_flops"]["rel_error"] == pytest.approx(0.0)
-    assert verdicts["efficiency"]["paper"] == "Sec. IV-B.1"
-    assert "nodes" not in verdicts  # unbound scalars carry no verdict
-
-
-def test_bench_record_flags_drifted_value(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_BENCH_DIR", str(tmp_path))
-    record = _load_record_module().record
-
-    path = record("scaling_kurth", {"peak_flops": 2.0e18})
-    verdict = json.loads(path.read_text())["conformance"]["peak_flops"]
-    assert verdict["passed"] is False
-    assert verdict["rel_error"] > 0.5
-
-
-def test_bench_record_unmapped_benchmark_has_no_verdicts(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_BENCH_DIR", str(tmp_path))
-    record = _load_record_module().record
-
-    path = record("cost_sweep", {"speedup": 1600.0})
-    assert json.loads(path.read_text())["conformance"] is None
 
 
 # ---------------------------------------------------------------------------

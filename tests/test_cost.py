@@ -9,6 +9,7 @@ formulas it replaced.
 """
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from repro.cost import (
 )
 from repro.errors import CapacityError, ConfigurationError
 from repro.machine.gpu import NVIDIA_V100
+from repro.machine.spec import SUMMIT
 from repro.machine.summit import summit
 from repro.models.catalog import resnet50
 from repro.network.collectives import (
@@ -444,6 +446,65 @@ class TestCrossoverHelpers:
             latency=1e-6, compute_time=0.05,
         )
         assert crossover_nodes(r) == 2.0
+
+    @pytest.mark.parametrize("step", [2, 512])
+    def test_crossover_surface_reproduces_paper_estimates(self, step):
+        """Section VI-B read off the sweep surface: 102.4 MB -> ~8 ms and
+        1.4 GB -> ~110 ms at Summit's injection bandwidth. The full ring
+        adds latency terms, so at the widest count it is slower than the
+        paper's closed form, converging for the large message. At a 50 ms
+        step ResNet-50 never crosses over; BERT-large always does."""
+        result = crossover_sweep(
+            np.array([102.4e6, 1.4e9]),
+            np.arange(2, SUMMIT.node_count + 1, step),
+            SUMMIT.injection_bandwidth,
+            latency=SUMMIT.injection_latency, compute_time=0.05,
+        )
+        paper = result.term("paper_estimate")[:, 0]
+        assert paper[0] == pytest.approx(8e-3, rel=0.05)
+        assert paper[1] == pytest.approx(110e-3, rel=0.05)
+        ring_full = result.term("comm")[:, -1]
+        assert np.all(ring_full > paper)
+        assert ring_full[1] == pytest.approx(paper[1], rel=0.15)
+        cross = crossover_nodes(result)
+        assert np.isnan(cross[0])
+        assert cross[1] == result.axes["n_ranks"][0]
+
+
+class TestSweepSpeed:
+    def test_vectorised_sweep_beats_scalar_loop(self):
+        """On the 160-point crossover grid, every point evaluating all three
+        allreduce algorithms, one vectorised pass is bit-identical to the
+        scalar loop and at least 2x faster (best of 3 runs each)."""
+        model = DataParallelCrossoverModel()
+        grid = {
+            "message_bytes": np.linspace(10e6, 2e9, 10),
+            "n_ranks": np.array([2, 64, 1024, SUMMIT.node_count]),
+            "bandwidth": np.linspace(12.5e9, 50e9, 4),
+        }
+        fixed = dict(latency=SUMMIT.injection_latency, compute_time=0.05,
+                     allreduce_algorithm="best")
+
+        def best_of_3(run):
+            seconds = []
+            for _ in range(3):
+                t0 = time.perf_counter()
+                result = run(model, grid, **fixed)
+                seconds.append(time.perf_counter() - t0)
+            return result, min(seconds)
+
+        fast, t_vec = best_of_3(sweep)
+        slow, t_scalar = best_of_3(sweep_scalar)
+        assert set(fast.breakdown) == set(slow.breakdown)
+        for term in fast.breakdown:
+            assert np.array_equal(
+                np.asarray(fast.term(term), dtype=float), slow.term(term)
+            ), term
+        assert np.array_equal(np.asarray(fast.total(), dtype=float), slow.total())
+        assert t_scalar / t_vec >= 2.0, (
+            f"vectorised sweep only {t_scalar / t_vec:.1f}x faster than "
+            f"the scalar loop (need >= 2x)"
+        )
 
 
 class TestStepModelErrors:

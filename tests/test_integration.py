@@ -83,6 +83,18 @@ class TestTimeToSolutionStoryline:
         lars_speedup = times_lars[0] / times_lars[1]
         assert lars_speedup > 2 * sgd_speedup
 
+    def test_layerwise_optimizers_win_time_to_solution_at_1024_nodes(self):
+        job = TrainingJob(
+            resnet50(), summit(include_high_mem=False), 1024,
+            ParallelismPlan(local_batch=64),
+        )
+        times = {
+            opt: time_to_solution(job, RESNET50_CONVERGENCE, opt)
+            for opt in ("sgd", "momentum", "lars", "lamb")
+        }
+        assert times["lars"] < times["sgd"]
+        assert times["lamb"] < times["momentum"]
+
     def test_optimizers_train_a_real_network_equally_well(self):
         """The numpy optimizers aren't just cost-model labels: LARS/LAMB
         actually train the real MLP to the same loss as tuned SGD."""
@@ -161,6 +173,39 @@ class TestExtremeScaleAblation:
         degraded_plan = dataclasses.replace(app.plan, accumulation_steps=1)
         degraded = dataclasses.replace(app, plan=degraded_plan)
         assert degraded.job(app.peak_nodes).breakdown().comm_fraction > base
+
+    def test_blanchard_accumulation_raises_throughput(self):
+        app = get_app("blanchard")
+        rates = {}
+        for k in (1, 8):
+            plan = dataclasses.replace(app.plan, accumulation_steps=k)
+            job = dataclasses.replace(app, plan=plan).job(app.peak_nodes)
+            b = job.breakdown()
+            rates[k] = b.samples / b.total
+        assert rates[8] > rates[1]
+
+    def test_kurth_overlap_hides_exposed_comm(self):
+        app = get_app("kurth")
+        exposed = []
+        for fraction in (0.0, 0.5, 0.9):
+            plan = dataclasses.replace(app.plan, overlap_fraction=fraction)
+            job = dataclasses.replace(app, plan=plan).job(app.peak_nodes)
+            exposed.append(job.breakdown().comm_exposed)
+        assert exposed == sorted(exposed, reverse=True)
+
+    def test_pinned_ring_hits_the_latency_wall_for_small_gradients(self):
+        """DeePMD's ~4 MB gradient in a 4096-way ring is latency-bound;
+        tuned algorithm selection avoids that wall."""
+        comm = {}
+        for algo in (None, AllreduceAlgorithm.RING):
+            job = TrainingJob(
+                get_model("deepmd"), summit(include_high_mem=False), 4096,
+                ParallelismPlan(local_batch=8, overlap_fraction=0.0,
+                                allreduce_algorithm=algo),
+                DataSource.MEMORY,
+            )
+            comm[algo] = job.breakdown().comm
+        assert comm[AllreduceAlgorithm.RING] > comm[None]
 
     def test_yang_without_model_parallelism_needs_more_memory(self):
         """Yang's model parallelism exists because of GAN batch limits; with

@@ -54,6 +54,25 @@ class TestRegistry:
         for spec in (FRONTIER_LIKE, PERLMUTTER_LIKE, TPU_POD_LIKE):
             assert spec.provenance == "estimated"
 
+    def test_faster_fabrics_push_bert_large_crossover_out(self):
+        """Section VI-B per machine: at a 50 ms step, BERT-large's gradient
+        is communication-bound on Summit within 4,096 nodes, and a faster
+        fabric crosses over no earlier (or never)."""
+        sizes = np.array([get_model(m).gradient_bytes
+                          for m in ("resnet50", "bert_large")])
+        bert = {}
+        for name in machine_names():
+            spec = get_machine(name)
+            ranks = np.arange(2, min(4096, spec.node_count) + 1)
+            cross = crossover_nodes(machine_crossover_sweep(
+                sizes, ranks, machine=spec, compute_time=0.05))
+            bert[name] = cross[1]
+        summit = get_machine("summit")
+        assert summit.injection_bandwidth == SUMMIT.injection_bandwidth
+        assert not np.isnan(bert["summit"])
+        for name in ("frontier-like", "perlmutter-like"):
+            assert np.isnan(bert[name]) or bert[name] >= bert["summit"], name
+
     def test_unknown_machine_raises_with_choices(self):
         with pytest.raises(ConfigurationError, match="frontier-like"):
             get_machine("el-capitan")

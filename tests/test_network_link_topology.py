@@ -1,5 +1,7 @@
 """Tests for repro.network.link, .topology and .routing."""
 
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -44,6 +46,18 @@ class TestLinkSpec:
             LinkSpec(latency=1e-6, bandwidth=0)
         with pytest.raises(ConfigurationError):
             LinkSpec(latency=1e-6, bandwidth=1e9, rails=0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("latency", math.nan),
+        ("latency", math.inf),
+        ("bandwidth", math.nan),
+        ("bandwidth", math.inf),
+    ])
+    def test_non_finite_specs_rejected(self, field, value):
+        spec = dict(latency=1e-6, bandwidth=1e9)
+        spec[field] = value
+        with pytest.raises(ConfigurationError, match=field):
+            LinkSpec(**spec)
 
     @given(st.floats(min_value=1, max_value=1e12))
     def test_transfer_time_monotone_in_size(self, size):

@@ -238,6 +238,19 @@ class TestGeneratedPortfolio:
                 inactive / total
             )
 
+    def test_fig2_stated_shape(self, analytics):
+        """Section III's reading of Fig. 2: INCITE adoption "grown steadily",
+        ALCC heavier in 2019 than 2021, COVID heavy and ECP light."""
+        active = {
+            cohort: row[AdoptionStatus.ACTIVE]
+            for cohort, row in analytics.usage_by_program_year().items()
+        }
+        incite = [active[(Program.INCITE, y)] for y in (2019, 2020, 2021, 2022)]
+        assert incite == sorted(incite)
+        assert active[(Program.ALCC, 2019)] > active[(Program.ALCC, 2021)]
+        assert active[(Program.COVID, 2020)] > 0.5
+        assert active[(Program.ECP, 2020)] < 0.2
+
     def test_fig3_method_shares(self, analytics):
         usage = analytics.usage_by_method()
         for method, share in ref.METHOD_SHARES.items():
@@ -257,6 +270,10 @@ class TestGeneratedPortfolio:
         assert set(top) == {
             Domain.BIOLOGY, Domain.COMPUTER_SCIENCE, Domain.MATERIALS
         }
+
+    def test_fig4_chemistry_mostly_indirect(self, analytics):
+        table = analytics.usage_by_domain()
+        assert table[Domain.CHEMISTRY][AdoptionStatus.ACTIVE] <= 5
 
     def test_fig5_motif_counts_exact(self, analytics):
         counts = analytics.usage_by_motif()

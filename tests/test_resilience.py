@@ -668,6 +668,18 @@ class TestSchedulerFaults:
         with pytest.raises(ConfigurationError):
             FaultModel(max_requeues=-1)
 
+    @pytest.mark.parametrize("field, value", [
+        ("node_mtbf_seconds", math.nan),
+        ("node_mtbf_seconds", math.inf),
+        ("checkpoint_interval", math.nan),
+        ("checkpoint_interval", math.inf),
+    ])
+    def test_non_finite_fault_model_rejected(self, field, value):
+        # a NaN MTBF used to run fault-free; an infinite interval made
+        # committed_before return NaN
+        with pytest.raises(ConfigurationError, match="finite"):
+            FaultModel(**{field: value})
+
 
 # -- report and goodput wiring ------------------------------------------------------
 
@@ -734,6 +746,19 @@ class TestGoodput:
         assert shared.analytical_overhead is not None
         assert nvme.analytical_overhead is not None
         assert shared.analytical_overhead > nvme.analytical_overhead
+
+    @pytest.mark.parametrize("field, value", [
+        ("node_mtbf_seconds", math.nan),
+        ("node_mtbf_seconds", math.inf),
+        ("state_bytes_per_node", math.nan),
+        ("state_bytes_per_node", math.inf),
+    ])
+    def test_non_finite_inputs_rejected(self, field, value):
+        from repro.apps.extreme_scale import get_app
+        from repro.training.goodput import GoodputModel
+
+        with pytest.raises(ConfigurationError, match="finite"):
+            GoodputModel(job=get_app("khan").job(8), **{field: value})
 
     def test_analytic_only_report_is_self_consistent(self):
         from repro.apps.extreme_scale import get_app

@@ -218,5 +218,35 @@ class TestCampaignGeneration:
         jobs = campaign_from_portfolio(sample, jobs_per_project=2,
                                        horizon=24 * 3600.0, seed=4)
         result = Scheduler(4608).run(jobs)
-        assert 0.0 < result.ai_share < 1.0
+        assert 0.2 < result.ai_share < 0.8
         assert result.delivered_node_hours > 0
+
+
+class TestPolicyAblation:
+    """A 1,000-job day on Summit under each queue policy (Section II-B:
+    allocation favours jobs that need the full capability)."""
+
+    @pytest.fixture(scope="class")
+    def results(self):
+        projects = generate_portfolio()
+        rng = np.random.default_rng(1)
+        sample = [projects[i]
+                  for i in rng.choice(len(projects), 250, replace=False)]
+        jobs = campaign_from_portfolio(
+            sample, jobs_per_project=4, horizon=24 * 3600.0, seed=0
+        )
+        return {
+            policy: Scheduler(4608, policy).run(jobs)
+            for policy in (Policy.FIFO, Policy.CAPABILITY,
+                           Policy.SMALLEST_FIRST)
+        }
+
+    def test_capability_cuts_wide_job_wait(self, results):
+        wide = {policy: r.mean_wait_wide for policy, r in results.items()}
+        assert wide[Policy.CAPABILITY] < wide[Policy.FIFO]
+        assert wide[Policy.CAPABILITY] < wide[Policy.SMALLEST_FIRST]
+        assert results[Policy.CAPABILITY].utilization > 0.8
+
+    def test_ai_share_of_delivered_hours(self, results):
+        """Section II-C's alternative metric: AI/ML share of node-hours."""
+        assert 0.2 < results[Policy.CAPABILITY].ai_share < 0.8

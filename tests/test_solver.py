@@ -143,3 +143,8 @@ class TestSolverStudy:
         results = solver_study(n=16, n_snapshots=60, n_solves=5, seed=1)
         assert results["deflated"] < results["jacobi"] <= results["plain"] + 1
         assert results["deflated"] < 0.7 * results["plain"]
+
+    def test_learned_deflation_on_400_unknowns(self):
+        results = solver_study(n=20, n_snapshots=100, n_solves=8, seed=0)
+        assert results["deflated"] < 0.6 * results["plain"]
+        assert results["deflated"] < results["jacobi"]

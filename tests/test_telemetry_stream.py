@@ -2,6 +2,8 @@
 deterministic shard stitcher (byte-identity at every shard size, including
 one-record shards), and the bounded-memory incremental aggregators."""
 
+import tracemalloc
+
 import pytest
 
 from repro.errors import ConfigurationError, CorruptLog
@@ -84,6 +86,36 @@ class TestShardedJsonlSink:
         assert [r["type"] for r in iter_shard_records(tmp_path / "s")] == [
             "instant"
         ]
+
+    def test_spilling_keeps_peak_memory_flat_in_trace_length(self, tmp_path):
+        """The point of the sink: a sharded handle's traced peak does not
+        grow with the trace, while an in-memory handle's grows with it."""
+
+        def traced_peak(n_spans, directory=None):
+            tracemalloc.start()
+            try:
+                sink = None
+                if directory is not None:
+                    sink = ShardedJsonlSink(directory, shard_max_bytes=64 * 1024)
+                telemetry = Telemetry(sink=sink)
+                for i in range(n_spans):
+                    span = telemetry.begin("step", "bench", facility="f",
+                                           time=float(i), attrs={"i": i})
+                    if i % 10 == 0:
+                        telemetry.sample("nodes", float(i % 8), 8.0,
+                                         time=float(i), facility="f")
+                    telemetry.end(span, time=float(i) + 0.5)
+                telemetry.close()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        in_memory = [traced_peak(n) for n in (500, 2_000)]
+        sharded = [traced_peak(n, tmp_path / f"s{n}") for n in (500, 2_000)]
+        assert in_memory[1] > 3 * in_memory[0]
+        assert sharded[1] < 1.25 * sharded[0]
+        assert sharded[1] < 0.5 * in_memory[1]
+        assert len(shard_paths(tmp_path / "s2000")) > 1
 
     def test_rejects_nonpositive_shard_size(self, tmp_path):
         with pytest.raises(ConfigurationError, match="positive"):
