@@ -449,7 +449,7 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
             "out": args.out,
             "n_trace_events": len(trace["traceEvents"]),
             "n_spans": len(tel.finished_spans()),
-            "n_instants": len(tel.instants),
+            "n_instants": sum(r["type"] == "instant" for r in tel.records),
             "results": results,
             "metrics": tel.metrics.as_dict(),
         }
@@ -485,14 +485,13 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
 
 def _cmd_events(args: argparse.Namespace) -> int:
     """Tail (or catch up on) a running campaign server's event stream."""
-    import json
+    from repro.segmentlog import canonical_json
 
     client = _service_client(args)
 
     def emit(frame) -> None:
         if args.json:
-            print(json.dumps(frame.to_wire(), sort_keys=True,
-                             separators=(",", ":")), flush=True)
+            print(canonical_json(frame.to_wire()), flush=True)
         else:
             payload = frame.payload
             label = payload.get("type", payload.get("name", "?"))

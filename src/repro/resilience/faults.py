@@ -11,6 +11,7 @@ represents the work running on the failed node.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -30,8 +31,8 @@ class NodeFailureModel:
     node_mtbf_seconds: float = DEFAULT_NODE_MTBF_SECONDS
 
     def __post_init__(self) -> None:
-        if self.node_mtbf_seconds <= 0:
-            raise ConfigurationError("node MTBF must be positive")
+        if not 0.0 < self.node_mtbf_seconds < math.inf:  # NaN fails too
+            raise ConfigurationError("node MTBF must be positive and finite")
 
     def system_mtbf(self, n_nodes: int) -> float:
         """Job-wide MTBF: failure rates add across ``n_nodes`` nodes."""

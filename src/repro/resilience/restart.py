@@ -15,6 +15,7 @@ failures, which is exactly what :mod:`repro.resilience.validate` checks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
@@ -72,13 +73,19 @@ def simulate_checkpoint_restart(
     per compute segment, checkpoint write and restart delay (facility
     "job"), the injector's fault instants, and restart counters/histograms;
     the simulated timeline is identical with telemetry on or off.
+
+    Every argument is checked before the run starts, each check written so
+    that NaN fails it. An infinite ``interval`` means "never checkpoint".
     """
-    if work_seconds <= 0:
-        raise ConfigurationError("work_seconds must be positive")
-    if interval <= 0:
+    if not 0.0 < work_seconds < math.inf:
+        raise ConfigurationError("work_seconds must be positive and finite")
+    if not interval > 0:
         raise ConfigurationError("checkpoint interval must be positive")
-    if write_time < 0 or restart_delay < 0:
-        raise ConfigurationError("write/restart times must be non-negative")
+    if not (0.0 <= write_time < math.inf and 0.0 <= restart_delay < math.inf):
+        raise ConfigurationError(
+            "write/restart times must be non-negative and finite"
+        )
+    failure_model = NodeFailureModel(node_mtbf_seconds)
 
     engine = Engine(telemetry)
     stats = {
@@ -155,9 +162,7 @@ def simulate_checkpoint_restart(
         return committed
 
     proc = engine.spawn(job(), name="checkpointed-job")
-    injector = FailureInjector(
-        engine, NodeFailureModel(node_mtbf_seconds), seed=seed
-    )
+    injector = FailureInjector(engine, failure_model, seed=seed)
     injector.attach(proc, n_nodes)
     engine.run()
 

@@ -25,15 +25,24 @@ from typing import Any, Iterable, Iterator
 from repro.atomicio import fsync_dir
 from repro.errors import ConfigurationError, CorruptLog
 
-__all__ = ["LogReader", "SegmentWriter", "decode_line", "encode_line",
-           "segment_paths"]
+__all__ = ["LogReader", "SegmentWriter", "canonical_json", "decode_line",
+           "encode_line", "segment_paths"]
 
 SUFFIX = ".jsonl"
 
 
+def canonical_json(obj: Any) -> str:
+    """The one canonical JSON encoding: sorted keys, no spaces, ASCII.
+
+    Log lines, telemetry exports, pubsub frames and the service's socket
+    messages all use it, so equal values always give equal bytes.
+    """
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
 def encode_line(record: dict[str, Any]) -> bytes:
     """One log line: the CRC prefix, the canonical JSON body, a newline."""
-    body = json.dumps(record, sort_keys=True, separators=(",", ":")).encode()
+    body = canonical_json(record).encode()
     return b"%08x %b\n" % (zlib.crc32(body), body)
 
 

@@ -43,6 +43,7 @@ from typing import Any
 
 from repro.atomicio import atomic_write_text
 from repro.errors import ConfigurationError, ServiceError
+from repro.segmentlog import canonical_json
 
 from repro.service.client import ServiceClient
 from repro.service.handlers import run_job
@@ -246,8 +247,7 @@ class ChaosOutcome:
     @property
     def results_json(self) -> str:
         """Canonical encoding, for byte-identity comparisons."""
-        return json.dumps(self.results, sort_keys=True,
-                          separators=(",", ":"))
+        return canonical_json(self.results)
 
 
 def _python_env() -> dict[str, str]:

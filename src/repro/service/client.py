@@ -33,6 +33,7 @@ from typing import Any, Iterable
 import repro.errors as _errors
 from repro.errors import ProtocolError, ReproError, Saturated, ServiceError
 from repro.resilience.retry import RetryPolicy
+from repro.segmentlog import canonical_json
 
 from repro.service.pubsub import Frame, read_frame
 from repro.service.spec import CampaignSpec, JobSpec
@@ -83,10 +84,7 @@ class ServiceClient:
         with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
             sock.settimeout(self.timeout_s)
             sock.connect(self.socket_path)
-            sock.sendall(
-                json.dumps(payload, sort_keys=True,
-                           separators=(",", ":")).encode("utf-8") + b"\n"
-            )
+            sock.sendall(canonical_json(payload).encode("utf-8") + b"\n")
             chunks: list[bytes] = []
             while True:
                 chunk = sock.recv(1 << 20)
@@ -228,13 +226,9 @@ class ServiceClient:
                 self.timeout_s if timeout_s is None else timeout_s
             )
             sock.connect(self.socket_path)
-            sock.sendall(
-                json.dumps(
-                    {"op": "subscribe", "topic": topic,
-                     "since_seq": since_seq},
-                    sort_keys=True, separators=(",", ":"),
-                ).encode("utf-8") + b"\n"
-            )
+            sock.sendall(canonical_json({
+                "op": "subscribe", "topic": topic, "since_seq": since_seq,
+            }).encode("utf-8") + b"\n")
             with sock.makefile("rb") as fh:
                 ack_line = fh.readline()
                 if not ack_line:

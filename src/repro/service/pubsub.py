@@ -52,6 +52,7 @@ from dataclasses import dataclass, field
 from typing import Any, BinaryIO, Iterable
 
 from repro.errors import ProtocolError, ServiceError
+from repro.segmentlog import canonical_json
 
 __all__ = [
     "FRAME_VERSION",
@@ -111,9 +112,7 @@ def eos_frame(topic: str) -> Frame:
 
 def encode_frame(frame: Frame) -> bytes:
     """``<byte-len>\\n<canonical-json-body>\\n`` — self-delimiting."""
-    body = json.dumps(
-        frame.to_wire(), sort_keys=True, separators=(",", ":")
-    ).encode("utf-8")
+    body = canonical_json(frame.to_wire()).encode("utf-8")
     return str(len(body)).encode("ascii") + b"\n" + body + b"\n"
 
 

@@ -46,6 +46,7 @@ from repro.errors import (
     ServiceError,
 )
 from repro.exec.cache import ResultCache, content_key
+from repro.segmentlog import canonical_json
 from repro.telemetry import Telemetry
 
 from repro.service.journal import Journal, read_journal
@@ -550,8 +551,7 @@ class CampaignServer:
 
 
 def _json_bytes(payload: dict[str, Any]) -> bytes:
-    return json.dumps(payload, sort_keys=True,
-                      separators=(",", ":")).encode("utf-8") + b"\n"
+    return canonical_json(payload).encode("utf-8") + b"\n"
 
 
 def _error_bytes(exc: ReproError) -> bytes:

@@ -11,6 +11,7 @@ intervals and less lost work.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.cost import kernels
@@ -28,12 +29,13 @@ class CheckpointPlan:
     node_mtbf_seconds: float  # mean time between failures of ONE node
 
     def __post_init__(self) -> None:
-        if self.state_bytes_per_node <= 0:
-            raise ConfigurationError("state size must be positive")
+        # each check is written so that NaN fails it
+        if not 0.0 < self.state_bytes_per_node < math.inf:
+            raise ConfigurationError("state size must be positive and finite")
         if self.n_nodes < 1:
             raise ConfigurationError("need at least one node")
-        if self.node_mtbf_seconds <= 0:
-            raise ConfigurationError("MTBF must be positive")
+        if not 0.0 < self.node_mtbf_seconds < math.inf:
+            raise ConfigurationError("MTBF must be positive and finite")
 
     @property
     def system_mtbf(self) -> float:
@@ -55,20 +57,19 @@ class CheckpointPlan:
 
     def optimal_interval(self, write_time: float) -> float:
         """Young's optimal checkpoint interval: sqrt(2 * delta * MTBF)."""
-        if write_time <= 0:
-            raise ConfigurationError("write time must be positive")
+        _check_write_time(write_time)
         return kernels.young_interval(write_time, self.system_mtbf)
 
     def overhead_fraction(self, write_time: float, interval: float | None = None) -> float:
         """Expected fraction of wall-clock lost to checkpointing + rework.
 
         First-order model: checkpoint cost ``delta / tau`` plus expected
-        rework ``(tau / 2 + delta) / MTBF``.
+        rework ``(tau / 2 + delta) / MTBF``. An infinite ``interval``
+        means "never checkpoint" (unbounded expected rework).
         """
-        if write_time <= 0:
-            raise ConfigurationError("write time must be positive")
+        _check_write_time(write_time)
         tau = interval if interval is not None else self.optimal_interval(write_time)
-        if tau <= 0:
+        if not tau > 0:
             raise ConfigurationError("interval must be positive")
         return kernels.young_overhead(write_time, tau, self.system_mtbf)
 
@@ -87,3 +88,8 @@ class CheckpointPlan:
                 "overhead": self.overhead_fraction(write_time),
             }
         return out
+
+
+def _check_write_time(write_time: float) -> None:
+    if not 0.0 < write_time < math.inf:
+        raise ConfigurationError("write time must be positive and finite")

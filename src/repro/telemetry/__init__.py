@@ -6,18 +6,20 @@ simulation stack behind one opt-in :class:`Telemetry` handle and exported
 as Chrome trace-event JSON (Perfetto-loadable), JSON-lines, or a text
 summary. See the README's "Observability" section for a walkthrough.
 
-Each closed record is encoded once as a wire record
-(:mod:`~repro.telemetry.spans`) and handed to one ``emit(record)`` on the
-handle's sink and taps. One rollup, :class:`ShardAggregator`, totals span
-categories and step-integrates counter samples, both for the text
-``summary`` of an in-memory handle and for a spilled shard directory.
+A closed span, instant or sample takes one form, in memory and on disk:
+its wire record, a plain dict built once (:mod:`~repro.telemetry.spans`)
+and handed to one ``emit(record)`` on the handle's record list or sink and
+on its taps. The exporters, ``absorb`` and :func:`load_shards` read only
+records. One rollup, :class:`ShardAggregator`, totals span categories and
+step-integrates counter samples, both for the text ``summary`` of an
+in-memory handle and for a spilled shard directory.
 
 >>> from repro.telemetry import Telemetry
 >>> tel = Telemetry(clock=lambda: 0.0)
 >>> with tel.span("step", "training") as sp:
 ...     tel.metrics.counter("steps").inc()
->>> len(tel.finished_spans())
-1
+>>> [(r["name"], r["start"], r["end"]) for r in tel.finished_spans()]
+[('step', 0.0, 0.0)]
 """
 
 from repro.telemetry.context import DEFAULT_MAX_NODE_TRACKS, Telemetry
@@ -36,7 +38,7 @@ from repro.telemetry.metrics import (
     Histogram,
     MetricsRegistry,
 )
-from repro.telemetry.spans import CounterSample, InstantEvent, Span
+from repro.telemetry.spans import Span
 from repro.telemetry.stream import (
     DEFAULT_SHARD_MAX_BYTES,
     ShardAggregator,
@@ -53,10 +55,8 @@ __all__ = [
     "DEFAULT_SECONDS_EDGES",
     "DEFAULT_SHARD_MAX_BYTES",
     "Counter",
-    "CounterSample",
     "Gauge",
     "Histogram",
-    "InstantEvent",
     "MetricsRegistry",
     "ShardAggregator",
     "ShardedJsonlSink",

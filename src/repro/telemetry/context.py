@@ -18,37 +18,49 @@ Wall-clock instrumentation (cost-sweep stage timing) passes explicit
 ``perf_counter`` offsets instead — keep simulated and wall traces in
 separate handles.
 
-Storage is pluggable: by default records accumulate in the in-memory
-lists, but a ``sink`` (any :class:`~repro.telemetry.stream.SpanSink`, e.g.
-the sharded JSONL spiller) replaces the lists entirely — records stream
-out as they close and the handle stays O(1) in memory. ``add_tap``
-registers *observers* that see every closed record in both modes without
-changing where records live — the live pubsub hub in :mod:`repro.service`
-is a tap. The sink and the taps form one output list: each closed record
-is encoded once, as its wire record (:mod:`repro.telemetry.spans`), and
-handed to every output's ``emit(record)`` in turn.
+Storage is pluggable, and every closed record takes one form: its wire
+record, a plain dict (:mod:`repro.telemetry.spans`), built once and handed
+to each output's ``emit(record)`` in turn. By default the output is the
+handle's own record list (:attr:`Telemetry.records`); a ``sink`` (any
+:class:`~repro.telemetry.stream.SpanSink`, e.g. the sharded JSONL spiller)
+takes its place — records stream out as they close and the handle stays
+O(1) in memory. ``add_tap`` registers *observers* that see every closed
+record in both modes without changing where records live — the live
+pubsub hub in :mod:`repro.service` is a tap.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
+from operator import itemgetter
 from typing import Any, Callable
 
 from repro.errors import ConfigurationError
 
 from repro.telemetry.metrics import MetricsRegistry
-from repro.telemetry.spans import (
-    CounterSample,
-    InstantEvent,
-    Span,
-    instant_record,
-    sample_record,
-    span_record,
-)
+from repro.telemetry.spans import Span, clean_attrs, span_record
 
 #: Above this many nodes a facility gets per-task tracks instead of
 #: per-node tracks — a 4 608-node machine as 4 608 Perfetto rows is noise.
 DEFAULT_MAX_NODE_TRACKS = 256
+
+
+def split_records(
+    records: list[dict[str, Any]],
+) -> tuple[list[dict[str, Any]], list[dict[str, Any]], list[dict[str, Any]]]:
+    """Span, instant and sample records, in export order.
+
+    Spans close in *end* order; sorting them by id restores begin order
+    (ids are issued sequentially at ``begin``), which is all the exporters
+    key on. Instants and samples keep their record order.
+    """
+    by_type: dict[str, list[dict[str, Any]]] = {
+        "span": [], "instant": [], "sample": [],
+    }
+    for record in records:
+        by_type[record["type"]].append(record)
+    by_type["span"].sort(key=itemgetter("id"))
+    return by_type["span"], by_type["instant"], by_type["sample"]
 
 
 class Telemetry:
@@ -57,12 +69,15 @@ class Telemetry:
     def __init__(self, clock: Callable[[], float] | None = None, sink=None):
         self.clock = clock
         self.sink = sink
-        self.spans: list[Span] = []
-        self.instants: list[InstantEvent] = []
-        self.samples: list[CounterSample] = []
         self.metrics = MetricsRegistry()
-        # every closed record goes to each of these: the sink, then taps
-        self._outputs: list[Any] = [] if sink is None else [sink]
+        # every closed record goes to each of these in turn: the record
+        # list (in memory) or the sink, then the taps
+        self._records: list[dict[str, Any]] | None = None
+        if sink is None:
+            self._records = []
+            self._outputs = [self._records.append]
+        else:
+            self._outputs = [sink.emit]
         self._next_id = 1
 
     # -- sinks and taps ------------------------------------------------------------
@@ -71,15 +86,31 @@ class Telemetry:
         """Register an observer for every closed span/instant/sample.
 
         Taps never change where records are stored — they run in both
-        in-memory and sink mode, after the sink and in registration order,
-        synchronously at record time; ``tap.emit(record)`` receives the
-        wire record.
+        in-memory and sink mode, after the sink or record list and in
+        registration order, synchronously at record time;
+        ``tap.emit(record)`` receives the wire record.
         """
-        self._outputs.append(tap)
+        self._outputs.append(tap.emit)
 
     def _emit(self, record: dict[str, Any]) -> None:
-        for output in self._outputs:
-            output.emit(record)
+        for emit in self._outputs:
+            emit(record)
+
+    @property
+    def records(self) -> list[dict[str, Any]]:
+        """Every closed span, instant and sample as its wire record, in
+        close order (spans at ``end``, instants and samples when made).
+
+        Only an in-memory handle keeps its records; a sink-backed handle
+        raises, because they were spilled.
+        """
+        if self._records is None:
+            raise ConfigurationError(
+                "records are unavailable on a sink-backed handle — they "
+                "were spilled; aggregate from the shards instead "
+                "(repro.telemetry.stream)"
+            )
+        return self._records
 
     def flush(self) -> None:
         """Flush the sink (a no-op for in-memory handles).
@@ -98,14 +129,6 @@ class Telemetry:
         """
         if self.sink is not None:
             self.sink.close(self.metrics)
-
-    def _guard_materialized(self, what: str) -> None:
-        if self.sink is not None:
-            raise ConfigurationError(
-                f"{what} is unavailable on a sink-backed handle — records "
-                "were spilled; aggregate from the shards instead "
-                "(repro.telemetry.stream)"
-            )
 
     # -- clock -------------------------------------------------------------------
 
@@ -141,8 +164,6 @@ class Telemetry:
             attrs=dict(attrs),
         )
         self._next_id += 1
-        if self.sink is None:
-            self.spans.append(span)
         return span
 
     def end(self, span: Span, time: float | None = None, **attrs: Any) -> Span:
@@ -155,8 +176,7 @@ class Telemetry:
                 f"span {span.name!r} ends before it starts"
             )
         span.attrs.update(attrs)
-        if self._outputs:
-            self._emit(span_record(span))
+        self._emit(span_record(span))
         return span
 
     @contextmanager
@@ -180,12 +200,14 @@ class Telemetry:
         finally:
             self.end(span)
 
-    def finished_spans(self, category: str | None = None) -> list[Span]:
-        self._guard_materialized("finished_spans")
-        return [
-            s for s in self.spans
-            if s.finished and (category is None or s.category == category)
-        ]
+    def finished_spans(
+        self, category: str | None = None
+    ) -> list[dict[str, Any]]:
+        """Span records in id (begin) order, optionally of one category."""
+        spans, _, _ = split_records(self.records)
+        if category is None:
+            return spans
+        return [s for s in spans if s["cat"] == category]
 
     # -- instants and samples ----------------------------------------------------
 
@@ -198,20 +220,14 @@ class Telemetry:
         track: str = "main",
         time: float | None = None,
         **attrs: Any,
-    ) -> InstantEvent:
-        event = InstantEvent(
-            time=self.now() if time is None else time,
-            name=name,
-            category=category,
-            facility=facility,
-            track=track,
-            attrs=dict(attrs),
-        )
-        if self.sink is None:
-            self.instants.append(event)
-        if self._outputs:
-            self._emit(instant_record(event))
-        return event
+    ) -> None:
+        """Record a zero-duration mark — a fault injection, a requeue."""
+        self._emit({
+            "type": "instant", "name": name, "cat": category,
+            "facility": facility, "track": track,
+            "time": self.now() if time is None else time,
+            "attrs": clean_attrs(attrs),
+        })
 
     def sample(
         self,
@@ -223,92 +239,48 @@ class Telemetry:
         time: float | None = None,
     ) -> None:
         """Record one occupancy/queue-depth sample for a counter track."""
-        sample = CounterSample(
-            time=self.now() if time is None else time,
-            resource=resource,
-            value=value,
-            capacity=capacity,
-            facility=facility,
-        )
-        if self.sink is None:
-            self.samples.append(sample)
-        if self._outputs:
-            self._emit(sample_record(sample))
+        self._emit({
+            "type": "sample", "resource": resource,
+            "time": self.now() if time is None else time,
+            "value": value, "capacity": capacity, "facility": facility,
+        })
 
     # -- replica merging ---------------------------------------------------------
 
     def absorb(self, other: "Telemetry", suffix: str | None = None) -> None:
         """Fold a replica's telemetry into this handle, keeping the tree valid.
 
-        Span ids are re-issued from this handle's counter with parent links
-        remapped (a parent is always begun before its children, so the
-        mapping is complete by the time a child arrives). Instants and
-        counter samples append; metrics merge via
-        :meth:`MetricsRegistry.merge`. The absorbed handle must be
-        discarded afterwards — its records now belong to this one.
+        ``other`` must be in-memory; it is read, not changed. It issued
+        its span ids 1, 2, … at begin, so its ids and parent links shift
+        past this handle's ids by one offset. Its records go through this
+        handle's outputs — span records in id order, then instants, then
+        samples — so a sink-backed handle streams the merge and stays O(1)
+        in merged-trace memory. Metrics merge via
+        :meth:`MetricsRegistry.merge`. Spans ``other`` left open count as
+        begun but are never recorded.
 
         ``suffix`` namespaces the absorbed records — appended to every
         facility and counter-resource name. Replica merges need it: each
         replica re-runs the same simulated timeline, so without distinct
         resource names their occupancy samples would interleave
         non-monotonically (and their Perfetto tracks would overlap).
-
-        Sink-aware: when *this* handle spills to a sink, the absorbed
-        handle's finished spans, instants and samples are emitted straight
-        to the sink (and taps) instead of the lists — the replica merge
-        stays O(1) in merged-trace memory. The absorbed handle itself must
-        be in-memory (its records have to be readable to merge).
         """
-        import dataclasses
-
-        if other.sink is not None:
-            raise ConfigurationError(
-                "cannot absorb a sink-backed handle — its records were "
-                "spilled; merge its shard files instead"
-            )
-        mapping: dict[int, int] = {}
-        for span in other.spans:
-            new_id = self._next_id
-            self._next_id += 1
-            mapping[span.span_id] = new_id
-            span.span_id = new_id
-            if span.parent_id is not None:
-                if span.parent_id not in mapping:
-                    raise ConfigurationError(
-                        f"span {span.name!r} references parent "
-                        f"#{span.parent_id} outside the absorbed handle"
-                    )
-                span.parent_id = mapping[span.parent_id]
-            if suffix:
-                span.facility = f"{span.facility}{suffix}"
-            if self.sink is None:
-                self.spans.append(span)
-            if span.finished and self._outputs:
-                # an unfinished span could still be ended via the merged
-                # handle in list mode, but outputs only ever see closed
-                # records — finish spans before absorbing into a spiller
-                self._emit(span_record(span))
-        instants = other.instants
-        samples = other.samples
-        if suffix:
-            instants = [
-                dataclasses.replace(e, facility=f"{e.facility}{suffix}")
-                for e in other.instants
-            ]
-            samples = [
-                dataclasses.replace(
-                    s,
-                    facility=f"{s.facility}{suffix}",
-                    resource=f"{s.resource}{suffix}",
-                )
-                for s in other.samples
-            ]
-        if self.sink is None:
-            self.instants.extend(instants)
-            self.samples.extend(samples)
-        if self._outputs:
-            for event in instants:
-                self._emit(instant_record(event))
-            for sample in samples:
-                self._emit(sample_record(sample))
+        spans, instants, samples = split_records(other.records)
+        offset = self._next_id - 1
+        suffix = suffix or ""
+        for record in spans:
+            parent = record["parent"]
+            self._emit({
+                **record, "id": record["id"] + offset,
+                "parent": None if parent is None else parent + offset,
+                "facility": record["facility"] + suffix,
+            })
+        for record in instants:
+            self._emit({**record, "facility": record["facility"] + suffix})
+        for record in samples:
+            self._emit({
+                **record, "facility": record["facility"] + suffix,
+                "resource": record["resource"] + suffix,
+            })
+        self._next_id += other._next_id - 1
         self.metrics.merge(other.metrics)

@@ -6,25 +6,22 @@ per node/resource/task, complete ``X`` events for spans, process-scoped
 ``i`` instants for fault injections and requeues, and ``C`` counter tracks
 for resource occupancy. Timestamps are microseconds of simulated time.
 
-All exporters are deterministic: pids and tids are assigned in first-
-appearance order, records serialize in record order, and the JSON encoder
-uses sorted keys and fixed separators — identical runs produce
-byte-identical files (the property the test suite pins).
+Every exporter reads only the handle's wire records (``Telemetry.records``)
+and metrics. All are deterministic: spans export in id (begin) order,
+instants and samples in record order, pids and tids are assigned in first-
+appearance order, and the one canonical JSON encoder
+(:func:`repro.segmentlog.canonical_json`) sorts keys and fixes separators —
+identical runs produce byte-identical files (the property the test suite
+pins).
 """
 
 from __future__ import annotations
 
-import json
 from typing import Any, Iterator
 
-from repro.telemetry.context import Telemetry
+from repro.segmentlog import canonical_json
+from repro.telemetry.context import Telemetry, split_records
 from repro.telemetry.metrics import metric_records
-from repro.telemetry.spans import (
-    clean_attrs,
-    instant_record,
-    sample_record,
-    span_record,
-)
 from repro.telemetry.stream import ShardAggregator
 
 #: Seconds -> trace microseconds.
@@ -54,47 +51,45 @@ class _Layout:
 
 def chrome_trace(telemetry: Telemetry) -> dict:
     """The trace as a Trace-Event-Format object (``traceEvents`` + units)."""
-    telemetry._guard_materialized("export")
     layout = _Layout()
-    spans = []
-    for span in telemetry.spans:
-        if not span.finished:
-            continue
-        assert span.end is not None
-        spans.append({
+    spans, instants, samples = split_records(telemetry.records)
+    spans = [
+        {
             "ph": "X",
-            "name": span.name,
-            "cat": span.category,
-            "pid": layout.pid(span.facility),
-            "tid": layout.tid(span.facility, span.track),
-            "ts": span.start * _US,
-            "dur": (span.end - span.start) * _US,
-            "args": clean_attrs({"span_id": span.span_id,
-                                 "parent_id": span.parent_id, **span.attrs}),
-        })
+            "name": record["name"],
+            "cat": record["cat"],
+            "pid": layout.pid(record["facility"]),
+            "tid": layout.tid(record["facility"], record["track"]),
+            "ts": record["start"] * _US,
+            "dur": (record["end"] - record["start"]) * _US,
+            "args": {"span_id": record["id"], "parent_id": record["parent"],
+                     **record["attrs"]},
+        }
+        for record in spans
+    ]
     instants = [
         {
             "ph": "i",
             "s": "p",
-            "name": event.name,
-            "cat": event.category,
-            "pid": layout.pid(event.facility),
-            "tid": layout.tid(event.facility, event.track),
-            "ts": event.time * _US,
-            "args": clean_attrs(event.attrs),
+            "name": record["name"],
+            "cat": record["cat"],
+            "pid": layout.pid(record["facility"]),
+            "tid": layout.tid(record["facility"], record["track"]),
+            "ts": record["time"] * _US,
+            "args": record["attrs"],
         }
-        for event in telemetry.instants
+        for record in instants
     ]
     counters = [
         {
             "ph": "C",
-            "name": sample.resource,
-            "pid": layout.pid(sample.facility),
+            "name": record["resource"],
+            "pid": layout.pid(record["facility"]),
             "tid": 0,
-            "ts": sample.time * _US,
-            "args": {"in_use": sample.value},
+            "ts": record["time"] * _US,
+            "args": {"in_use": record["value"]},
         }
-        for sample in telemetry.samples
+        for record in samples
     ]
     metadata = []
     for facility, pid in layout.pids.items():
@@ -121,9 +116,7 @@ def chrome_trace(telemetry: Telemetry) -> dict:
 
 def chrome_trace_json(telemetry: Telemetry) -> str:
     """Byte-stable serialization of :func:`chrome_trace`."""
-    return json.dumps(
-        chrome_trace(telemetry), sort_keys=True, separators=(",", ":")
-    )
+    return canonical_json(chrome_trace(telemetry))
 
 
 def write_chrome_trace(telemetry: Telemetry, path: str) -> None:
@@ -137,29 +130,19 @@ def write_chrome_trace(telemetry: Telemetry, path: str) -> None:
     atomic_write_text(path, chrome_trace_json(telemetry) + "\n")
 
 
-def encode_record(record: dict[str, Any]) -> str:
-    """Canonical one-line encoding shared by every JSONL writer."""
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
-
-
 def iter_jsonl_records(telemetry: Telemetry) -> Iterator[dict[str, Any]]:
     """Records in export order: spans, instants, samples, then metrics."""
-    telemetry._guard_materialized("export")
-    for span in telemetry.spans:
-        if not span.finished:
-            continue
-        yield span_record(span)
-    for event in telemetry.instants:
-        yield instant_record(event)
-    for sample in telemetry.samples:
-        yield sample_record(sample)
+    spans, instants, samples = split_records(telemetry.records)
+    yield from spans
+    yield from instants
+    yield from samples
     yield from metric_records(telemetry.metrics)
 
 
 def to_jsonl(telemetry: Telemetry) -> str:
     """One JSON object per line: spans, instants, samples, then metrics."""
     return "\n".join(
-        encode_record(record) for record in iter_jsonl_records(telemetry)
+        canonical_json(record) for record in iter_jsonl_records(telemetry)
     )
 
 
@@ -175,7 +158,7 @@ def write_jsonl(telemetry: Telemetry, path: str) -> None:
 
     with atomic_writer(path) as fh:
         for record in iter_jsonl_records(telemetry):
-            fh.write(encode_record(record).encode("utf-8") + b"\n")
+            fh.write(canonical_json(record).encode("utf-8") + b"\n")
 
 
 def summary(telemetry: Telemetry) -> str:
@@ -190,7 +173,7 @@ def summary(telemetry: Telemetry) -> str:
     lines = [
         "Telemetry summary",
         f"  spans                {rollup.n_spans} complete / "
-        f"{len(telemetry.spans)} recorded",
+        f"{telemetry._next_id - 1} recorded",  # ids are issued at begin
         f"  instant events       {rollup.n_instants}",
     ]
     for cat in sorted(rollup.by_category):

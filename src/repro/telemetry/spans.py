@@ -1,4 +1,4 @@
-"""Span and instant-event records for the telemetry layer.
+"""The open-span handle and the span wire record.
 
 A :class:`Span` is one timed interval of simulated (or wall-clock) time with
 an explicit parent link — no thread-locals, no global "current span": the
@@ -10,10 +10,12 @@ exporters emit: one trace *process* per facility (a machine, the scheduler
 queue, the workflow layer) and one *track* (thread row) per node, resource
 or task within it.
 
-Each record type has one wire encoding beside it (:func:`span_record`,
-:func:`instant_record`, :func:`sample_record`): the plain dict that JSONL
-exports, telemetry shards and pubsub frames all carry, and that
-:class:`~repro.telemetry.stream.ShardAggregator` rolls up.
+A closed span lives on only as its wire record (:func:`span_record`), the
+plain dict that in-memory handles keep, JSONL exports, telemetry shards
+and pubsub frames all carry, and that
+:class:`~repro.telemetry.stream.ShardAggregator` rolls up. Instants and
+counter samples have no handle: ``Telemetry.instant`` and
+``Telemetry.sample`` build their records directly.
 """
 
 from __future__ import annotations
@@ -54,31 +56,6 @@ class Span:
         return f"<Span #{self.span_id} {self.name} [{when}]>"
 
 
-@dataclass(frozen=True)
-class InstantEvent:
-    """A zero-duration mark — a fault injection, a requeue, a trace event."""
-
-    time: float
-    name: str
-    category: str
-    facility: str = "sim"
-    track: str = "main"
-    attrs: dict[str, Any] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class CounterSample:
-    """One sample of a monotonically-stepped quantity (resource occupancy,
-    queue depth) — the raw material of counter tracks and utilization
-    step-integrals."""
-
-    time: float
-    resource: str
-    value: float
-    capacity: float | None = None
-    facility: str = "sim"
-
-
 def clean_attrs(attrs: dict[str, Any]) -> dict[str, Any]:
     """JSON-safe args: scalars pass through, anything else goes via repr."""
     out: dict[str, Any] = {}
@@ -93,33 +70,13 @@ def clean_attrs(attrs: dict[str, Any]) -> dict[str, Any]:
 def span_record(span: Span) -> dict[str, Any]:
     """The wire record for one finished span.
 
-    One wire format, three consumers: ``to_jsonl`` lines, the
-    :class:`~repro.telemetry.stream.ShardedJsonlSink` shard lines, and the
-    pubsub ``spans`` topic payloads — so a record read back from any of
-    them re-exports byte-identically (``clean_attrs`` is idempotent and
-    JSON float repr round-trips exactly).
+    A record read back from a shard or a pubsub frame re-exports
+    byte-identically (``clean_attrs`` is idempotent and JSON float repr
+    round-trips exactly).
     """
     return {
         "type": "span", "id": span.span_id, "name": span.name,
         "cat": span.category, "facility": span.facility,
         "track": span.track, "start": span.start, "end": span.end,
         "parent": span.parent_id, "attrs": clean_attrs(span.attrs),
-    }
-
-
-def instant_record(event: InstantEvent) -> dict[str, Any]:
-    """The wire record for one instant event."""
-    return {
-        "type": "instant", "name": event.name, "cat": event.category,
-        "facility": event.facility, "track": event.track,
-        "time": event.time, "attrs": clean_attrs(event.attrs),
-    }
-
-
-def sample_record(sample: CounterSample) -> dict[str, Any]:
-    """The wire record for one counter sample."""
-    return {
-        "type": "sample", "resource": sample.resource,
-        "time": sample.time, "value": sample.value,
-        "capacity": sample.capacity, "facility": sample.facility,
     }

@@ -9,12 +9,13 @@ format shared with ``to_jsonl`` and the service's pubsub frames.
 
 Two consumers read the shards back:
 
-- :func:`load_shards` — the deterministic stitcher: materializes a full
-  :class:`Telemetry` handle whose Chrome-trace / JSONL / summary exports
-  are **byte-identical** to what the in-memory run would have produced, at
-  any shard size (gated by ``audit_streaming_identity`` in
-  :mod:`repro.verify`). Spans spill in *end* order; re-sorting by span id
-  restores begin order, which is all the exporters key on.
+- :func:`load_shards` — the deterministic stitcher: the spilled records
+  become the records of an in-memory :class:`Telemetry` handle whose
+  Chrome-trace / JSONL / summary exports are **byte-identical** to what
+  the in-memory run would have produced, at any shard size (gated by
+  ``audit_streaming_identity`` in :mod:`repro.verify`). Spans spill in
+  *end* order, just as an in-memory handle keeps them; the exporters
+  re-sort by span id, which restores begin order.
 - :class:`ShardAggregator` — the one telemetry rollup: span-duration
   stats per category (:class:`CategoryStats`), utilization step-integrals
   per resource (:class:`UtilizationAccumulator`) and the
@@ -45,7 +46,6 @@ from repro import segmentlog
 from repro.errors import ConfigurationError
 from repro.telemetry.context import Telemetry
 from repro.telemetry.metrics import MetricsRegistry, metric_records
-from repro.telemetry.spans import CounterSample, InstantEvent, Span
 
 __all__ = [
     "DEFAULT_SHARD_MAX_BYTES",
@@ -179,47 +179,29 @@ def _restore_metric(metrics: MetricsRegistry, record: dict[str, Any]) -> None:
 
 
 def load_shards(directory: str | Path) -> Telemetry:
-    """Stitch a shard directory back into a materialized handle.
+    """Stitch a shard directory back into an in-memory handle.
 
-    Deterministic: spans re-sort by span id (begin order — ids are issued
-    sequentially at ``begin``), instants and samples keep spill order
-    (their record order), metrics restore from the registry records. The
-    result's ``chrome_trace_json`` / ``to_jsonl`` / ``summary`` exports are
-    byte-identical to the in-memory run's at any shard size.
+    Deterministic: the span, instant and sample records become the
+    handle's records in spill order (the exporters sort spans by id),
+    metrics restore from the registry records, and the span-id counter
+    resumes past the largest id. The result's ``chrome_trace_json`` /
+    ``to_jsonl`` / ``summary`` exports are byte-identical to the in-memory
+    run's at any shard size.
     """
     telemetry = Telemetry()
-    spans: list[Span] = []
+    records = telemetry.records
     for record in iter_shard_records(directory):
         kind = record["type"]
-        if kind == "span":
-            spans.append(Span(
-                span_id=record["id"], name=record["name"],
-                category=record["cat"], start=record["start"],
-                facility=record["facility"], track=record["track"],
-                parent_id=record["parent"], end=record["end"],
-                attrs=dict(record["attrs"]),
-            ))
-        elif kind == "instant":
-            telemetry.instants.append(InstantEvent(
-                time=record["time"], name=record["name"],
-                category=record["cat"], facility=record["facility"],
-                track=record["track"], attrs=dict(record["attrs"]),
-            ))
-        elif kind == "sample":
-            telemetry.samples.append(CounterSample(
-                time=record["time"], resource=record["resource"],
-                value=record["value"], capacity=record["capacity"],
-                facility=record["facility"],
-            ))
-        elif kind in _METRIC_TYPES:
+        if kind in _METRIC_TYPES:
             _restore_metric(telemetry.metrics, record)
-        else:
+            continue
+        if kind not in ("span", "instant", "sample"):
             raise ConfigurationError(
                 f"unknown telemetry record type {kind!r} in shards"
             )
-    spans.sort(key=lambda s: s.span_id)
-    telemetry.spans = spans
-    telemetry._next_id = (spans[-1].span_id + 1) if spans else 1
+        records.append(record)
+        if kind == "span" and record["id"] >= telemetry._next_id:
+            telemetry._next_id = record["id"] + 1
     return telemetry
 
 

@@ -154,35 +154,38 @@ def audit_span_tree(telemetry=None, seed: int = 0) -> InvariantResult:
     failures: list[str] = []
 
     spans = telemetry.finished_spans()
-    by_id = {s.span_id: s for s in spans}
+    by_id = {s["id"]: s for s in spans}
     if not spans:
         failures.append("no finished spans recorded")
     for s in spans:
-        if s.end is None or s.end < s.start:
-            failures.append(f"span #{s.span_id} {s.name!r} has end < start")
-        if s.parent_id is not None:
-            parent = by_id.get(s.parent_id)
+        span_id, parent_id = s["id"], s["parent"]
+        if s["end"] < s["start"]:
+            failures.append(f"span #{span_id} {s['name']!r} has end < start")
+        if parent_id is not None:
+            parent = by_id.get(parent_id)
             if parent is None:
                 failures.append(
-                    f"span #{s.span_id} {s.name!r} has unknown parent "
-                    f"#{s.parent_id}"
+                    f"span #{span_id} {s['name']!r} has unknown parent "
+                    f"#{parent_id}"
                 )
                 continue
-            if s.parent_id >= s.span_id:
+            if parent_id >= span_id:
                 failures.append(
-                    f"span #{s.span_id} opened before its parent #{s.parent_id}"
+                    f"span #{span_id} opened before its parent #{parent_id}"
                 )
-            if s.start < parent.start:
+            if s["start"] < parent["start"]:
                 failures.append(
-                    f"span #{s.span_id} starts before parent #{s.parent_id}"
+                    f"span #{span_id} starts before parent #{parent_id}"
                 )
 
     if run is not None:
         # counter/span accounting parity: the dag.* counters must re-derive
         # from the attempt spans' own attributes.
-        attempts = [s for s in spans if s.category == "task"]
-        busy = sum(s.attrs["wall"] * s.attrs["nodes"] for s in attempts)
-        useful = sum(s.attrs["gained"] * s.attrs["nodes"] for s in attempts)
+        attempts = [s for s in spans if s["cat"] == "task"]
+        busy = sum(s["attrs"]["wall"] * s["attrs"]["nodes"] for s in attempts)
+        useful = sum(
+            s["attrs"]["gained"] * s["attrs"]["nodes"] for s in attempts
+        )
         counters = telemetry.metrics
         for name, derived in (
             ("dag.busy_node_seconds", busy),

@@ -84,6 +84,29 @@ class TestCheckpointPlan:
         with pytest.raises(ConfigurationError):
             CheckpointPlan(1e9, 8, 1e6).optimal_interval(0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_plan_rejected(self, value):
+        with pytest.raises(ConfigurationError, match="finite"):
+            CheckpointPlan(value, 8, 1e6)
+        with pytest.raises(ConfigurationError, match="finite"):
+            CheckpointPlan(1e9, 8, value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_write_time_rejected(self, value):
+        plan = CheckpointPlan(1e9, 8, 1e6)
+        with pytest.raises(ConfigurationError, match="finite"):
+            plan.optimal_interval(value)
+        with pytest.raises(ConfigurationError, match="finite"):
+            plan.overhead_fraction(value)
+        with pytest.raises(ConfigurationError, match="finite"):
+            plan.overhead_fraction(value, interval=100.0)
+
+    def test_nan_interval_rejected_infinite_means_never(self):
+        plan = CheckpointPlan(1e9, 8, 1e6)
+        with pytest.raises(ConfigurationError, match="interval"):
+            plan.overhead_fraction(10.0, interval=math.nan)
+        assert plan.overhead_fraction(10.0, interval=math.inf) == math.inf
+
     @settings(max_examples=25)
     @given(st.floats(min_value=1.0, max_value=1e4))
     def test_overhead_positive(self, delta):

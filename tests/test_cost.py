@@ -372,7 +372,7 @@ class TestCompositionAndProtocol:
         assert staged.terms.keys() == plain.terms.keys()
         for term in plain.terms:
             assert np.array_equal(staged[term], plain[term])
-        assert [s.name for s in telemetry.finished_spans()] == [
+        assert [s["name"] for s in telemetry.finished_spans()] == [
             "double", "plus_one",
         ]
 

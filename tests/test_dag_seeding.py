@@ -133,7 +133,7 @@ def test_bad_seed_rejected_before_any_task_runs(rate, seed):
     telemetry = Telemetry()
     with pytest.raises(ConfigurationError, match="seed"):
         _small_graph(rate).execute(seed=seed, telemetry=telemetry)
-    assert not telemetry.instants and not telemetry.finished_spans()
+    assert not telemetry.records
 
 
 def test_later_tasks_leave_earlier_streams_alone():

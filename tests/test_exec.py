@@ -137,12 +137,12 @@ class TestTelemetryMerge:
         tel.end(inner)
         tel.end(span)
         clone = pickle.loads(pickle.dumps(tel))
-        assert sorted(s.name for s in clone.finished_spans()) == [
+        assert sorted(s["name"] for s in clone.finished_spans()) == [
             "inner", "outer",
         ]
         # id allocation continues past the restored spans
         new = clone.begin("later", "test", facility="f", track="t")
-        assert new.span_id > max(s.span_id for s in clone.finished_spans())
+        assert new.span_id > max(s["id"] for s in clone.finished_spans())
 
 
 # -- result cache -----------------------------------------------------------------

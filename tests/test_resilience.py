@@ -173,6 +173,11 @@ class TestNodeFailureModel:
         with pytest.raises(ConfigurationError):
             NodeFailureModel(1.0).system_mtbf(0)
 
+    @pytest.mark.parametrize("mtbf", [math.nan, math.inf, -math.inf])
+    def test_non_finite_mtbf_rejected(self, mtbf):
+        with pytest.raises(ConfigurationError, match="finite"):
+            NodeFailureModel(node_mtbf_seconds=mtbf)
+
 
 class TestFailureInjector:
     def test_injects_and_interrupts_victim(self):
@@ -429,6 +434,30 @@ class TestRestartSimulation:
         with pytest.raises(ConfigurationError):
             simulate_checkpoint_restart(10.0, 1.0, -0.1, 1, 100.0)
 
+    @pytest.mark.parametrize("name, value", [
+        ("work_seconds", math.nan), ("work_seconds", math.inf),
+        ("interval", math.nan),
+        ("write_time", math.nan), ("write_time", math.inf),
+        ("restart_delay", math.nan), ("restart_delay", math.inf),
+        ("node_mtbf_seconds", math.nan), ("node_mtbf_seconds", math.inf),
+    ])
+    def test_non_finite_arguments_rejected_before_the_run(self, name, value):
+        kwargs = dict(work_seconds=10.0, interval=1.0, write_time=0.1,
+                      n_nodes=4, node_mtbf_seconds=1e6)
+        kwargs[name] = value
+        telemetry = Telemetry()
+        with pytest.raises(ConfigurationError):
+            simulate_checkpoint_restart(**kwargs, telemetry=telemetry)
+        assert not telemetry.records
+
+    def test_infinite_interval_never_checkpoints(self):
+        stats = simulate_checkpoint_restart(
+            work_seconds=500.0, interval=math.inf, write_time=5.0,
+            n_nodes=1, node_mtbf_seconds=1e15, seed=0,
+        )
+        assert stats.n_checkpoints == 0
+        assert stats.wall_seconds == 500.0
+
 
 class TestYoungDalyValidation:
     def test_summit_scale_point_within_tolerance(self):
@@ -546,7 +575,8 @@ class TestDagFailures:
         assert run.n_retries == run.n_failures
         assert run.attempts["train"] == run.n_failures + 1
         trace = [
-            e.category for e in telemetry.instants if e.facility == "trace"
+            r["cat"] for r in telemetry.records
+            if r["type"] == "instant" and r["facility"] == "trace"
         ]
         assert trace.count("failure") == run.n_failures
         assert trace.count("retry") == run.n_failures

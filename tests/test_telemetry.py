@@ -72,7 +72,7 @@ class TestSpans:
             with tel.span("work", "task", time=0.0):
                 raise RuntimeError("boom")
         (span,) = tel.finished_spans()
-        assert span.finished
+        assert span["end"] is not None
 
     def test_bound_clock_supplies_times(self):
         tel = Telemetry()
@@ -245,7 +245,9 @@ class TestScenarioDeterminism:
 
     def test_dag_scenario_has_faults_and_node_tracks(self):
         tel = run_scenario("dag", seed=0).telemetry
-        assert any(e.category == "fault" for e in tel.instants)
+        assert any(
+            r["type"] == "instant" and r["cat"] == "fault" for r in tel.records
+        )
         trace = chrome_trace(tel)
         tracks = {
             e["args"]["name"]
@@ -281,8 +283,10 @@ class TestInstrumentationProperties:
         attributes — metrics and spans are two views of one accounting."""
         tel = run_scenario("dag", seed=seed).telemetry
         attempts = tel.finished_spans(category="task")
-        busy = sum(s.attrs["wall"] * s.attrs["nodes"] for s in attempts)
-        useful = sum(s.attrs["gained"] * s.attrs["nodes"] for s in attempts)
+        busy = sum(s["attrs"]["wall"] * s["attrs"]["nodes"] for s in attempts)
+        useful = sum(
+            s["attrs"]["gained"] * s["attrs"]["nodes"] for s in attempts
+        )
         m = tel.metrics
         assert busy == pytest.approx(
             m.counter("dag.busy_node_seconds").value, rel=1e-12
@@ -292,7 +296,9 @@ class TestInstrumentationProperties:
         )
         # attempt wall-clock also matches the span durations themselves
         for s in attempts:
-            assert s.duration == pytest.approx(s.attrs["wall"], abs=1e-9)
+            assert s["end"] - s["start"] == pytest.approx(
+                s["attrs"]["wall"], abs=1e-9
+            )
 
     @given(st.integers(min_value=0, max_value=40))
     @SLOW_SETTINGS

@@ -2,9 +2,13 @@
 deterministic shard stitcher (byte-identity at every shard size, including
 one-record shards), and the bounded-memory incremental aggregators."""
 
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, CorruptLog
 from repro.segmentlog import encode_line
@@ -21,8 +25,11 @@ from repro.telemetry import (
     summary,
     to_jsonl,
 )
+from repro.telemetry.context import split_records
 from repro.telemetry.export import iter_jsonl_records
 from repro.telemetry.scenarios import run_scenario, run_scenario_replicas
+
+from tests.hypothesis_settings import STANDARD_SETTINGS
 
 
 def _spill_scenario(tmp_path, name="dag", seed=0, shard_max_bytes=4096):
@@ -40,9 +47,10 @@ class TestShardedJsonlSink:
     def test_spills_and_counts_every_record(self, tmp_path):
         baseline = run_scenario("dag", seed=0).telemetry
         directory, sink = _spill_scenario(tmp_path)
-        assert sink.n_spans == len(baseline.spans)
-        assert sink.n_instants == len(baseline.instants)
-        assert sink.n_samples == len(baseline.samples)
+        spans, instants, samples = split_records(baseline.records)
+        assert sink.n_spans == len(spans)
+        assert sink.n_instants == len(instants)
+        assert sink.n_samples == len(samples)
         assert sink.n_shards == len(shard_paths(directory)) > 1
 
     def test_one_record_per_shard_at_minimum_size(self, tmp_path):
@@ -135,6 +143,8 @@ class TestShardedJsonlSink:
             pass
         with pytest.raises(ConfigurationError, match="sink-backed"):
             telemetry.finished_spans()
+        with pytest.raises(ConfigurationError, match="sink-backed"):
+            telemetry.records
         with pytest.raises(ConfigurationError, match="spilled"):
             chrome_trace_json(telemetry)
 
@@ -167,8 +177,9 @@ class TestShardStitcher:
     def test_restores_span_id_allocator(self, tmp_path):
         directory, sink = _spill_scenario(tmp_path)
         stitched = load_shards(directory)
-        assert stitched._next_id == max(s.span_id for s in stitched.spans) + 1
-        assert sink.n_spans == len(stitched.spans)
+        spans = stitched.finished_spans()
+        assert stitched._next_id == max(s["id"] for s in spans) + 1
+        assert sink.n_spans == len(spans)
 
     def test_empty_directory_raises(self, tmp_path):
         with pytest.raises(ConfigurationError, match="no telemetry shards"):
@@ -203,15 +214,14 @@ class TestShardAggregator:
         for record in iter_shard_records(directory):
             aggregator.consume(record)
 
-        assert aggregator.n_spans == len(baseline.spans)
-        assert aggregator.n_instants == len(baseline.instants)
-        assert aggregator.n_samples == len(baseline.samples)
+        spans, instants, samples = split_records(baseline.records)
+        assert aggregator.n_spans == len(spans)
+        assert aggregator.n_instants == len(instants)
+        assert aggregator.n_samples == len(samples)
         assert aggregator.n_root_spans == sum(
-            1 for s in baseline.spans if s.parent_id is None
+            1 for s in spans if s["parent"] is None
         )
-        assert aggregator.max_span_id == max(
-            s.span_id for s in baseline.spans
-        )
+        assert aggregator.max_span_id == max(s["id"] for s in spans)
         # a sequential ``+=`` oracle over the spilled records lands on the
         # rollup's bits exactly (same additions, same order)
         totals: dict[str, float] = {}
@@ -272,8 +282,8 @@ class TestShardAggregator:
         directory, _ = _spill_scenario(tmp_path)
         rollup = ShardAggregator().consume_directory(directory)
         for category, stats in rollup.by_category.items():
-            durations = [s.duration for s in baseline.spans
-                         if s.category == category]
+            durations = [s["end"] - s["start"]
+                         for s in baseline.finished_spans(category)]
             assert stats.n == len(durations)
             assert stats.min == min(durations)
             assert stats.max == max(durations)
@@ -281,3 +291,132 @@ class TestShardAggregator:
     def test_empty_directory_raises(self, tmp_path):
         with pytest.raises(ConfigurationError, match="no telemetry shards"):
             ShardAggregator().consume_directory(tmp_path)
+
+
+# -- the record plane under random programs ----------------------------------------
+
+_TIMES = st.floats(min_value=-1e9, max_value=1e9, allow_nan=False)
+_LABELS = st.sampled_from(["step", "io", "fault", "Gipfel \u26f0", 'q"uote'])
+_FACILITIES = st.sampled_from(["sim", "Summit", "edge\tsite"])
+_TRACKS = st.sampled_from(["main", "node 0", "node 1"])
+_RESOURCES = st.sampled_from(["nodes", "queue", "gpus \u00b5"])
+# scalars pass through ``clean_attrs``; everything else goes via repr
+_ATTR_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4),
+    st.lists(st.integers(), max_size=3), st.tuples(st.floats()),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+_ATTRS = st.dictionaries(
+    st.sampled_from(["a", "nodes", "wall", "span_id"]), _ATTR_VALUES,
+    max_size=3,
+)
+
+
+@st.composite
+def _programs(draw):
+    """A replayable list of telemetry calls: every span begun is ended (at
+    or after its start), parents are earlier spans, and each resource's
+    sample times never decrease."""
+    ops: list[tuple] = []
+    starts: list[float] = []
+    open_spans: list[int] = []
+    last_sample: dict[str, float] = {}
+
+    def end(index):
+        time = max(starts[index], draw(_TIMES))
+        ops.append(("end", index, time, draw(_ATTRS)))
+
+    for _ in range(draw(st.integers(min_value=1, max_value=20))):
+        kind = draw(st.sampled_from(["begin", "end", "instant", "sample"]))
+        time = draw(_TIMES)
+        if kind == "end" and open_spans:
+            end(open_spans.pop(draw(st.integers(0, len(open_spans) - 1))))
+        elif kind in ("begin", "end"):
+            parent = None
+            if starts:
+                parent = draw(st.none() | st.integers(0, len(starts) - 1))
+            ops.append(("begin", draw(_LABELS), draw(_LABELS),
+                        draw(_FACILITIES), draw(_TRACKS), parent, time,
+                        draw(_ATTRS)))
+            open_spans.append(len(starts))
+            starts.append(time)
+        elif kind == "instant":
+            ops.append(("instant", draw(_LABELS), draw(_LABELS),
+                        draw(_FACILITIES), draw(_TRACKS), time, draw(_ATTRS)))
+        else:
+            resource = draw(_RESOURCES)
+            time = max(time, last_sample.get(resource, time))
+            last_sample[resource] = time
+            ops.append((
+                "sample", resource, draw(st.floats(0.0, 64.0)),
+                draw(st.none() | st.floats(1.0, 64.0)), draw(_FACILITIES),
+                time,
+            ))
+    for index in draw(st.permutations(open_spans)):
+        end(index)
+    return ops
+
+
+def _replay(program, telemetry: Telemetry) -> Telemetry:
+    spans = []
+    for op in program:
+        kind = op[0]
+        if kind == "begin":
+            _, name, cat, facility, track, parent, time, attrs = op
+            spans.append(telemetry.begin(
+                name, cat, facility=facility, track=track, time=time,
+                parent=None if parent is None else spans[parent], **attrs,
+            ))
+        elif kind == "end":
+            _, index, time, attrs = op
+            telemetry.end(spans[index], time=time, **attrs)
+        elif kind == "instant":
+            _, name, cat, facility, track, time, attrs = op
+            telemetry.instant(name, cat, facility=facility, track=track,
+                              time=time, **attrs)
+            telemetry.metrics.counter("instants").inc()
+        else:
+            _, resource, value, capacity, facility, time = op
+            telemetry.sample(resource, value, capacity, facility=facility,
+                             time=time)
+            telemetry.metrics.histogram("values", (1.0, 8.0)).record(value)
+    return telemetry
+
+
+def _run(program, replica, suffix, sink=None) -> Telemetry:
+    """``program`` on one handle, then (maybe) ``replica``'s in-memory
+    handle absorbed into it under ``suffix``."""
+    telemetry = _replay(program, Telemetry(sink=sink))
+    if replica is not None:
+        telemetry.absorb(_replay(replica, Telemetry()), suffix=suffix)
+    telemetry.close()
+    return telemetry
+
+
+def _exports(telemetry: Telemetry) -> tuple[str, str, str]:
+    return chrome_trace_json(telemetry), to_jsonl(telemetry), summary(telemetry)
+
+
+class TestRecordPlaneDifferential:
+    @given(
+        program=_programs(),
+        replica=st.none() | _programs(),
+        suffix=st.sampled_from([" [r0]", " [r\u00e9plica]"]),
+    )
+    @STANDARD_SETTINGS
+    def test_in_memory_equals_stitched_shards(self, program, replica, suffix):
+        """The same calls kept in memory and spilled to 1-byte or 4 KiB
+        shards export the same bytes, and the sink counts every record."""
+        in_memory = _run(program, replica, suffix)
+        spans, instants, samples = split_records(in_memory.records)
+        want = _exports(in_memory)
+        with tempfile.TemporaryDirectory() as tmp:
+            for shard_max_bytes in (1, 4096):
+                directory = Path(tmp) / f"shards-{shard_max_bytes}"
+                sink = ShardedJsonlSink(directory, shard_max_bytes)
+                _run(program, replica, suffix, sink)
+                assert _exports(load_shards(directory)) == want
+                assert (sink.n_spans, sink.n_instants, sink.n_samples) == (
+                    len(spans), len(instants), len(samples)
+                )
+
