@@ -622,11 +622,11 @@ def _cmd_campaign_status(args: argparse.Namespace) -> int:
 
 
 def _cmd_work(args: argparse.Namespace) -> int:
-    from repro.service.worker import run_worker
+    from repro.service import ServiceClient, run_worker
 
     completed = run_worker(
-        args.socket, session=args.session, max_jobs=args.max_jobs,
-        idle_exit_s=args.idle_exit_s,
+        ServiceClient(args.socket, session=args.session),
+        max_jobs=args.max_jobs, idle_exit_s=args.idle_exit_s,
     )
     print(f"worker {args.session or '(anon)'}: {completed} jobs completed")
     return 0
@@ -922,7 +922,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 #: Library errors exit with a distinct, stable code per class — scripts and
-#: the chaos harness branch on them instead of parsing tracebacks. Lookup
+#: supervisors branch on them instead of parsing tracebacks. Lookup
 #: walks the MRO, so a subclass without its own entry inherits its parent's.
 EXIT_CODES: dict[type, int] = {
     errors.ConfigurationError: 3,

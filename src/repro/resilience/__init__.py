@@ -28,11 +28,7 @@ from repro.resilience.faults import (
 from repro.resilience.report import ResilienceReport
 from repro.resilience.restart import RestartStats, simulate_checkpoint_restart
 from repro.resilience.retry import RetryPolicy
-from repro.resilience.validate import (
-    ValidationResult,
-    empirical_overhead,
-    validate_young_daly,
-)
+from repro.resilience.validate import validate_young_daly
 
 __all__ = [
     "DEFAULT_NODE_MTBF_SECONDS",
@@ -42,8 +38,6 @@ __all__ = [
     "ResilienceReport",
     "RestartStats",
     "RetryPolicy",
-    "ValidationResult",
-    "empirical_overhead",
     "simulate_checkpoint_restart",
     "validate_young_daly",
 ]

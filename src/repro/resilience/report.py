@@ -15,7 +15,6 @@ from repro import units
 from repro.errors import ConfigurationError
 
 from repro.resilience.restart import RestartStats
-from repro.resilience.validate import young_daly_error
 
 
 @dataclass(frozen=True)
@@ -100,12 +99,17 @@ class ResilienceReport:
         return self.node_mtbf_seconds / self.n_nodes
 
     def agreement(self) -> float | None:
-        """|empirical - analytical| / analytical, when a prediction exists."""
-        if self.analytical_overhead is None:
+        """|empirical - analytical| / analytical, when a prediction exists.
+
+        A zero prediction is matched exactly by a zero measurement and
+        missed infinitely by anything else.
+        """
+        analytical = self.analytical_overhead
+        if analytical is None:
             return None
-        return young_daly_error(
-            self.overhead_fraction, self.analytical_overhead
-        )
+        if analytical == 0:
+            return 0.0 if self.overhead_fraction == 0 else float("inf")
+        return abs(self.overhead_fraction - analytical) / analytical
 
     def matches_analytical(self, tolerance: float = 0.2) -> bool:
         agreement = self.agreement()

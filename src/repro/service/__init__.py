@@ -23,22 +23,18 @@ Modules:
   length-prefixed frames, per-topic seqs, bounded subscriber queues);
 - :mod:`repro.service.client` — the typed sync client (timeouts, backoff,
   ``subscribe``/``follow`` live event streams);
-- :mod:`repro.service.worker` — the lease/heartbeat/complete worker loop;
-- :mod:`repro.service.handlers` — deterministic job handlers;
-- :mod:`repro.service.chaos` — the seeded fault-injection harness.
+- :mod:`repro.service.worker` — the lease/heartbeat/complete worker loop
+  (``repro work`` is its one entry point);
+- :mod:`repro.service.handlers` — deterministic job handlers, and the
+  in-process replay of a campaign's expected result set.
+
+The seeded SIGKILL fault harness that proves recovery lives with the
+tests: it drives these modules from outside, through real processes and a
+client subclass, and nothing here carries a hook for it.
 """
 
-from repro.service.chaos import (
-    ChaosOutcome,
-    ChaosPlan,
-    WorkerChaos,
-    chaos_campaign,
-    expected_results,
-    run_chaos_campaign,
-    tear_journal_tail,
-)
 from repro.service.client import ServiceClient
-from repro.service.handlers import HANDLERS, run_job
+from repro.service.handlers import HANDLERS, expected_results, run_job
 from repro.service.journal import Journal, JournalReplay, read_journal
 from repro.service.pubsub import (
     FRAME_VERSION,
@@ -60,8 +56,6 @@ __all__ = [
     "CampaignServer",
     "CampaignSpec",
     "CampaignState",
-    "ChaosOutcome",
-    "ChaosPlan",
     "FRAME_VERSION",
     "Frame",
     "HANDLERS",
@@ -73,8 +67,6 @@ __all__ = [
     "PubSubHub",
     "ServiceClient",
     "TOPICS",
-    "WorkerChaos",
-    "chaos_campaign",
     "decode_frame",
     "drug_campaign",
     "encode_frame",
@@ -82,9 +74,7 @@ __all__ = [
     "expected_results",
     "read_frame",
     "read_journal",
-    "run_chaos_campaign",
     "run_job",
     "run_worker",
     "serve",
-    "tear_journal_tail",
 ]

@@ -1,9 +1,10 @@
 """Synchronous client for the campaign service.
 
-Thin by design: the CLI subcommands (``submit``, ``campaign-status``), the
-worker loop, the chaos harness and the tests all speak through this one
-class, so the wire protocol has exactly two implementations (server and
-here) and one schema (:mod:`repro.service.spec`).
+Thin by design: the CLI subcommands (``submit``, ``campaign-status``,
+``work``), the worker loop and the tests all speak through this one class,
+so the wire protocol has exactly two implementations (server and here) and
+one schema (:mod:`repro.service.spec`). A test that needs a misbehaving
+worker subclasses it.
 
 Robustness is the client's half of the service contract:
 

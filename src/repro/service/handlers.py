@@ -5,27 +5,25 @@ same output, every time, on every worker. That purity is what makes the
 service's crash-recovery guarantee checkable — a job requeued after a
 worker SIGKILL recomputes to *exactly* the bytes the dead worker would have
 produced, so an interrupted campaign's final result set is byte-identical
-to an uninterrupted run. It is also what lets completed results live in the
-shared :class:`~repro.exec.cache.ResultCache` as a memoization tier.
+to an uninterrupted run, and :func:`expected_results` predicts that set
+in-process. It is also what lets every completed result live in the shared
+:class:`~repro.exec.cache.ResultCache` as a memoization tier.
 
 Handlers round float results through a fixed decimal precision so the JSON
 wire encoding (the service's at-rest and on-the-wire format) is canonical.
-
-The ``chaos:*`` handlers exist for the fault-injection harness: ``sleep``
-holds a lease for a controlled time, ``flaky`` fails deterministically on
-its first N attempts — exercising the requeue/attempt accounting paths.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Any, Callable
 
 import numpy as np
 
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError
 
-__all__ = ["HANDLERS", "get_handler", "run_job"]
+from repro.service.spec import CampaignSpec
+
+__all__ = ["HANDLERS", "expected_results", "get_handler", "run_job"]
 
 
 def _round(value: float, places: int = 9) -> float:
@@ -72,35 +70,10 @@ def _h_quadrature(params: dict[str, Any], seed: int) -> Any:
     return {"n_samples": n, "estimate": _round(float(np.mean(x * x)))}
 
 
-def _h_sleep(params: dict[str, Any], seed: int) -> Any:
-    """Hold the lease for ``seconds`` (chaos: slow-handler injection)."""
-    seconds = float(params.get("seconds", 0.1))
-    time.sleep(seconds)
-    return {"slept_s": _round(seconds)}
-
-
-def _h_flaky(params: dict[str, Any], seed: int) -> Any:
-    """Fail deterministically until attempt ``fail_attempts + 1``.
-
-    The service passes the current attempt number in ``params["attempt"]``
-    when dispatching, so the failure schedule is a pure function of the
-    job's retry history — the chaos harness uses it to drive requeues.
-    """
-    fail_attempts = int(params.get("fail_attempts", 1))
-    attempt = int(params.get("attempt", 1))
-    if attempt <= fail_attempts:
-        raise SimulationError(
-            f"flaky handler failing on attempt {attempt}/{fail_attempts}"
-        )
-    return {"succeeded_on_attempt": attempt}
-
-
 HANDLERS: dict[str, Callable[[dict[str, Any], int], Any]] = {
     "docking": _h_docking,
     "cost_point": _h_cost_point,
     "quadrature": _h_quadrature,
-    "chaos:sleep": _h_sleep,
-    "chaos:flaky": _h_flaky,
 }
 
 
@@ -122,3 +95,15 @@ def run_job(handler: str, params: dict[str, Any], seed: int) -> Any:
     True
     """
     return get_handler(handler)(dict(params), seed)
+
+
+def expected_results(spec: CampaignSpec) -> dict[str, Any]:
+    """The ground-truth result set: every job's handler run in-process.
+
+    Handlers are pure, so any run of ``spec`` that completes every job,
+    however often it was interrupted, must end with exactly this set.
+    """
+    return {
+        job.job_id: run_job(job.handler, job.params, job.seed)
+        for job in spec.jobs
+    }

@@ -20,9 +20,10 @@ Robustness discipline, in order of importance:
    shed with :class:`~repro.errors.Saturated` rather than buffered into an
    OOM; request lines are size-capped; one request per connection is
    processed at a time.
-4. **Memoize completions.** Results are stored in the shared
-   :class:`~repro.exec.cache.ResultCache`; ingesting a job whose content
-   key is already cached completes it immediately without a lease.
+4. **Memoize completions.** Every handler is pure, so every result is
+   stored in the shared :class:`~repro.exec.cache.ResultCache`; ingesting
+   a job whose content key is already cached completes it immediately
+   without a lease.
 
 All journal and state mutation happens synchronously between awaits, so
 request handling is atomic with respect to the event loop — the fsync cost
@@ -70,11 +71,6 @@ MAX_LINE_BYTES = 32 * 1024 * 1024
 INGEST_CHUNK = 500
 #: Result-cache namespace for completed service jobs.
 CACHE_KIND = "service-job"
-
-
-def _cacheable(spec: JobSpec) -> bool:
-    """Chaos handlers are attempt-dependent; never memoize them."""
-    return not spec.handler.startswith("chaos:")
 
 
 class CampaignServer:
@@ -194,8 +190,6 @@ class CampaignServer:
             self._commit("ingest", jobs=[j.to_dict() for j in chunk])
         self._count("service.ingested", len(specs))
         for spec in specs:
-            if not _cacheable(spec):
-                continue
             hit, result = self.cache.load(
                 content_key(CACHE_KIND, spec.content_payload())
             )
@@ -399,11 +393,9 @@ class CampaignServer:
                      result=request.get("result"))
         self._count("service.completes")
         job = self.state.jobs[job_id]
-        if _cacheable(job.spec):
-            self.cache.store(
-                content_key(CACHE_KIND, job.spec.content_payload()),
-                job.result,
-            )
+        self.cache.store(
+            content_key(CACHE_KIND, job.spec.content_payload()), job.result
+        )
         self._sample_depth()
         return {"duplicate": False, "finished": self.state.finished}
 

@@ -8,8 +8,8 @@ will buffer before shedding load, and the :class:`RetryPolicy` governing
 both server-side requeue accounting and client-side backoff.
 
 Everything is plain JSON — ``to_json``/``from_json`` round-trip exactly —
-so the same file drives ``repro submit``, the asyncio server, the chaos
-harness, and the test suite. Job identity is the ``job_id`` string;
+so the same file drives ``repro submit``, ``repro serve`` and the test
+suite, its fault harness included. Job identity is the ``job_id`` string;
 job *content* (what gets memoized in the shared
 :class:`~repro.exec.cache.ResultCache`) is the (handler, params, seed)
 triple, via :meth:`JobSpec.content_payload`.

@@ -8,32 +8,27 @@ SIGKILL'd at *any* point, the lease simply expires and the server requeues
 the job; if the *server* is down, every call backs off through the shared
 :class:`~repro.resilience.retry.RetryPolicy` until it returns.
 
-The ``chaos`` hook (:class:`repro.service.chaos.WorkerChaos`) is how the
-fault harness reaches in: deterministic die-before-complete exits and
-dropped heartbeats, derived from a seed, so the same chaos plan always
-kills the same worker at the same job.
+``repro work`` is the one worker entry point: it builds the
+:class:`~repro.service.client.ServiceClient` that :func:`run_worker` makes
+every wire call through. The loop has no fault hooks; a test that needs a
+misbehaving worker passes a client subclass instead.
 """
 
 from __future__ import annotations
 
-import argparse
-import os
-import sys
 import threading
 import time
-from typing import Any, Protocol
 
 from repro.errors import LeaseExpired, ReproError, ServiceError
 
 from repro.service.client import ServiceClient
 from repro.service.handlers import run_job
 
-__all__ = ["run_worker", "main"]
+__all__ = ["run_worker"]
 
-
-class WorkerChaosHook(Protocol):  # pragma: no cover - typing only
-    def kill_before_complete(self, n_completed: int) -> bool: ...
-    def drop_heartbeats(self, n_completed: int) -> bool: ...
+#: Seconds between ``acquire`` polls while there is no work to lease or the
+#: server cannot be reached.
+POLL_S = 0.05
 
 
 class _Heartbeat:
@@ -63,26 +58,12 @@ class _Heartbeat:
         self._stop.set()
 
 
-def _execute(lease: dict[str, Any]) -> Any:
-    job = lease["job"]
-    params = dict(job["params"])
-    if job["handler"].startswith("chaos:"):
-        # Chaos handlers may key behaviour off the retry history.
-        params.setdefault("attempt", lease["attempt"])
-    return run_job(job["handler"], params, job["seed"])
-
-
 def run_worker(
-    socket_path: str,
-    session: str | None = None,
+    client: ServiceClient,
     max_jobs: int = 1,
-    poll_s: float = 0.05,
     idle_exit_s: float | None = None,
-    chaos: WorkerChaosHook | None = None,
-    max_completions: int | None = None,
 ) -> int:
     """Work the campaign until it finishes (or drains); returns completions."""
-    client = ServiceClient(socket_path, session=session)
     n_completed = 0
     idle_since: float | None = None
     while True:
@@ -91,9 +72,9 @@ def run_worker(
                 "acquire", session=client.session, max_jobs=max_jobs
             )
         except (ServiceError, OSError):
-            # Server gone for longer than the policy's patience — if it
-            # never comes back the harness reaps us; keep trying meanwhile.
-            time.sleep(poll_s)
+            # Server gone for longer than the policy's patience — keep
+            # trying; if it never comes back, whoever started us stops us.
+            time.sleep(POLL_S)
             continue
         leases = response["leases"]
         if not leases:
@@ -105,33 +86,24 @@ def run_worker(
                 )
                 if time.time() - idle_since > idle_exit_s:
                     return n_completed
-            time.sleep(poll_s)
+            time.sleep(POLL_S)
             continue
         idle_since = None
         interval = response.get("heartbeat_interval_s", 5.0)
         for lease in leases:
-            job_id = lease["job"]["job_id"]
-            drop = chaos is not None and chaos.drop_heartbeats(n_completed)
+            job = lease["job"]
+            job_id = job["job_id"]
             try:
                 try:
-                    if drop:
-                        # Chaos: compute without heartbeating — the lease
-                        # expires under us; the completion must be rejected.
-                        result = _execute(lease)
-                    else:
-                        with _Heartbeat(client, job_id, interval):
-                            result = _execute(lease)
+                    with _Heartbeat(client, job_id, interval):
+                        result = run_job(
+                            job["handler"], job["params"], job["seed"]
+                        )
                 except ReproError as exc:
                     client.report_failure(
                         job_id, f"{type(exc).__name__}: {exc}"
                     )
                     continue
-                if chaos is not None and chaos.kill_before_complete(
-                    n_completed
-                ):
-                    # Chaos: die holding the lease, result unsent — SIGKILL
-                    # semantics, no cleanup, no flush.
-                    os._exit(137)
                 if client.complete(job_id, result):
                     n_completed += 1
             except LeaseExpired:
@@ -142,36 +114,3 @@ def run_worker(
                 # Server unreachable past the policy's patience — the lease
                 # will expire and requeue; drop it and try to reconnect.
                 continue
-            if max_completions is not None and n_completed >= max_completions:
-                return n_completed
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro-worker",
-        description="Campaign-service worker loop (leases + heartbeats)",
-    )
-    parser.add_argument("socket", help="unix socket path of the server")
-    parser.add_argument("--session", default=None)
-    parser.add_argument("--max-jobs", type=int, default=1)
-    parser.add_argument("--idle-exit-s", type=float, default=None)
-    parser.add_argument("--chaos-plan", default=None,
-                        help="path to a chaos plan JSON (harness use)")
-    parser.add_argument("--chaos-worker", type=int, default=0,
-                        help="this worker's index in the chaos plan")
-    args = parser.parse_args(argv)
-    chaos = None
-    if args.chaos_plan:
-        from repro.service.chaos import ChaosPlan
-
-        chaos = ChaosPlan.from_file(args.chaos_plan).worker(args.chaos_worker)
-    completed = run_worker(
-        args.socket, session=args.session, max_jobs=args.max_jobs,
-        idle_exit_s=args.idle_exit_s, chaos=chaos,
-    )
-    print(f"worker {args.session or '?'}: {completed} jobs completed")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

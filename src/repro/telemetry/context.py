@@ -170,11 +170,12 @@ class Telemetry:
         """Close a span (idempotence is an error — a span ends once)."""
         if span.end is not None:
             raise ConfigurationError(f"span {span.name!r} already ended")
-        span.end = self.now() if time is None else time
-        if span.end < span.start:
+        end = self.now() if time is None else time
+        if end < span.start:
             raise ConfigurationError(
                 f"span {span.name!r} ends before it starts"
             )
+        span.end = end
         span.attrs.update(attrs)
         self._emit(span_record(span))
         return span

@@ -3,9 +3,9 @@
 The cost layer, the telemetry threading and the resilient DAG executor all
 promise that their alternative code paths compute *the same numbers* — the
 vectorized :func:`repro.cost.sweep` is bit-identical to the scalar
-``evaluate`` loop, a ``telemetry=`` handle never perturbs results, and the
-fault-capable executor with no faults drawn reproduces the fault-free
-timestamps exactly. Those promises are what make the ROADMAP's "refactor
+``evaluate`` loop, a ``telemetry=`` handle never perturbs results, and a
+DAG task whose drawn failure never fires reproduces the timestamps of one
+that cannot fail. Those promises are what make the ROADMAP's "refactor
 freely" mandate safe, so this module checks each of them by actually
 running both paths and diffing the outputs.
 
@@ -253,13 +253,13 @@ def workflow_telemetry_parity(seed: int = 0) -> DifferentialResult:
 
 
 def checkpoint_replay_parity(seed: int = 0) -> DifferentialResult:
-    """Fault-capable executor without faults vs the fault-free executor,
-    plus same-seed replay identity of a genuinely fault-injected run.
+    """A drawn failure that never fires vs none drawn at all, plus
+    same-seed replay identity of a genuinely fault-injected run.
 
-    A task with an astronomically small ``failure_rate`` exercises the
-    checkpoint/retry code path (failure times are drawn, attempt loops run)
-    but never actually fails — its timestamps must equal the plain
-    ``failure_rate=0`` execution. And re-running the *interrupted* graph
+    A task with an astronomically small ``failure_rate`` draws its failure
+    times but never actually fails; a ``failure_rate=0`` task draws
+    nothing. Both run the executor's one attempt loop, and their
+    timestamps must be equal. And re-running the *interrupted* graph
     with the same seed must reproduce every timestamp.
     """
     from repro.workflows.dag import TaskGraph

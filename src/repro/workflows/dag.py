@@ -9,9 +9,9 @@ Tasks may additionally carry failure semantics (``failure_rate``,
 ``checkpoint_interval``/``checkpoint_write_time``): the executor then
 retries failed attempts under a :class:`~repro.resilience.retry.RetryPolicy`
 (releasing the nodes during backoff, as a real requeue does) and resumes
-from the last committed checkpoint instead of restarting cold. With every
-``failure_rate`` at zero the execution path — and every timestamp — is
-identical to the fault-free executor.
+from the last committed checkpoint instead of restarting cold. Every task
+runs the same attempt loop: one whose ``failure_rate`` is zero never fails,
+so it finishes its first attempt, checkpoint writes included.
 """
 
 from __future__ import annotations
@@ -89,9 +89,9 @@ class Task:
 class WorkflowRun:
     """Results of executing a task graph.
 
-    The resilience fields stay at their zero defaults when no task carries a
-    ``failure_rate`` — an injection-free run is indistinguishable from the
-    seed executor's output.
+    The failure fields stay at their zero defaults when no task carries a
+    ``failure_rate``; checkpoint writes are counted for every task that
+    checkpoints, whether or not it can fail.
     """
 
     makespan: float
@@ -473,30 +473,12 @@ class TaskGraph:
             for dep in task.deps:
                 yield procs[dep]
             duration = self.facilities[task.facility].duration(task.duration)
-            if task.failure_rate == 0.0:
-                # fault-free fast path: byte-for-byte the seed executor
-                yield pools[task.facility].acquire(task.nodes)
-                run.start_times[task.name] = engine.now
-                if telemetry is not None:
-                    trace("start", task.name, {"nodes": task.nodes})
-                    opened = open_attempt(task, 1)
-                yield Timeout(duration)
-                pools[task.facility].release(task.nodes)
-                run.end_times[task.name] = engine.now
-                if telemetry is not None:
-                    trace("end", task.name, duration=duration)
-                run.attempts[task.name] = 1
-                ckpt, lost = account(task, duration, duration, 0, True)
-                if telemetry is not None:
-                    close_attempt(task, opened, duration, duration,
-                                  ckpt, lost, True)
-                    telemetry.metrics.histogram(
-                        "dag.task_seconds"
-                    ).record(duration)
-                    telemetry.metrics.counter("dag.tasks_completed").inc()
-                return
-            # resilient path: retry loop with checkpoint-restart
-            rng = np.random.Generator(np.random.PCG64(_SeedRow(states[index])))
+            # a task that cannot fail draws nothing: it never fails, so
+            # it never reaches the backoff draw either
+            rng = (
+                np.random.Generator(np.random.PCG64(_SeedRow(states[index])))
+                if task.failure_rate > 0.0 else None
+            )
             committed = 0.0
             attempts = 0
             while True:
@@ -514,7 +496,10 @@ class TaskGraph:
                             facility="workflow", track=task.name,
                             committed=committed, attempt=attempts,
                         )
-                t_fail = float(rng.exponential(1.0 / task.failure_rate))
+                t_fail = (
+                    math.inf if rng is None
+                    else float(rng.exponential(1.0 / task.failure_rate))
+                )
                 wall, gained, writes, completed = _attempt_timeline(
                     duration - committed,
                     task.checkpoint_interval,

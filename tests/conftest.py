@@ -24,6 +24,18 @@ if os.environ.get("HYPOTHESIS_PROFILE") == "ci":
     settings.load_profile("ci")
 
 
+@pytest.fixture
+def chaos_handlers(monkeypatch):
+    """Register the fault harness's ``chaos:sleep``/``chaos:flaky`` job
+    handlers (``tests/service_chaos.py``) for one test, with fresh
+    ``chaos:flaky`` call counts."""
+    from repro.service import HANDLERS
+    from tests.service_chaos import chaos_handlers as harness_handlers
+
+    for name, handler in harness_handlers().items():
+        monkeypatch.setitem(HANDLERS, name, handler)
+
+
 @pytest.fixture(scope="session")
 def verify_context():
     """One shared, lazily-populated measurement cache (seed 0)."""

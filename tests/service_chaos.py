@@ -1,5 +1,12 @@
 """Deterministic chaos harness for the campaign service.
 
+The harness is test code: the production service carries no fault hook.
+Worker faults are injected at the client boundary — a worker process
+(``python -m tests.service_chaos``) runs the production
+:func:`~repro.service.worker.run_worker` over a :class:`ChaosClient` — and
+server faults come from outside, as real SIGKILLs of a ``repro serve``
+process.
+
 SAIH's point (PAPERS.md) cuts both ways: evaluation machinery must itself
 be trustworthy. So fault injection here is **seeded and replayable** — a
 :class:`ChaosPlan` derived from a seed always kills the same workers after
@@ -10,11 +17,12 @@ surviving campaign's result set is byte-identical to an uninterrupted run).
 
 Fault repertoire:
 
-- **worker kill** — ``os._exit`` while holding a lease, before the
-  ``complete`` is sent (exercises lease expiry + requeue);
-- **dropped heartbeats** — the worker computes without heartbeating, so its
-  lease expires mid-flight and its late completion must be rejected
-  (exercises :class:`~repro.errors.LeaseExpired` double-completion guard);
+- **worker kill** — ``os._exit(137)`` in place of a planned ``complete``,
+  while holding the lease (exercises lease expiry + requeue);
+- **dropped heartbeats** — the client sends no heartbeat while it runs a
+  planned job, so its lease expires mid-flight and its late completion
+  must be rejected (exercises the :class:`~repro.errors.LeaseExpired`
+  double-completion guard);
 - **server SIGKILL** — no cleanup, no flush; recovery is journal replay
   (exercises the WAL durability contract);
 - **torn journal tail** — garbage appended to the last segment after a
@@ -22,6 +30,9 @@ Fault repertoire:
   discard-don't-die tolerance);
 - **slow / failing handlers** — ``chaos:sleep`` and ``chaos:flaky`` jobs
   injected at spec level (exercise heartbeats and attempt accounting).
+  They are not production handlers: harness workers register them, and
+  in-process tests register them with ``monkeypatch.setitem(HANDLERS,
+  ...)`` (the ``chaos_handlers`` fixture in ``tests/conftest.py``).
 
 :func:`run_chaos_campaign` is the orchestrator the crash tests and the CI
 chaos job drive: real subprocesses, real SIGKILLs, real sockets.
@@ -29,6 +40,7 @@ chaos job drive: real subprocesses, real SIGKILLs, real sockets.
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import random
@@ -37,25 +49,25 @@ import subprocess
 import sys
 import tempfile
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from repro.atomicio import atomic_write_text
-from repro.errors import ConfigurationError, ServiceError
+from repro.errors import ConfigurationError, ServiceError, SimulationError
 from repro.segmentlog import canonical_json
-
-from repro.service.client import ServiceClient
-from repro.service.handlers import run_job
+from repro.service import HANDLERS, ServiceClient, run_worker
 from repro.service.journal import segment_paths
 from repro.service.spec import CampaignSpec, JobSpec
 
 __all__ = [
+    "ChaosClient",
     "ChaosOutcome",
     "ChaosPlan",
     "WorkerChaos",
     "chaos_campaign",
-    "expected_results",
+    "chaos_handlers",
     "run_chaos_campaign",
     "tear_journal_tail",
 ]
@@ -161,6 +173,67 @@ class ChaosPlan:
         return cls.from_dict(json.loads(Path(path).read_text()))
 
 
+def _h_sleep(params: dict[str, Any], seed: int) -> Any:
+    """Hold the lease for ``seconds`` (slow-handler injection)."""
+    seconds = float(params.get("seconds", 0.1))
+    time.sleep(seconds)
+    return {"slept_s": round(seconds, 9)}
+
+
+def chaos_handlers() -> dict[str, Callable[[dict[str, Any], int], Any]]:
+    """The harness's job handlers, keyed for ``repro.service.HANDLERS``.
+
+    ``chaos:flaky`` fails its first ``fail_attempts`` calls for each job
+    seed, then reports the call it succeeded on. Each call of this function
+    starts fresh counts. A count equals the job's attempt number when one
+    worker runs every attempt of that job.
+    """
+    calls: Counter[int] = Counter()
+
+    def flaky(params: dict[str, Any], seed: int) -> Any:
+        calls[seed] += 1
+        attempt = calls[seed]
+        fail_attempts = int(params.get("fail_attempts", 1))
+        if attempt <= fail_attempts:
+            raise SimulationError(
+                f"flaky handler failing on attempt {attempt}/{fail_attempts}"
+            )
+        return {"succeeded_on_attempt": attempt}
+
+    return {"chaos:sleep": _h_sleep, "chaos:flaky": flaky}
+
+
+class ChaosClient(ServiceClient):
+    """A worker's client that injects one :class:`WorkerChaos` schedule.
+
+    The schedule is keyed by ``completed``, the count of completions the
+    server accepted from this client. While that count is planned to drop
+    heartbeats, :meth:`heartbeat` sends nothing, so the running job's lease
+    expires under it. At a planned kill count, :meth:`complete` exits the
+    process with status 137 in place of sending: the lease is held, the
+    result lost, nothing flushed — SIGKILL semantics.
+    """
+
+    def __init__(self, socket_path: str | Path, chaos: WorkerChaos,
+                 **kwargs: Any):
+        super().__init__(socket_path, **kwargs)
+        self.chaos = chaos
+        self.completed = 0
+
+    def heartbeat(self, job_ids: list[str]) -> float:
+        if self.chaos.drop_heartbeats(self.completed):
+            return 0.0  # nothing sent, so no deadline was granted
+        return super().heartbeat(job_ids)
+
+    def complete(self, job_id: str, result: Any) -> bool:
+        if self.chaos.kill_before_complete(self.completed):
+            os._exit(137)
+        won = super().complete(job_id, result)
+        if won:
+            self.completed += 1
+        return won
+
+
 def chaos_campaign(
     n_jobs: int = 24,
     seed: int = 0,
@@ -171,8 +244,9 @@ def chaos_campaign(
     """A campaign mixing fast deterministic jobs with slow lease-holders.
 
     Every handler here is a pure function of (params, seed) — no
-    ``chaos:flaky`` — so :func:`expected_results` predicts the exact final
-    result set regardless of how many faults interrupt the run.
+    ``chaos:flaky`` — so :func:`repro.service.expected_results` predicts
+    the exact final result set regardless of how many faults interrupt the
+    run (with :func:`chaos_handlers` registered, for ``chaos:sleep``).
     """
     jobs = []
     for i in range(n_jobs):
@@ -192,25 +266,6 @@ def chaos_campaign(
     overrides.setdefault("backoff_base_s", 0.02)
     overrides.setdefault("backoff_max_s", 0.2)
     return CampaignSpec(name=name, jobs=tuple(jobs), **overrides)
-
-
-def expected_results(spec: CampaignSpec) -> dict[str, Any]:
-    """The ground-truth result set: every handler run in-process, in order.
-
-    Only valid for specs whose handlers are attempt-independent (no
-    ``chaos:flaky``); crash tests byte-compare the service's final result
-    set against this.
-    """
-    out: dict[str, Any] = {}
-    for job in spec.jobs:
-        params = dict(job.params)
-        if job.handler == "chaos:flaky":
-            raise ConfigurationError(
-                "chaos:flaky results depend on retry history; "
-                "expected_results cannot predict them"
-            )
-        out[job.job_id] = run_job(job.handler, params, job.seed)
-    return out
 
 
 def tear_journal_tail(
@@ -251,16 +306,16 @@ class ChaosOutcome:
 
 
 def _python_env() -> dict[str, str]:
-    """Child env able to import repro from this checkout."""
+    """Child env able to import repro and this harness from this checkout."""
     import repro
 
     env = dict(os.environ)
-    pkg_parent = str(Path(repro.__file__).resolve().parents[1])
-    existing = env.get("PYTHONPATH", "")
-    if pkg_parent not in existing.split(os.pathsep):
-        env["PYTHONPATH"] = (
-            f"{pkg_parent}{os.pathsep}{existing}" if existing else pkg_parent
-        )
+    paths = env.get("PYTHONPATH", "").split(os.pathsep)
+    for root in (Path(repro.__file__).resolve().parents[1],
+                 Path(__file__).resolve().parents[1]):
+        if str(root) not in paths:
+            paths.insert(0, str(root))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
     return env
 
 
@@ -328,7 +383,7 @@ class _Procs:
 
     def start_worker(self, session: str, plan_path: Path | None,
                      index: int) -> None:
-        args = ["repro.service.worker", str(self.socket_path),
+        args = ["tests.service_chaos", str(self.socket_path),
                 "--session", session, "--idle-exit-s", "20"]
         if plan_path is not None:
             args += ["--chaos-plan", str(plan_path),
@@ -444,3 +499,32 @@ def run_chaos_campaign(
             for line in events_path.read_text().splitlines() if line
         ]
     return outcome
+
+
+def main(argv: list[str] | None = None) -> int:
+    """One harness worker process: the production loop over a chaos client."""
+    parser = argparse.ArgumentParser(
+        prog="python -m tests.service_chaos",
+        description="Campaign worker with the harness handlers and an "
+                    "optional seeded fault schedule",
+    )
+    parser.add_argument("socket", help="unix socket path of the server")
+    parser.add_argument("--session", required=True)
+    parser.add_argument("--idle-exit-s", type=float, default=None)
+    parser.add_argument("--chaos-plan", default=None,
+                        help="path to a chaos plan JSON (default: no faults)")
+    parser.add_argument("--chaos-worker", type=int, default=0,
+                        help="this worker's index in the chaos plan")
+    args = parser.parse_args(argv)
+    HANDLERS.update(chaos_handlers())
+    chaos = WorkerChaos()
+    if args.chaos_plan:
+        chaos = ChaosPlan.from_file(args.chaos_plan).worker(args.chaos_worker)
+    client = ChaosClient(args.socket, chaos, session=args.session)
+    completed = run_worker(client, idle_exit_s=args.idle_exit_s)
+    print(f"worker {args.session}: {completed} jobs completed")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

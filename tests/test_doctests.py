@@ -32,7 +32,8 @@ MODULES = [
     "repro.service.spec",
     "repro.service.journal",
     "repro.service.pubsub",
-    "repro.service.chaos",
+    "repro.service.handlers",
+    "tests.service_chaos",
     "repro.verify.expectations",
     "repro.verify.differential",
     "repro.verify.invariants",

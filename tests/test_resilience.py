@@ -466,7 +466,7 @@ class TestYoungDalyValidation:
             node_mtbf_seconds=5 * YEAR,
         )
         result = validate_young_daly(plan, write_time=48.0, seed=0)
-        assert result.within_tolerance, result.summary()
+        assert result.matches_analytical(), result.format()
 
     def test_grid_of_mtbf_and_write_time_points(self):
         """Satellite: empirical simulation reproduces Young's optimum within
@@ -479,9 +479,9 @@ class TestYoungDalyValidation:
                     node_mtbf_seconds=node_mtbf_years * YEAR,
                 )
                 result = validate_young_daly(plan, write_time=write_time, seed=0)
-                assert result.within_tolerance, (
+                assert result.matches_analytical(), (
                     f"MTBF {node_mtbf_years} y, write {write_time} s: "
-                    + result.summary()
+                    + result.format()
                 )
 
     def test_off_optimal_interval_also_validated(self):
@@ -491,7 +491,7 @@ class TestYoungDalyValidation:
         )
         tau = 2.0 * plan.optimal_interval(60.0)
         result = validate_young_daly(plan, write_time=60.0, interval=tau, seed=0)
-        assert result.within_tolerance, result.summary()
+        assert result.matches_analytical(), result.format()
         # and the off-optimal overhead exceeds the optimal one analytically
         assert plan.overhead_fraction(60.0, tau) > plan.overhead_fraction(60.0)
 
@@ -588,6 +588,15 @@ class TestDagFailures:
         # identical failure draws; checkpointed task loses less work
         assert warm.makespan <= cold.makespan
         assert warm.lost_seconds <= cold.lost_seconds
+
+    def test_task_that_cannot_fail_still_pays_its_checkpoints(self):
+        # a zero rate runs the one attempt loop, checkpoint writes included:
+        # it must match a rate too small to ever draw a failure
+        zero = _graph(rate=0.0, ckpt=40.0, write=2.0).execute(seed=1)
+        tiny = _graph(rate=1e-300, ckpt=40.0, write=2.0).execute(seed=1)
+        assert zero == tiny
+        assert zero.n_checkpoints == 9  # 400 s of work, a write per 40 s
+        assert zero.makespan == 480.0 + 9 * 2.0
 
     def test_retry_budget_exhaustion_raises(self):
         graph = _graph(rate=1.0)  # one failure per second: doomed

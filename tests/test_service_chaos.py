@@ -2,18 +2,20 @@
 recovery outcome (ISSUE.md acceptance criterion)."""
 
 import json
+import os
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.service import (
+from repro.service import expected_results
+from tests.service_chaos import (
+    ChaosClient,
     ChaosPlan,
     WorkerChaos,
     chaos_campaign,
-    expected_results,
     run_chaos_campaign,
+    tear_journal_tail,
 )
-from repro.service.chaos import tear_journal_tail
 
 
 class TestPlanDeterminism:
@@ -65,16 +67,49 @@ class TestWorkerChaos:
             [True, False, False, True]
 
 
+class TestChaosClient:
+    """The client-boundary faults, without a server: ``request`` is
+    replaced by a recorder that accepts every call."""
+
+    @staticmethod
+    def _recording(chaos, monkeypatch):
+        client = ChaosClient("unused.sock", chaos, session="w")
+        sent = []
+
+        def request(op, retry_transient=True, **payload):
+            sent.append(op)
+            return {"deadline": 1.0, "duplicate": False}
+
+        monkeypatch.setattr(client, "request", request)
+        return client, sent
+
+    def test_drops_heartbeats_only_at_planned_counts(self, monkeypatch):
+        client, sent = self._recording(
+            WorkerChaos(drop_heartbeats_at=(0, 2)), monkeypatch
+        )
+        assert client.heartbeat(["j0"]) == 0.0
+        assert client.complete("j0", {}) is True
+        assert client.heartbeat(["j1"]) == 1.0
+        assert client.complete("j1", {}) is True
+        client.heartbeat(["j2"])
+        assert sent == ["complete", "heartbeat", "complete"]
+        assert client.completed == 2
+
+    def test_exits_in_place_of_a_planned_completion(self, monkeypatch):
+        client, sent = self._recording(WorkerChaos(kill_at=(1,)), monkeypatch)
+
+        def exit_(code):
+            raise SystemExit(code)
+
+        monkeypatch.setattr(os, "_exit", exit_)
+        assert client.complete("j0", {}) is True
+        with pytest.raises(SystemExit) as exited:
+            client.complete("j1", {})
+        assert exited.value.code == 137
+        assert sent == ["complete"]
+
+
 class TestHelpers:
-    def test_expected_results_rejects_flaky(self):
-        from repro.service import CampaignSpec, JobSpec
-
-        spec = CampaignSpec(name="x", jobs=(
-            JobSpec("f", "chaos:flaky", {"fail_attempts": 1}),
-        ))
-        with pytest.raises(ConfigurationError, match="flaky"):
-            expected_results(spec)
-
     def test_tear_tail_on_empty_journal_is_noop(self, tmp_path):
         assert tear_journal_tail(tmp_path) is None
 
@@ -113,7 +148,8 @@ def test_live_follower_survives_server_kill(tmp_path, monkeypatch):
 
 
 @pytest.mark.slow
-def test_same_seed_same_recovery_outcome(tmp_path, monkeypatch):
+def test_same_seed_same_recovery_outcome(tmp_path, monkeypatch,
+                                        chaos_handlers):
     """The full acceptance loop, twice: identical plans, identical faults,
     byte-identical recovered result sets."""
     monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)

@@ -10,15 +10,17 @@ import json
 
 import pytest
 
-from repro.service import (
+from repro.service import expected_results
+from tests.service_chaos import (
     ChaosPlan,
     WorkerChaos,
     chaos_campaign,
-    expected_results,
     run_chaos_campaign,
 )
 
-pytestmark = pytest.mark.slow
+# expected_results replays chaos:sleep jobs in-process, so every test
+# registers the harness handlers.
+pytestmark = [pytest.mark.slow, pytest.mark.usefixtures("chaos_handlers")]
 
 
 def _canonical(results):

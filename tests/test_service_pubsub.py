@@ -85,7 +85,7 @@ def _run_jobs(client, n):
     from repro.service import run_worker
 
     client.submit(_jobs(n))
-    run_worker(client.socket_path, max_jobs=n)
+    run_worker(ServiceClient(client.socket_path), max_jobs=n)
     return client.wait_finished(timeout_s=30.0)
 
 

@@ -19,11 +19,11 @@ from repro.service import (
     CampaignSpec,
     JobSpec,
     ServiceClient,
-    chaos_campaign,
     expected_results,
     run_worker,
     serve,
 )
+from tests.service_chaos import chaos_campaign
 
 FAST = dict(
     lease_timeout_s=0.4,
@@ -78,8 +78,9 @@ class TestHappyPath:
         spec = CampaignSpec(name="t", jobs=_jobs(4), **FAST)
         with running_server(spec) as client:
             worker = threading.Thread(
-                target=run_worker, args=(client.socket_path,),
-                kwargs=dict(session="w0", max_jobs=2), daemon=True,
+                target=run_worker,
+                args=(ServiceClient(client.socket_path, session="w0"),),
+                kwargs=dict(max_jobs=2), daemon=True,
             )
             worker.start()
             status = client.wait_finished(timeout_s=20.0)
@@ -154,7 +155,7 @@ class TestLeases:
             status = client.status()
             assert status["counts"]["done"] == 1
 
-    def test_attempts_exhaust_to_failed(self):
+    def test_attempts_exhaust_to_failed(self, chaos_handlers):
         spec = CampaignSpec(
             name="t",
             jobs=(JobSpec("fatal", "chaos:flaky",
@@ -163,8 +164,9 @@ class TestLeases:
         )
         with running_server(spec) as client:
             worker = threading.Thread(
-                target=run_worker, args=(client.socket_path,),
-                kwargs=dict(session="w0"), daemon=True,
+                target=run_worker,
+                args=(ServiceClient(client.socket_path, session="w0"),),
+                daemon=True,
             )
             worker.start()
             status = client.wait_finished(timeout_s=20.0)
@@ -173,7 +175,7 @@ class TestLeases:
             assert status["total_attempts"] == 2
             worker.join(timeout=10)
 
-    def test_flaky_job_retries_to_success(self):
+    def test_flaky_job_retries_to_success(self, chaos_handlers):
         spec = CampaignSpec(
             name="t",
             jobs=(JobSpec("flaky", "chaos:flaky",
@@ -182,8 +184,9 @@ class TestLeases:
         )
         with running_server(spec) as client:
             worker = threading.Thread(
-                target=run_worker, args=(client.socket_path,),
-                kwargs=dict(session="w0"), daemon=True,
+                target=run_worker,
+                args=(ServiceClient(client.socket_path, session="w0"),),
+                daemon=True,
             )
             worker.start()
             status = client.wait_finished(timeout_s=20.0)
@@ -218,8 +221,9 @@ class TestBackpressure:
         with running_server(spec) as client:
             client.submit(_jobs(2))
             worker = threading.Thread(
-                target=run_worker, args=(client.socket_path,),
-                kwargs=dict(session="w0", idle_exit_s=0.5), daemon=True,
+                target=run_worker,
+                args=(ServiceClient(client.socket_path, session="w0"),),
+                kwargs=dict(idle_exit_s=0.5), daemon=True,
             )
             worker.start()
             client.wait_finished(timeout_s=20.0)
@@ -262,8 +266,9 @@ class TestMemoization:
         spec_a = CampaignSpec(name="first", jobs=jobs, **FAST)
         with running_server(spec_a, cache_dir=cache_dir) as client:
             worker = threading.Thread(
-                target=run_worker, args=(client.socket_path,),
-                kwargs=dict(session="w0"), daemon=True,
+                target=run_worker,
+                args=(ServiceClient(client.socket_path, session="w0"),),
+                daemon=True,
             )
             worker.start()
             client.wait_finished(timeout_s=20.0)
@@ -277,21 +282,6 @@ class TestMemoization:
             metrics = status["metrics"]
             assert metrics["service.cache_completions"]["value"] == 3.0
             assert client.results() == first
-
-    def test_chaos_handlers_never_cached(self, tmp_path):
-        jobs = (JobSpec("s0", "chaos:sleep", {"seconds": 0.01}),)
-        cache_dir = tmp_path / "shared-cache"
-        for name in ("first", "second"):
-            spec = CampaignSpec(name=name, jobs=jobs, **FAST)
-            with running_server(spec, cache_dir=cache_dir) as client:
-                worker = threading.Thread(
-                    target=run_worker, args=(client.socket_path,),
-                    kwargs=dict(session="w0"), daemon=True,
-                )
-                worker.start()
-                status = client.wait_finished(timeout_s=20.0)
-                assert status["total_attempts"] == 1  # never cache-completed
-                worker.join(timeout=10)
 
 
 class TestProtocol:
@@ -324,8 +314,9 @@ class TestProtocol:
         spec = CampaignSpec(name="t", jobs=_jobs(2), **FAST)
         with running_server(spec) as client:
             worker = threading.Thread(
-                target=run_worker, args=(client.socket_path,),
-                kwargs=dict(session="w0"), daemon=True,
+                target=run_worker,
+                args=(ServiceClient(client.socket_path, session="w0"),),
+                daemon=True,
             )
             worker.start()
             client.wait_finished(timeout_s=20.0)

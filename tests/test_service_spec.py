@@ -89,21 +89,21 @@ class TestHandlers:
         for handler in ("docking", "quadrature", "cost_point"):
             json.dumps(run_job(handler, {}, seed=0))
 
-    def test_flaky_fails_then_succeeds(self):
-        with pytest.raises(SimulationError):
-            run_job("chaos:flaky", {"fail_attempts": 2, "attempt": 1}, 0)
-        with pytest.raises(SimulationError):
-            run_job("chaos:flaky", {"fail_attempts": 2, "attempt": 2}, 0)
-        result = run_job("chaos:flaky", {"fail_attempts": 2, "attempt": 3}, 0)
+    def test_flaky_fails_then_succeeds(self, chaos_handlers):
+        # the harness handler counts its own calls per job seed
+        for _ in range(2):
+            with pytest.raises(SimulationError):
+                run_job("chaos:flaky", {"fail_attempts": 2}, 0)
+        result = run_job("chaos:flaky", {"fail_attempts": 2}, 0)
         assert result == {"succeeded_on_attempt": 3}
+        with pytest.raises(SimulationError):  # another seed, its own count
+            run_job("chaos:flaky", {"fail_attempts": 2}, 1)
 
-    def test_sleep_reports_duration(self):
+    def test_sleep_reports_duration(self, chaos_handlers):
         assert run_job("chaos:sleep", {"seconds": 0.01}, 0) == {
             "slept_s": 0.01
         }
 
     def test_registry_names_are_stable(self):
-        assert set(HANDLERS) >= {
-            "docking", "cost_point", "quadrature",
-            "chaos:sleep", "chaos:flaky",
-        }
+        # production handlers only: the harness registers its own per test
+        assert set(HANDLERS) == {"docking", "cost_point", "quadrature"}

@@ -52,6 +52,16 @@ class TestSpans:
         with pytest.raises(ConfigurationError):
             tel.end(span, time=4.0)
 
+    def test_rejected_end_leaves_the_span_open(self):
+        tel = Telemetry()
+        span = tel.begin("work", "task", time=5.0, stage=1)
+        with pytest.raises(ConfigurationError, match="before it starts"):
+            tel.end(span, time=4.0, stage=2)
+        assert not span.finished and span.attrs == {"stage": 1}
+        tel.end(span, time=6.0)
+        (record,) = tel.finished_spans()
+        assert (record["start"], record["end"]) == (5.0, 6.0)
+
     def test_nesting_via_explicit_parent(self):
         tel = Telemetry()
         outer = tel.begin("outer", "task", time=0.0)
