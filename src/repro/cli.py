@@ -58,7 +58,6 @@ import math
 import sys
 
 from repro import errors, units
-from repro.core import ScalingStudyRunner, SummitSimulator, UsageSurvey
 from repro.models.catalog import CATALOG
 from repro.training.parallelism import DataSource, ParallelismPlan
 
@@ -88,6 +87,8 @@ def _cmd_machine(args: argparse.Namespace) -> int:
 
 
 def _cmd_comm(args: argparse.Namespace) -> int:
+    from repro.core import SummitSimulator
+
     sim = SummitSimulator()
     estimate = sim.allreduce_estimate(args.model)
     detailed = sim.allreduce_detailed(args.model, args.nodes)
@@ -100,12 +101,16 @@ def _cmd_comm(args: argparse.Namespace) -> int:
 
 
 def _cmd_io(args: argparse.Namespace) -> int:
+    from repro.core import SummitSimulator
+
     sim = SummitSimulator()
     print(sim.io_report(args.model, n_nodes=args.nodes)["summary"])
     return 0
 
 
 def _cmd_scaling(args: argparse.Namespace) -> int:
+    from repro.core import ScalingStudyRunner
+
     plan = ParallelismPlan(
         local_batch=args.batch,
         accumulation_steps=args.accumulation,
@@ -135,6 +140,8 @@ def _cmd_apps(args: argparse.Namespace) -> int:
 
 
 def _cmd_survey(args: argparse.Namespace) -> int:
+    from repro.core import UsageSurvey
+
     print(UsageSurvey.calibrated(seed=args.seed).report())
     return 0
 
@@ -262,6 +269,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     nodes = _parse_nodes(args.nodes)
     if args.crossover:
+        from repro.core import SummitSimulator
+        from repro.cost import crossover_nodes
+
         compute_ms = _check_positive(
             50.0 if args.compute_ms is None else args.compute_ms,
             "--compute-ms",
@@ -277,8 +287,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         result = sim.crossover_surface(
             sizes, np.array(nodes), compute_time=compute_ms * 1e-3,
         )
-        from repro.cost import crossover_nodes
-
         cross = crossover_nodes(result)
         paper = result.term("paper_estimate")[:, 0]
         ring = result.term("comm")

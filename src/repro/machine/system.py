@@ -3,15 +3,18 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro import units
 from repro.errors import CapacityError, ConfigurationError
 from repro.machine.gpu import Precision
 from repro.machine.node import NodeSpec
 from repro.network.link import LinkSpec
-from repro.network.topology import FatTree, FatTreeSpec
 from repro.storage.burst_buffer import BurstBuffer
 from repro.storage.filesystem import SharedFileSystem
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.network.topology import FatTree
 
 
 @dataclass(frozen=True)
@@ -113,6 +116,8 @@ class System:
         Building the full 4 608-host graph is feasible but slow; topology
         studies typically instantiate a sub-tree.
         """
+        from repro.network.topology import FatTree, FatTreeSpec
+
         n = hosts if hosts is not None else self.total_nodes
         self.require_nodes(min(n, self.node_count))
         return FatTree(

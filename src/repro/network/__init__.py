@@ -12,36 +12,7 @@ This package provides:
   congestion accounting;
 - :mod:`repro.network.collectives` — cost models for allreduce (ring,
   recursive doubling, tree), reduce-scatter, allgather and broadcast.
+
+The package re-exports nothing: import from the submodules, so that a
+link or collective model never loads the networkx graph stack.
 """
-
-from repro.network.collectives import (
-    AllreduceAlgorithm,
-    allgather_time,
-    allreduce_time,
-    broadcast_time,
-    paper_allreduce_estimate,
-    reduce_scatter_time,
-    ring_allreduce_time,
-)
-from repro.network.link import LinkSpec
-from repro.network.placement import PlacementStrategy, placement_study
-from repro.network.routing import RouteResult, Router, RoutingPolicy
-from repro.network.topology import FatTree, FatTreeSpec
-
-__all__ = [
-    "AllreduceAlgorithm",
-    "FatTree",
-    "FatTreeSpec",
-    "LinkSpec",
-    "PlacementStrategy",
-    "RouteResult",
-    "Router",
-    "RoutingPolicy",
-    "allgather_time",
-    "allreduce_time",
-    "broadcast_time",
-    "paper_allreduce_estimate",
-    "placement_study",
-    "reduce_scatter_time",
-    "ring_allreduce_time",
-]

@@ -13,11 +13,14 @@ agreement within 20 % in the regime where the model's assumptions hold
 
 from __future__ import annotations
 
-from repro.errors import ConfigurationError
-from repro.storage.checkpoint import CheckpointPlan
+from typing import TYPE_CHECKING
 
+from repro.errors import ConfigurationError
 from repro.resilience.report import ResilienceReport
 from repro.resilience.restart import simulate_checkpoint_restart
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.storage.checkpoint import CheckpointPlan
 
 #: Default useful-work length, in units of the job's system MTBF. Long
 #: enough that the run accumulates O(100) failures and the stochastic

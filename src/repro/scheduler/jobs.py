@@ -9,10 +9,10 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.portfolio.project import Project
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.machine.spec import MachineSpec
+    from repro.portfolio.project import Project
 
 
 @dataclass(frozen=True)
@@ -130,16 +130,24 @@ def synthetic_facility_year(
     ``Generator``, so the stream is deterministic in ``seed`` and
     independent of how the budget rounds against block boundaries.
     """
+    # each check is written so that NaN fails it
     if n_nodes < 1:
         raise ConfigurationError("n_nodes must be >= 1")
-    if horizon <= 0:
-        raise ConfigurationError("horizon must be positive")
+    if not 0.0 < horizon < math.inf:
+        raise ConfigurationError("horizon must be positive and finite")
     if not 0.0 < utilization_target <= 1.0:
         raise ConfigurationError("utilization_target must be in (0, 1]")
     if not 0.0 <= capability_fraction <= 1.0:
         raise ConfigurationError("capability_fraction must be in [0, 1]")
-    rng = np.random.default_rng(seed)
+    if not 0.0 <= ai_fraction <= 1.0:
+        raise ConfigurationError("ai_fraction must be in [0, 1]")
     budget = utilization_target * n_nodes * horizon
+    if not budget < math.inf:
+        raise ConfigurationError(
+            "the node-second budget (utilization_target x n_nodes x "
+            "horizon) must be finite"
+        )
+    rng = np.random.default_rng(seed)
     narrow_cap = max(2, n_nodes // 50)  # Summit: 92 nodes, the 12 h bin edge
     wide_floor = max(1, n_nodes // 5)  # Summit: 921 nodes, the 20 % bin edge
     block = 8192
@@ -171,15 +179,13 @@ def synthetic_facility_year(
         cum = filled + np.cumsum(nodes * durations)
         take = min(int(np.searchsorted(cum, budget, side="left")) + 1, block)
         base = len(jobs)
+        # .tolist() yields the Python ints, floats and bools Job keeps
         jobs.extend(
-            Job(
-                job_id=f"y{seed}-j{base + j}",
-                nodes=int(nodes[j]),
-                duration=float(durations[j]),
-                submit_time=float(submits[j]),
-                uses_ai=bool(uses_ai[j]),
-            )
-            for j in range(take)
+            Job(f"y{seed}-j{base + j}", n, d, s, ai)
+            for j, (n, d, s, ai) in enumerate(zip(
+                nodes[:take].tolist(), durations[:take].tolist(),
+                submits[:take].tolist(), uses_ai[:take].tolist(),
+            ))
         )
         filled = float(cum[take - 1])
     jobs.sort(key=lambda job: job.submit_time)

@@ -259,13 +259,15 @@ def checkpoint_replay_parity(seed: int = 0) -> DifferentialResult:
     A task with an astronomically small ``failure_rate`` draws its failure
     times but never actually fails; a ``failure_rate=0`` task draws
     nothing. Both run the executor's one attempt loop, and their
-    timestamps must be equal. And re-running the *interrupted* graph
-    with the same seed must reproduce every timestamp.
+    timestamps must be equal, both for a three-stage pipeline and for a
+    task that writes checkpoints (which it pays for even if it cannot
+    fail). And re-running the *interrupted* graph with the same seed must
+    reproduce every timestamp.
     """
     from repro.workflows.dag import TaskGraph
     from repro.workflows.facility import Facility
 
-    def build(failure_rate: float) -> TaskGraph:
+    def pipeline(failure_rate: float) -> TaskGraph:
         graph = TaskGraph({"summit": Facility(name="Summit", nodes=8)})
         graph.add_task("stage", 100.0, "summit", nodes=2,
                        failure_rate=failure_rate)
@@ -274,12 +276,21 @@ def checkpoint_replay_parity(seed: int = 0) -> DifferentialResult:
         graph.add_task("analyze", 200.0, "summit", deps=("train",))
         return graph
 
-    fault_free = build(0.0).execute(seed=seed)
-    negligible = build(1e-12).execute(seed=seed)
-    a, b = _run_fingerprint(fault_free), _run_fingerprint(negligible)
+    def checkpointed(failure_rate: float) -> TaskGraph:
+        graph = TaskGraph({"summit": Facility(name="Summit", nodes=8)})
+        graph.add_task("simulate", 100.0, "summit", nodes=2,
+                       failure_rate=failure_rate, checkpoint_interval=10.0,
+                       checkpoint_write_time=1.0)
+        return graph
+
+    runs = {
+        build.__name__: [_run_fingerprint(build(rate).execute(seed=seed))
+                         for rate in (0.0, 1e-12)]
+        for build in (pipeline, checkpointed)
+    }
     mismatch = next(
-        (f"fault path vs fault-free: field {k!r} differs" for k in a
-         if a[k] != b[k]),
+        (f"fault path vs fault-free ({name}): field {k!r} differs"
+         for name, (a, b) in runs.items() for k in a if a[k] != b[k]),
         None,
     )
 
@@ -309,7 +320,8 @@ def checkpoint_replay_parity(seed: int = 0) -> DifferentialResult:
         paths=("failure_rate=0", "failure_rate=1e-12", "same-seed replay"),
         passed=mismatch is None,
         detail=mismatch
-        or f"timestamps identical (makespan {a['makespan']:.1f}s); "
+        or "timestamps identical (makespan "
+        f"{runs['pipeline'][0]['makespan']:.1f}s); "
         "interrupted replay reproduced exactly",
     )
 

@@ -10,21 +10,8 @@
 - :mod:`repro.workflows.active_learning` — surrogate refinement loops;
 - ``case_materials`` / ``case_drug`` / ``case_biology`` — the three
   Section V case studies end to end.
+
+The package re-exports nothing: import from the submodules, so that the
+DAG executor never loads the ML stack that steering and active learning
+use.
 """
-
-from repro.workflows.active_learning import ActiveLearningLoop, ActiveLearningResult
-from repro.workflows.dag import Task, TaskGraph, WorkflowRun
-from repro.workflows.facility import FACILITIES, Facility
-from repro.workflows.steering import SteeringLoop, SteeringResult
-
-__all__ = [
-    "ActiveLearningLoop",
-    "ActiveLearningResult",
-    "FACILITIES",
-    "Facility",
-    "SteeringLoop",
-    "SteeringResult",
-    "Task",
-    "TaskGraph",
-    "WorkflowRun",
-]

@@ -239,9 +239,13 @@ def chaos_campaign(
     seed: int = 0,
     slow_every: int = 6,
     name: str = "chaos-campaign",
+    sleep_s: float = 0.15,
     **overrides: Any,
 ) -> CampaignSpec:
     """A campaign mixing fast deterministic jobs with slow lease-holders.
+
+    Every ``slow_every``-th job is a ``chaos:sleep`` that holds its lease
+    for ``sleep_s``; ``slow_every=1`` makes every job one.
 
     Every handler here is a pure function of (params, seed) — no
     ``chaos:flaky`` — so :func:`repro.service.expected_results` predicts
@@ -253,7 +257,7 @@ def chaos_campaign(
         if slow_every and i % slow_every == slow_every - 1:
             jobs.append(JobSpec(
                 job_id=f"job-{i:04d}", handler="chaos:sleep",
-                params={"seconds": 0.15}, seed=seed + i,
+                params={"seconds": sleep_s}, seed=seed + i,
             ))
         else:
             jobs.append(JobSpec(

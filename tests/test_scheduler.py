@@ -14,7 +14,11 @@ from repro.scheduler import (
     Scheduler,
     campaign_from_portfolio,
 )
-from repro.scheduler.jobs import SUMMIT_QUEUE_BINS, walltime_limit
+from repro.scheduler.jobs import (
+    SUMMIT_QUEUE_BINS,
+    synthetic_facility_year,
+    walltime_limit,
+)
 from repro.scheduler.policy import priority_key
 
 
@@ -220,6 +224,34 @@ class TestCampaignGeneration:
         result = Scheduler(4608).run(jobs)
         assert 0.2 < result.ai_share < 0.8
         assert result.delivered_node_hours > 0
+
+
+class TestFacilityYearInputs:
+    @pytest.mark.parametrize("name, value", [
+        ("horizon", math.nan),
+        ("horizon", math.inf),
+        ("horizon", -math.inf),
+        ("horizon", 0.0),
+        ("horizon", 1e308),  # finite, but the node-second budget is not
+        ("ai_fraction", math.nan),
+        ("ai_fraction", -0.1),
+        ("ai_fraction", 2.0),
+    ])
+    def test_unhonourable_inputs_rejected_before_any_draw(self, name, value,
+                                                          monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew from the generator before checking")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        with pytest.raises(ConfigurationError):
+            synthetic_facility_year(n_nodes=64, **{name: value})
+
+    def test_fraction_bounds_are_honoured(self):
+        day = 86400.0
+        assert not any(j.uses_ai for j in synthetic_facility_year(
+            n_nodes=64, horizon=day, ai_fraction=0.0))
+        assert all(j.uses_ai for j in synthetic_facility_year(
+            n_nodes=64, horizon=day, ai_fraction=1.0))
 
 
 class TestPolicyAblation:

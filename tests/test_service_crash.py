@@ -109,15 +109,18 @@ def test_torn_journal_tail_tolerated_on_restart(tmp_path):
 
 
 def test_dropped_heartbeats_reject_stale_completion(tmp_path):
-    spec = chaos_campaign(8, seed=3, slow_every=2,
-                          lease_timeout_s=0.5, heartbeat_interval_s=0.1)
+    # Every job sleeps for twice the lease, so whichever job worker 0
+    # acquires first outlives its lease. Worker 0 sends no heartbeat until
+    # the server accepts one of its completions, so the sweeper requeues
+    # each job it takes and its completion comes back LeaseExpired; worker
+    # 1, heartbeating ten times per lease, must finish every job.
+    spec = chaos_campaign(2, seed=3, slow_every=1, sleep_s=0.8,
+                          lease_timeout_s=0.4, heartbeat_interval_s=0.04)
     plan = ChaosPlan(
         seed=0, n_workers=2,
-        # worker 0 computes its first job without heartbeating: the slow
-        # jobs outlive the lease, so its completion must come back
-        # LeaseExpired and the job must be finished by someone else
         workers=(WorkerChaos(drop_heartbeats_at=(0,)), WorkerChaos()),
     )
     outcome = run_chaos_campaign(spec, plan, tmp_path / "run",
                                  deadline_s=90.0)
+    assert outcome.status["total_requeues"] >= 1, outcome.status
     _assert_recovered_exactly(outcome, spec)

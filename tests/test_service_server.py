@@ -127,14 +127,18 @@ class TestLeases:
                 client.complete(job_id, {"stale": True})
 
     def test_heartbeat_keeps_lease_alive(self):
-        spec = CampaignSpec(name="t", jobs=_jobs(1), **FAST)
+        # a lease of ten heartbeat periods, so one scheduling stall on a
+        # loaded host does not expire it; the loop still outlives a lease
+        heartbeat_s = 0.1
+        spec = CampaignSpec(name="t", jobs=_jobs(1),
+                            **{**FAST, "lease_timeout_s": 10 * heartbeat_s})
         with running_server(spec) as client:
             (lease,) = client.acquire()
             job_id = lease["job"]["job_id"]
             deadline = time.time() + spec.lease_timeout_s + 0.5
             while time.time() < deadline:
                 client.heartbeat([job_id])
-                time.sleep(0.1)
+                time.sleep(heartbeat_s)
             assert client.status()["total_requeues"] == 0
             assert client.complete(job_id, {"ok": 1})
 

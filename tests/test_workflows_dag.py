@@ -6,15 +6,10 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.ml.data import latent_manifold
 from repro.science.ffea import MassSpringModel
-from repro.workflows import (
-    ActiveLearningLoop,
-    FACILITIES,
-    Facility,
-    SteeringLoop,
-    Task,
-    TaskGraph,
-)
-from repro.workflows.steering import SteeringResult
+from repro.workflows.active_learning import ActiveLearningLoop
+from repro.workflows.dag import Task, TaskGraph
+from repro.workflows.facility import FACILITIES, Facility
+from repro.workflows.steering import SteeringLoop, SteeringResult
 
 
 class TestFacility:
