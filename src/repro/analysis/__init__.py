@@ -1,20 +1,2 @@
-"""Performance-analysis utilities: scaling laws, roofline, calibration."""
-
-from repro.analysis.roofline import RooflinePoint, roofline_point
-from repro.analysis.scaling_laws import (
-    amdahl_speedup,
-    fit_serial_fraction,
-    gustafson_speedup,
-    parallel_efficiency,
-    scaled_speedup,
-)
-
-__all__ = [
-    "RooflinePoint",
-    "amdahl_speedup",
-    "fit_serial_fraction",
-    "gustafson_speedup",
-    "parallel_efficiency",
-    "roofline_point",
-    "scaled_speedup",
-]
+"""Performance analysis on the real ML stack: the empirical critical-batch
+experiment (:mod:`repro.analysis.batch_scaling`)."""

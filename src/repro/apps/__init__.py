@@ -7,14 +7,11 @@ from repro.apps.registry import (
     GordonBellFinalist,
     gordon_bell_table,
 )
-from repro.apps.reproductions import GB_REPRODUCTIONS, verify_coverage
 
 __all__ = [
     "EXTREME_SCALE_APPS",
     "ExtremeScaleApp",
-    "GB_REPRODUCTIONS",
     "GORDON_BELL_FINALISTS",
     "GordonBellFinalist",
     "gordon_bell_table",
-    "verify_coverage",
 ]

@@ -20,21 +20,16 @@ from repro.cost.kernels import ALLREDUCE_ALGORITHMS
 from repro.cost.model import (
     AnalyticCostModel,
     CompositeCostModel,
-    CostModel,
     compose,
 )
 from repro.cost.models import (
     STEP_CRITICAL,
-    AllreduceCostModel,
-    CheckpointCostModel,
     ComputeCostModel,
     ConvergenceCostModel,
     GradientAllreduceModel,
     InputPipelineCostModel,
-    IoRequirementModel,
     LayoutModel,
     MpExchangeCostModel,
-    RooflineCostModel,
     StragglerCostModel,
     step_cost_model,
 )
@@ -44,7 +39,6 @@ __all__ = [
     "kernels",
     "ALLREDUCE_ALGORITHMS",
     "CostBreakdown",
-    "CostModel",
     "AnalyticCostModel",
     "CompositeCostModel",
     "compose",
@@ -52,12 +46,8 @@ __all__ = [
     "ComputeCostModel",
     "MpExchangeCostModel",
     "GradientAllreduceModel",
-    "AllreduceCostModel",
     "InputPipelineCostModel",
     "StragglerCostModel",
-    "IoRequirementModel",
-    "CheckpointCostModel",
-    "RooflineCostModel",
     "ConvergenceCostModel",
     "STEP_CRITICAL",
     "step_cost_model",

@@ -305,14 +305,7 @@ def young_overhead(write_time: Number, interval: Number, mtbf: Number) -> Number
     return write_time / interval + (interval / 2.0 + write_time) / mtbf
 
 
-# -- rooflines and convergence ----------------------------------------------------
-
-
-def roofline_attainable(
-    peak_flops: Number, memory_bandwidth: Number, intensity: Number
-) -> Number:
-    """Attainable FLOP/s on a device roofline: ``min(peak, I * BW)``."""
-    return _minimum(peak_flops, intensity * memory_bandwidth)
+# -- convergence ------------------------------------------------------------------
 
 
 def two_regime_samples(
@@ -321,14 +314,3 @@ def two_regime_samples(
     """Samples-to-target under the two-regime law:
     ``S_min * (1 + B / B_crit)`` (Shallue et al., McCandlish et al.)."""
     return min_samples * (1.0 + batch / critical_batch)
-
-
-def two_regime_steps(
-    batch: Number, min_samples: Number, critical_batch: Number
-) -> Number:
-    """Steps-to-target: samples-to-target over the batch size.
-
-    >>> round(two_regime_steps(1, 1000.0, 1e12), 6)  # tiny batch: ~S_min steps
-    1000.0
-    """
-    return two_regime_samples(batch, min_samples, critical_batch) / batch

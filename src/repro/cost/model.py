@@ -1,4 +1,4 @@
-"""The CostModel protocol, analytic base class, and composition operator.
+"""The analytic cost-model base class and its composition operator.
 
 A cost model maps a named numeric configuration to a
 :class:`~repro.cost.breakdown.CostBreakdown`. Every model offers two entry
@@ -20,23 +20,12 @@ from __future__ import annotations
 import abc
 import time
 from collections.abc import Mapping
-from typing import Any, Protocol, runtime_checkable
+from typing import Any
 
 import numpy as np
 
 from repro.cost.breakdown import CostBreakdown
 from repro.errors import ConfigurationError
-
-
-@runtime_checkable
-class CostModel(Protocol):
-    """Structural interface: anything with a name and the two entry points."""
-
-    name: str
-
-    def evaluate(self, **config: Any) -> CostBreakdown: ...
-
-    def evaluate_batch(self, **config: Any) -> CostBreakdown: ...
 
 
 class AnalyticCostModel(abc.ABC):

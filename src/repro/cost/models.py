@@ -1,5 +1,5 @@
 """Concrete cost models: the Section IV-B step-time composition and the
-standalone Section VI-B analyses, built from :mod:`repro.cost.kernels`.
+large-batch convergence law, built from :mod:`repro.cost.kernels`.
 
 The centrepiece is :func:`step_cost_model`, which assembles the per-step
 critical path as a dataflow composite::
@@ -33,13 +33,9 @@ __all__ = [
     "LayoutModel",
     "ComputeCostModel",
     "MpExchangeCostModel",
-    "AllreduceCostModel",
     "GradientAllreduceModel",
     "InputPipelineCostModel",
     "StragglerCostModel",
-    "IoRequirementModel",
-    "CheckpointCostModel",
-    "RooflineCostModel",
     "ConvergenceCostModel",
     "step_cost_model",
 ]
@@ -400,102 +396,7 @@ def step_cost_model(
     )
 
 
-# -- standalone Section VI-B models ----------------------------------------------
-
-
-class AllreduceCostModel(AnalyticCostModel):
-    """Bare collective cost over (p, message, link) axes."""
-
-    name = "allreduce"
-    requires = ("p", "message_bytes", "latency", "bandwidth")
-    defaults = {"allreduce_algorithm": "ring"}
-    provenance = {
-        "comm": "allreduce alpha-beta cost (Thakur/Rabenseifner, Sec. VI-B)",
-    }
-    critical = ("comm",)
-
-    def _terms(self, c: Mapping[str, Any]) -> dict[str, Any]:
-        kernels.check_participants(c["p"], c["message_bytes"])
-        return {
-            "comm": kernels.allreduce_time(
-                c["p"], c["message_bytes"], c["latency"], c["bandwidth"],
-                c["allreduce_algorithm"],
-            )
-        }
-
-
-class IoRequirementModel(AnalyticCostModel):
-    """Aggregate read bandwidth for ideal data-parallel scaling (~20 TB/s
-    for full-Summit ResNet-50)."""
-
-    name = "io_requirement"
-    requires = ("samples_per_second_per_device", "bytes_per_sample", "n_devices")
-    provenance = {
-        "per_device_bandwidth": "samples/s/device * bytes/sample",
-        "required_bandwidth": "per-device bandwidth * n_devices (Sec. VI-B)",
-    }
-    critical = ("required_bandwidth",)
-
-    def _terms(self, c: Mapping[str, Any]) -> dict[str, Any]:
-        per_device = kernels.per_device_read_bandwidth(
-            c["samples_per_second_per_device"], c["bytes_per_sample"]
-        )
-        return {
-            "per_device_bandwidth": per_device,
-            "required_bandwidth": per_device * c["n_devices"],
-        }
-
-
-class CheckpointCostModel(AnalyticCostModel):
-    """Young/Daly checkpoint economics at a given write rate."""
-
-    name = "checkpoint"
-    requires = ("state_bytes_per_node", "write_rate", "n_nodes",
-                "node_mtbf_seconds")
-    provenance = {
-        "write_time": "state_bytes_per_node / write rate",
-        "system_mtbf": "node MTBF / n_nodes",
-        "optimal_interval": "Young: sqrt(2 * write_time * system MTBF)",
-        "overhead_fraction": "delta/tau + (tau/2 + delta)/MTBF",
-        "goodput_fraction": "1 - overhead_fraction",
-    }
-    critical = ("overhead_fraction",)
-
-    def _terms(self, c: Mapping[str, Any]) -> dict[str, Any]:
-        write_time = c["state_bytes_per_node"] / c["write_rate"]
-        mtbf = kernels.system_mtbf(c["node_mtbf_seconds"], c["n_nodes"])
-        interval = kernels.young_interval(write_time, mtbf)
-        overhead = kernels.young_overhead(write_time, interval, mtbf)
-        return {
-            "write_time": write_time,
-            "system_mtbf": mtbf,
-            "optimal_interval": interval,
-            "overhead_fraction": overhead,
-            "goodput_fraction": 1.0 - overhead,
-        }
-
-
-class RooflineCostModel(AnalyticCostModel):
-    """Device roofline placement over (flops, bytes_moved) axes."""
-
-    name = "roofline"
-    requires = ("flops", "bytes_moved", "peak_flops", "memory_bandwidth")
-    provenance = {
-        "arithmetic_intensity": "FLOPs / bytes of device-memory traffic",
-        "ridge_intensity": "peak FLOP/s / memory bandwidth",
-        "attainable_flops": "min(peak, intensity * memory bandwidth)",
-    }
-    critical = ("attainable_flops",)
-
-    def _terms(self, c: Mapping[str, Any]) -> dict[str, Any]:
-        intensity = c["flops"] / c["bytes_moved"]
-        return {
-            "arithmetic_intensity": intensity,
-            "ridge_intensity": c["peak_flops"] / c["memory_bandwidth"],
-            "attainable_flops": kernels.roofline_attainable(
-                c["peak_flops"], c["memory_bandwidth"], intensity
-            ),
-        }
+# -- large-batch convergence ----------------------------------------------------
 
 
 class ConvergenceCostModel(AnalyticCostModel):

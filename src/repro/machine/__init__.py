@@ -44,7 +44,6 @@ from repro.machine.summit import (
     rhea,
     summit,
     summit_high_mem_node,
-    summit_node,
 )
 from repro.machine.system import System
 
@@ -78,5 +77,4 @@ __all__ = [
     "rhea",
     "summit",
     "summit_high_mem_node",
-    "summit_node",
 ]

@@ -86,13 +86,6 @@ class NodeSpec:
         """User-visible cores per node (42 on Summit: 2 x 21)."""
         return self.cpu_count * self.cpus.usable_cores
 
-    @property
-    def hbm_bytes(self) -> float:
-        """Aggregate GPU high-bandwidth memory on the node."""
-        if self.gpus is None:
-            return 0.0
-        return self.gpu_count * self.gpus.memory_bytes
-
     def peak_flops(self, precision: Precision = Precision.MIXED) -> float:
         """Peak node FLOP/s at ``precision``.
 

@@ -20,19 +20,11 @@ from repro.machine.system import System
 from repro.network.link import LinkSpec
 
 __all__ = [
-    "summit_node",
     "summit_high_mem_node",
     "summit",
     "rhea",
     "andes",
 ]
-
-
-def summit_node() -> NodeSpec:
-    """An original Summit AC922 node: 2 x POWER9 + 6 x V100, 512 GB DDR,
-    96 GB HBM2 aggregate, 1.6 TB NVMe, dual-rail EDR — built straight from
-    the registry spec."""
-    return SUMMIT.node()
 
 
 def summit_high_mem_node() -> NodeSpec:

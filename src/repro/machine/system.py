@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from repro import units
 from repro.errors import CapacityError, ConfigurationError
@@ -12,9 +11,6 @@ from repro.machine.node import NodeSpec
 from repro.network.link import LinkSpec
 from repro.storage.burst_buffer import BurstBuffer
 from repro.storage.filesystem import SharedFileSystem
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.network.topology import FatTree
 
 
 @dataclass(frozen=True)
@@ -33,7 +29,7 @@ class System:
     interconnect:
         Per-node injection link spec.
     fabric_levels / fabric_radix:
-        Fat-tree shape parameters for on-demand topology instantiation.
+        Fat-tree shape parameters, carried over from the machine spec.
     shared_fs:
         Center-wide filesystem; ``None`` for a cluster sharing another
         system's filesystem (Rhea/Andes mount Summit's).
@@ -91,12 +87,6 @@ class System:
             write_bandwidth=self.node.nvme_write_bandwidth,
         )
 
-    def aggregate_nvme_read_bandwidth(self, n_nodes: int | None = None) -> float:
-        nvme = self.nvme
-        if nvme is None:
-            return 0.0
-        return nvme.aggregate_read_bandwidth(n_nodes or self.node_count)
-
     # -- allocation ---------------------------------------------------------------
 
     def require_nodes(self, n: int) -> None:
@@ -109,29 +99,6 @@ class System:
                 f"{self.name}: requested {n} nodes, main partition has "
                 f"{self.node_count}"
             )
-
-    def build_fabric(self, hosts: int | None = None) -> FatTree:
-        """Instantiate the fat-tree graph for ``hosts`` nodes (default: all).
-
-        Building the full 4 608-host graph is feasible but slow; topology
-        studies typically instantiate a sub-tree.
-        """
-        from repro.network.topology import FatTree, FatTreeSpec
-
-        n = hosts if hosts is not None else self.total_nodes
-        self.require_nodes(min(n, self.node_count))
-        return FatTree(
-            FatTreeSpec(
-                hosts=n,
-                radix=self.fabric_radix,
-                levels=self.fabric_levels,
-                link=LinkSpec(
-                    latency=self.interconnect.latency,
-                    bandwidth=self.interconnect.bandwidth,
-                    rails=self.interconnect.rails,
-                ),
-            )
-        )
 
     def describe(self) -> str:
         """One-paragraph human-readable summary."""

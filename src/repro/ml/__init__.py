@@ -11,18 +11,14 @@ genuine training/inference code rather than placeholders.
 from repro.ml.autoencoder import Autoencoder, VariationalAutoencoder
 from repro.ml.forest import DecisionTreeRegressor, RandomForestRegressor
 from repro.ml.ga import GeneticAlgorithm
-from repro.ml.gp import GaussianProcess
 from repro.ml.kmeans import KMeans
 from repro.ml.mlp import MLP, Dense
 from repro.ml.pca import PCA
-from repro.ml.surrogate import EnsembleSurrogate
 
 __all__ = [
     "Autoencoder",
     "Dense",
     "DecisionTreeRegressor",
-    "EnsembleSurrogate",
-    "GaussianProcess",
     "GeneticAlgorithm",
     "KMeans",
     "MLP",

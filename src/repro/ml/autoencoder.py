@@ -124,14 +124,6 @@ class VariationalAutoencoder(Autoencoder):
         log_var = np.clip(stats[:, self.latent_dim :], -10.0, 10.0)
         return mu, log_var
 
-    def sample_latent(
-        self, x: np.ndarray, rng: np.random.Generator | None = None
-    ) -> np.ndarray:
-        mu, log_var = self.encode_stats(x)
-        rng = rng or np.random.default_rng()
-        eps = rng.standard_normal(mu.shape)
-        return mu + np.exp(0.5 * log_var) * eps
-
     def fit(
         self,
         x: np.ndarray,

@@ -1,7 +1,7 @@
 """k-means clustering (Lloyd's algorithm with k-means++ seeding).
 
-Used by the steering workflows to pick diverse restart conformations from
-the latent space.
+Used by the Markov-state-model analysis (``case_analysis``) to cluster
+embedded MD frames into metastable states.
 """
 
 from __future__ import annotations

@@ -106,10 +106,6 @@ class MLP:
             grads.extend((layer.dW, layer.db))
         return grads
 
-    @property
-    def n_parameters(self) -> int:
-        return sum(p.size for p in self.parameters)
-
     # -- forward / backward --------------------------------------------------------
 
     def forward(self, x: np.ndarray) -> np.ndarray:

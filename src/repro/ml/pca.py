@@ -50,9 +50,3 @@ class PCA:
 
     def fit_transform(self, x: np.ndarray) -> np.ndarray:
         return self.fit(x).transform(x)
-
-    def inverse_transform(self, z: np.ndarray) -> np.ndarray:
-        if self.components_ is None or self.mean_ is None:
-            raise ConfigurationError("inverse_transform called before fit")
-        z = np.atleast_2d(np.asarray(z, dtype=float))
-        return z @ self.components_ + self.mean_

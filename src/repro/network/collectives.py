@@ -70,13 +70,6 @@ def binomial_tree_allreduce_time(p: int, size_bytes: float, link: LinkSpec) -> f
     )
 
 
-_ALGORITHMS = {
-    AllreduceAlgorithm.RING: ring_allreduce_time,
-    AllreduceAlgorithm.RECURSIVE_DOUBLING: recursive_doubling_allreduce_time,
-    AllreduceAlgorithm.BINOMIAL_TREE: binomial_tree_allreduce_time,
-}
-
-
 def allreduce_time(
     p: int,
     size_bytes: float,
@@ -95,14 +88,6 @@ def allreduce_time(
         link.total_bandwidth,
         None if algorithm is None else algorithm.value,
     )
-
-
-def best_allreduce_algorithm(
-    p: int, size_bytes: float, link: LinkSpec
-) -> AllreduceAlgorithm:
-    """The algorithm with the lowest modelled cost for this (p, M, link)."""
-    _check(p, size_bytes)
-    return min(_ALGORITHMS, key=lambda a: _ALGORITHMS[a](p, size_bytes, link))
 
 
 def reduce_scatter_time(p: int, size_bytes: float, link: LinkSpec) -> float:

@@ -61,12 +61,6 @@ class LinkSpec:
             raise ConfigurationError(f"negative message size: {size_bytes}")
         return self.latency + size_bytes / self.total_bandwidth
 
-    def effective_bandwidth(self, size_bytes: float) -> float:
-        """Achieved bytes/s for a message of ``size_bytes`` (latency-degraded)."""
-        if size_bytes <= 0:
-            raise ConfigurationError(f"message size must be positive: {size_bytes}")
-        return size_bytes / self.transfer_time(size_bytes)
-
 
 def intra_node_link(machine: "MachineSpec | str | None" = None) -> LinkSpec:
     """NVLink-class intra-node :class:`LinkSpec` for ``machine``."""

@@ -19,8 +19,6 @@ the test suite.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.machine.spec import SUMMIT
 from repro.portfolio.taxonomy import AdoptionStatus, Domain, MLMethod, Motif, Program
 
@@ -239,42 +237,3 @@ SECTION_6B_CLAIMS = {
     "resnet50_allreduce_time": 8e-3,  # "roughly 8 ms"
     "bert_large_allreduce_time": 110e-3,  # "roughly ... 110 ms"
 }
-
-
-def consistency_report() -> dict[str, bool]:
-    """Cross-table consistency checks (also exercised by the test suite)."""
-    totals = {}
-    for program in Program:
-        if program is Program.GORDON_BELL:
-            continue
-        totals[program] = sum(
-            t for (p, _), (t, _, _) in PROGRAM_YEAR_TABLE.items() if p is program
-        )
-    active = sum(a for _, a, _ in PROGRAM_YEAR_TABLE.values())
-    inactive = sum(i for _, _, i in PROGRAM_YEAR_TABLE.values())
-    domain_total = sum(t for t, _, _ in DOMAIN_TABLE.values())
-    domain_active = sum(a for _, a, _ in DOMAIN_TABLE.values())
-    domain_inactive = sum(i for _, _, i in DOMAIN_TABLE.values())
-    matrix = np.array(
-        [[MOTIF_DOMAIN_MATRIX[m][d] for d in _DOMAIN_ORDER] for m in MOTIF_COUNTS]
-    )
-    return {
-        "incite_147": totals[Program.INCITE] == 147,
-        "alcc_72": totals[Program.ALCC] == 72,
-        "dd_352": totals[Program.DD] == 352,
-        "covid_12": totals[Program.COVID] == 12,
-        "ecp_62": totals[Program.ECP] == 62,
-        "study_total_645": sum(totals.values()) == 645,
-        "active_matches_domains": active == domain_active,
-        "inactive_matches_domains": inactive == domain_inactive,
-        "domain_total_645": domain_total == 645,
-        "fig56_cohort_117": sum(MOTIF_COUNTS.values()) == FIG56_COHORT,
-        "matrix_rows_match": all(
-            int(matrix[i].sum()) == count
-            for i, count in enumerate(MOTIF_COUNTS.values())
-        ),
-        "matrix_cols_match": all(
-            int(matrix[:, j].sum()) == FIG6_DOMAIN_TOTALS[d]
-            for j, d in enumerate(_DOMAIN_ORDER)
-        ),
-    }

@@ -13,8 +13,6 @@ through every simulation layer:
   and jitter, shared by the DAG executor and the batch scheduler;
 - :mod:`repro.resilience.restart` — event-driven checkpoint-restart
   simulation of a single long job;
-- :mod:`repro.resilience.validate` — empirical-vs-analytical validation of
-  the Young/Daly optimum in :mod:`repro.storage.checkpoint`;
 - :mod:`repro.resilience.report` — the goodput / lost-work / overhead
   accounting (:class:`ResilienceReport`).
 """
@@ -28,7 +26,6 @@ from repro.resilience.faults import (
 from repro.resilience.report import ResilienceReport
 from repro.resilience.restart import RestartStats, simulate_checkpoint_restart
 from repro.resilience.retry import RetryPolicy
-from repro.resilience.validate import validate_young_daly
 
 __all__ = [
     "DEFAULT_NODE_MTBF_SECONDS",
@@ -39,5 +36,4 @@ __all__ = [
     "RestartStats",
     "RetryPolicy",
     "simulate_checkpoint_restart",
-    "validate_young_daly",
 ]

@@ -40,24 +40,6 @@ class NodeFailureModel:
             raise ConfigurationError("need at least one node")
         return self.node_mtbf_seconds / n_nodes
 
-    def expected_failures(self, n_nodes: int, wall_seconds: float) -> float:
-        """Expected failure count over ``wall_seconds`` of a job's wall-clock."""
-        if wall_seconds < 0:
-            raise ConfigurationError("negative wall-clock span")
-        return wall_seconds / self.system_mtbf(n_nodes)
-
-    def draw_failure_times(
-        self, n_nodes: int, horizon: float, rng: np.random.Generator
-    ) -> list[float]:
-        """Poisson-process failure times in ``[0, horizon)`` for a job."""
-        mtbf = self.system_mtbf(n_nodes)
-        times: list[float] = []
-        t = float(rng.exponential(mtbf))
-        while t < horizon:
-            times.append(t)
-            t += float(rng.exponential(mtbf))
-        return times
-
 
 @dataclass(frozen=True)
 class FailureEvent:

@@ -69,6 +69,11 @@ QUEUE_BIN_FRACTIONS = (
     (None, 2.0),  # catch-all: 1 node and up
 )
 
+#: Longest stream :func:`synthetic_facility_year` builds: about 60
+#: Summit-years (a 4,608-node year is ~83,000 jobs). A larger node-second
+#: budget is finite but would take hours and gigabytes to materialise.
+MAX_SYNTHETIC_JOBS = 5_000_000
+
 
 def queue_bins_for(
     machine: "MachineSpec | str | None" = None,
@@ -129,6 +134,10 @@ def synthetic_facility_year(
     All draws are vectorized in fixed-size blocks from one seeded
     ``Generator``, so the stream is deterministic in ``seed`` and
     independent of how the budget rounds against block boundaries.
+
+    A budget whose stream would exceed :data:`MAX_SYNTHETIC_JOBS` jobs is
+    rejected before any job is built; the length is estimated as the
+    budget over the first block's mean node-seconds per job.
     """
     # each check is written so that NaN fails it
     if n_nodes < 1:
@@ -176,7 +185,16 @@ def synthetic_facility_year(
         )
         submits = rng.uniform(0.0, horizon, block)
         uses_ai = rng.random(block) < ai_fraction
-        cum = filled + np.cumsum(nodes * durations)
+        work = nodes * durations
+        if not jobs:
+            estimate = budget / float(work.mean())
+            if estimate > MAX_SYNTHETIC_JOBS:
+                raise ConfigurationError(
+                    f"the node-second budget {budget:.3g} needs about "
+                    f"{estimate:.3g} jobs; at most {MAX_SYNTHETIC_JOBS} "
+                    "are built"
+                )
+        cum = filled + np.cumsum(work)
         take = min(int(np.searchsorted(cum, budget, side="left")) + 1, block)
         base = len(jobs)
         # .tolist() yields the Python ints, floats and bools Job keeps

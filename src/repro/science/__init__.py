@@ -9,7 +9,8 @@ paper's case studies run on Summit (see DESIGN.md substitution table):
 - :mod:`repro.science.cluster_expansion` — linear cluster-expansion energy
   model with Bayesian-information-criterion term selection (Zhang et al.).
 - :mod:`repro.science.md` — Lennard-Jones molecular dynamics mini-engine
-  (stands in for NAMD/OpenMM in the steering workflows).
+  (stands in for NAMD/OpenMM in the multiscale and fault-detection
+  workflows).
 - :mod:`repro.science.potentials` — pair potentials, including a
   machine-learned potential trained on reference data (the "MD potentials"
   motif of Jia / Nguyen-Cong et al.).
@@ -29,11 +30,7 @@ from repro.science.ffea import MassSpringModel
 from repro.science.ising import AlloyLattice, MonteCarlo, exact_critical_temperature
 from repro.science.lorenz96 import L96Params, ReducedLorenz96, TwoScaleLorenz96
 from repro.science.md import LennardJonesMD, MDState
-from repro.science.potentials import (
-    LennardJonesPotential,
-    MLPairPotential,
-    MorsePotential,
-)
+from repro.science.potentials import LennardJonesPotential, MLPairPotential
 from repro.science.solver import (
     ConjugateGradient,
     LearnedDeflation,
@@ -57,7 +54,6 @@ __all__ = [
     "MLPairPotential",
     "MassSpringModel",
     "MonteCarlo",
-    "MorsePotential",
     "bic_select",
     "exact_critical_temperature",
 ]

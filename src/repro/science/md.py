@@ -1,7 +1,7 @@
 """Lennard-Jones molecular-dynamics mini-engine.
 
-Stands in for NAMD/OpenMM in the steering and multiscale workflows
-(Sections V-B, V-C): velocity-Verlet integration, periodic boundaries,
+Stands in for NAMD/OpenMM in the multiscale and fault-detection workflows
+(Section V-B, Table I): velocity-Verlet integration, periodic boundaries,
 reduced LJ units, optional Langevin thermostat, and trajectory capture in a
 form the autoencoders consume (flattened pair-distance "contact" features).
 
@@ -212,25 +212,3 @@ class LennardJonesMD:
         _, r = self._pair_vectors()
         iu = np.triu_indices(self.state.n_atoms, k=1)
         return np.sort(r[iu])
-
-    def radial_distribution(
-        self, n_bins: int = 50, r_max: float | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """g(r) histogram of the current configuration; returns (r, g)."""
-        if n_bins < 2:
-            raise ConfigurationError("n_bins must be >= 2")
-        r_max = r_max or self.state.box / 2
-        _, r = self._pair_vectors()
-        iu = np.triu_indices(self.state.n_atoms, k=1)
-        dists = r[iu]
-        hist, edges = np.histogram(dists[dists < r_max], bins=n_bins, range=(0, r_max))
-        centers = 0.5 * (edges[1:] + edges[:-1])
-        n = self.state.n_atoms
-        density = n / self.state.box**self.state.dim
-        if self.state.dim == 2:
-            shell = 2 * np.pi * centers * np.diff(edges)
-        else:
-            shell = 4 * np.pi * centers**2 * np.diff(edges)
-        ideal = density * shell * n / 2
-        g = np.divide(hist, ideal, out=np.zeros_like(centers), where=ideal > 0)
-        return centers, g

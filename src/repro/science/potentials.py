@@ -45,26 +45,6 @@ class LennardJonesPotential:
         return 24.0 * self.epsilon * (2.0 * sr6 * sr6 - sr6) / (r * r)
 
 
-class MorsePotential:
-    """Morse potential: e(r) = D (1 - exp(-a (r - r0)))^2 - D."""
-
-    def __init__(self, depth: float = 1.0, a: float = 2.0, r0: float = 1.2):
-        if depth <= 0 or a <= 0 or r0 <= 0:
-            raise ConfigurationError("Morse parameters must be positive")
-        self.depth = depth
-        self.a = a
-        self.r0 = r0
-
-    def energy(self, r: np.ndarray) -> np.ndarray:
-        x = np.exp(-self.a * (r - self.r0))
-        return self.depth * (1.0 - x) ** 2 - self.depth
-
-    def force_over_r(self, r: np.ndarray) -> np.ndarray:
-        x = np.exp(-self.a * (r - self.r0))
-        de_dr = 2.0 * self.depth * self.a * x * (1.0 - x)
-        return -de_dr / r
-
-
 class MLPairPotential:
     """An MLP fit to a reference pair-energy curve.
 

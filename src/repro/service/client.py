@@ -131,9 +131,6 @@ class ServiceClient:
 
     # -- typed surface -------------------------------------------------------------
 
-    def ping(self) -> dict[str, Any]:
-        return self.request("ping")
-
     def wait_ready(self, timeout_s: float = 30.0) -> dict[str, Any]:
         """Block until the server answers a ping (it may be restarting)."""
         deadline = time.time() + timeout_s

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import CapacityError, ConfigurationError
-from repro.storage.dataset import Dataset, ShardingPlan
+from repro.storage.dataset import ShardingPlan
 from repro.storage.filesystem import SharedFileSystem
 
 
@@ -96,29 +96,6 @@ class StagingPlan:
         write_rate = self.shared_fs.aggregate_write_bandwidth
         read_rate = self.shared_fs.aggregate_read_bandwidth
         return moved / write_rate + moved / read_rate
-
-
-@dataclass(frozen=True)
-class CachingLayer:
-    """An NVMe-backed transparent cache over the shared filesystem — the
-    "highly desirable" design of Section VI-B. First epoch reads at shared-FS
-    speed while warming the cache; later epochs read at NVMe speed, with no
-    explicit staging step and no loss of persistence semantics."""
-
-    shared_fs: SharedFileSystem
-    nvme: BurstBuffer
-
-    def epoch_read_time(self, dataset: Dataset, n_nodes: int, epoch: int) -> float:
-        """Per-node read time for the given (0-based) epoch."""
-        if epoch < 0:
-            raise ConfigurationError("epoch must be >= 0")
-        per_node = dataset.total_bytes / n_nodes
-        if epoch == 0:
-            fs_rate = self.shared_fs.read_bandwidth(n_nodes, random_access=True)
-            rate = min(fs_rate, self.nvme.write_bandwidth)
-        else:
-            rate = self.nvme.read_bandwidth
-        return per_node / rate
 
 
 # ``SUMMIT_NVME`` — 1.6 TB, ~6 GB/s read / ~2.1 GB/s write per node — resolves

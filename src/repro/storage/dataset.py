@@ -88,12 +88,6 @@ class ShardingPlan:
                 f"capacity {units.format_bytes(self.nvme_bytes_per_node)}"
             )
 
-    def shuffle_fraction(self) -> float:
-        """Fraction of the global dataset visible to one node's local
-        shuffle window. 1.0 means every node can draw any sample locally
-        (perfect shuffle without network traffic)."""
-        return min(1.0, self.samples_per_node / self.dataset.n_samples)
-
 
 #: ImageNet-1k as stored for the ResNet-50 benchmark calibration.
 IMAGENET = Dataset(name="ImageNet-1k", n_samples=1_281_167, bytes_per_sample=500 * units.KB)

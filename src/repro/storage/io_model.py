@@ -84,11 +84,6 @@ class IoFeasibility:
     def nvme_feasible(self) -> bool:
         return self.nvme_margin >= 1.0
 
-    def io_bound_throughput_fraction(self, use_nvme: bool) -> float:
-        """Fraction of ideal training throughput the storage tier sustains."""
-        margin = self.nvme_margin if use_nvme else self.shared_fs_margin
-        return min(1.0, margin)
-
 
 def io_feasibility(
     requirement: IoRequirement,

@@ -43,7 +43,6 @@ from repro.telemetry.stream import (
     DEFAULT_SHARD_MAX_BYTES,
     ShardAggregator,
     ShardedJsonlSink,
-    SpanSink,
     UtilizationAccumulator,
     iter_shard_records,
     load_shards,
@@ -61,7 +60,6 @@ __all__ = [
     "ShardAggregator",
     "ShardedJsonlSink",
     "Span",
-    "SpanSink",
     "Telemetry",
     "UtilizationAccumulator",
     "chrome_trace",

@@ -21,9 +21,10 @@ separate handles.
 Storage is pluggable, and every closed record takes one form: its wire
 record, a plain dict (:mod:`repro.telemetry.spans`), built once and handed
 to each output's ``emit(record)`` in turn. By default the output is the
-handle's own record list (:attr:`Telemetry.records`); a ``sink`` (any
-:class:`~repro.telemetry.stream.SpanSink`, e.g. the sharded JSONL spiller)
-takes its place — records stream out as they close and the handle stays
+handle's own record list (:attr:`Telemetry.records`); a ``sink`` — the
+sharded JSONL spiller :class:`~repro.telemetry.stream.ShardedJsonlSink`, or
+any object with its ``emit(record)``, ``flush()`` and ``close(metrics)`` —
+takes its place: records stream out as they close and the handle stays
 O(1) in memory. ``add_tap`` registers *observers* that see every closed
 record in both modes without changing where records live — the live
 pubsub hub in :mod:`repro.service` is a tap.

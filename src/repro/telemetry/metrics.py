@@ -103,12 +103,6 @@ class Histogram:
     def mean(self) -> float:
         return self.total / self.n if self.n else 0.0
 
-    def bucket_bounds(self, index: int) -> tuple[float, float]:
-        """``(lower, upper]`` bounds of bucket ``index`` (inf for overflow)."""
-        lo = float("-inf") if index == 0 else self.edges[index - 1]
-        hi = float("inf") if index == len(self.edges) else self.edges[index]
-        return lo, hi
-
 
 class MetricsRegistry:
     """Get-or-create registry of named instruments."""

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Protocol, runtime_checkable
+from typing import Any
 
 from repro import segmentlog
 from repro.errors import ConfigurationError
@@ -51,7 +51,6 @@ __all__ = [
     "DEFAULT_SHARD_MAX_BYTES",
     "ShardAggregator",
     "ShardedJsonlSink",
-    "SpanSink",
     "UtilizationAccumulator",
     "iter_shard_records",
     "load_shards",
@@ -65,25 +64,6 @@ DEFAULT_SHARD_MAX_BYTES = 4 * 1024 * 1024
 
 #: Record types carrying a spilled metrics-registry instrument.
 _METRIC_TYPES = ("counter", "gauge", "histogram")
-
-
-@runtime_checkable
-class SpanSink(Protocol):
-    """Where a :class:`Telemetry` handle sends closed records.
-
-    ``emit`` receives each closed span, instant and sample exactly once,
-    in close/record order, as its wire record (``record["type"]`` is
-    ``span``/``instant``/``sample``); ``flush`` makes buffered records
-    durable at a quiescent point; ``close`` receives the final metrics
-    registry and seals the sink. Taps registered via ``Telemetry.add_tap``
-    implement ``emit`` only.
-    """
-
-    def emit(self, record: dict[str, Any]) -> None: ...
-
-    def flush(self) -> None: ...
-
-    def close(self, metrics: MetricsRegistry | None = None) -> None: ...
 
 
 def shard_paths(directory: str | Path) -> list[Path]:

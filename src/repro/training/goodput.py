@@ -15,12 +15,10 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.cost import CheckpointCostModel, CostBreakdown, kernels
 from repro.errors import ConfigurationError
 from repro.resilience.faults import DEFAULT_NODE_MTBF_SECONDS
 from repro.resilience.report import ResilienceReport
 from repro.resilience.restart import RestartStats, simulate_checkpoint_restart
-from repro.resilience.validate import DEFAULT_WORK_MTBF_MULTIPLE
 from repro.storage.burst_buffer import BurstBuffer
 from repro.storage.checkpoint import CheckpointPlan
 from repro.storage.filesystem import SharedFileSystem
@@ -40,6 +38,12 @@ def _summit_gpfs() -> SharedFileSystem:
     from repro.storage.filesystem import SUMMIT_GPFS
 
     return SUMMIT_GPFS
+
+
+#: Default useful-work length of an empirical run, in units of the job's
+#: system MTBF. Long enough that the run accumulates O(100) failures and the
+#: stochastic rework term converges to its expectation.
+DEFAULT_WORK_MTBF_MULTIPLE = 150.0
 
 #: Default checkpoint payload per node for campaign-level reports (30 GB):
 #: real jobs persist framework and data-pipeline state alongside the model,
@@ -126,30 +130,6 @@ class GoodputModel:
 
     def optimal_interval(self, tier: str = "nvme") -> float:
         return self.plan().optimal_interval(self.write_time(tier))
-
-    def _write_rate(self, tier: str) -> float:
-        if tier == "nvme":
-            return self._require_nvme().write_bandwidth
-        if tier == "shared_fs":
-            return kernels.shared_pool_bandwidth(
-                self.shared_fs.aggregate_write_bandwidth,
-                self.shared_fs.per_client_read_bandwidth,
-                self.job.n_nodes,
-            )
-        raise ConfigurationError(
-            f"unknown storage tier {tier!r}; use 'nvme' or 'shared_fs'"
-        )
-
-    def breakdown(self, tier: str = "nvme") -> CostBreakdown:
-        """Structured checkpoint-economics breakdown for one tier, via the
-        :class:`~repro.cost.CheckpointCostModel` (sweepable over node-count
-        or MTBF axes with :func:`repro.cost.sweep`)."""
-        return CheckpointCostModel().evaluate(
-            state_bytes_per_node=self.checkpoint_bytes_per_node(),
-            write_rate=self._write_rate(tier),
-            n_nodes=self.job.n_nodes,
-            node_mtbf_seconds=self.node_mtbf_seconds,
-        )
 
     # -- analytic goodput --------------------------------------------------------
 

@@ -72,12 +72,20 @@ class ScalingStudy:
     ) -> list[ScalingPoint]:
         """Fixed global batch; the local batch shrinks as nodes grow.
 
-        Node counts for which the global batch is not divisible into whole
-        per-replica batches are rejected.
+        ``global_batch`` defaults to the base job's; a value below 1, or a
+        node count for which it does not divide into whole per-replica
+        batches, is rejected.
         """
         if not node_counts:
             raise ConfigurationError("node_counts must be non-empty")
-        target = global_batch or self.base.global_batch()
+        if global_batch is None:
+            target = self.base.global_batch()
+        elif not global_batch >= 1:  # written so that NaN fails it
+            raise ConfigurationError(
+                f"global_batch must be >= 1, got {global_batch}"
+            )
+        else:
+            target = global_batch
         jobs = []
         for n in sorted(node_counts):
             gpus = n * self.base.system.node.gpu_count

@@ -85,11 +85,6 @@ class StepBreakdown:
     def io_fraction(self) -> float:
         return self.io_exposed / self.total if self.total else 0.0
 
-    @property
-    def compute_fraction(self) -> float:
-        busy = self.compute + self.mp_exchange + self.straggler
-        return busy / self.total if self.total else 0.0
-
 
 def step_cost(
     model: ModelSpec,

@@ -39,8 +39,6 @@ from repro.verify.expectations import (
     Expectation,
     VerifyContext,
     build_registry,
-    expectation_sections,
-    get_expectation,
 )
 from repro.verify.invariants import (
     InvariantResult,
@@ -70,8 +68,6 @@ __all__ = [
     "build_machine_registry",
     "build_registry",
     "checkpoint_replay_parity",
-    "expectation_sections",
-    "get_expectation",
     "run_conformance",
     "run_differentials",
     "run_invariants",

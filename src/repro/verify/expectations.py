@@ -46,8 +46,6 @@ __all__ = [
     "Expectation",
     "VerifyContext",
     "build_registry",
-    "expectation_sections",
-    "get_expectation",
 ]
 
 #: Comparison rules an expectation may use.
@@ -971,19 +969,3 @@ def build_registry() -> tuple[Expectation, ...]:
             raise ConfigurationError(f"duplicate registry key {e.key!r}")
         seen.add(e.key)
     return entries
-
-
-def expectation_sections() -> tuple[str, ...]:
-    """Registry sections in paper order, without duplicates."""
-    out: dict[str, None] = {}
-    for e in build_registry():
-        out.setdefault(e.section, None)
-    return tuple(out)
-
-
-def get_expectation(key: str) -> Expectation:
-    """Look one expectation up by key; raises on unknown keys."""
-    for e in build_registry():
-        if e.key == key:
-            return e
-    raise ConfigurationError(f"no expectation registered under {key!r}")

@@ -33,7 +33,7 @@ from repro.ml.autoencoder import Autoencoder, VariationalAutoencoder
 from repro.ml.mlp import MLP
 from repro.science.ffea import MassSpringModel
 from repro.science.md import LennardJonesMD, lattice_state
-from repro.workflows.dag import TaskGraph, WorkflowRun
+from repro.workflows.dag import TaskGraph
 from repro.workflows.facility import FACILITIES
 
 
@@ -195,8 +195,3 @@ class MultiscaleWorkflow:
                 deps=(f"anca-{w}", f"cvae-{w}"),
             )
         return graph
-
-    @staticmethod
-    def campaign_makespan(n_windows: int = 4, use_cs2: bool = False) -> WorkflowRun:
-        graph = MultiscaleWorkflow.campaign_graph(n_windows=n_windows, use_cs2=use_cs2)
-        return graph.execute()

@@ -129,30 +129,3 @@ class MaterialsWorkflow:
             ce_rmse=ce.training_rmse,
             sweep=sweep,
         )
-
-    def run_first_principles_baseline(
-        self,
-        temperatures: np.ndarray | None = None,
-        n_sweeps: int = 150,
-        n_warmup: int = 100,
-    ) -> MaterialsResult:
-        """The paper's pre-ML approach: every measurement calls the
-        expensive model directly."""
-        if temperatures is None:
-            temperatures = np.linspace(3.4, 1.2, 12)
-        temps = list(np.asarray(temperatures, dtype=float))
-        lat = AlloyLattice(self.lattice_size, seed=self.seed)
-        mc = MonteCarlo(lat, seed=self.seed)
-        sweep = mc.temperature_sweep(
-            temps, n_sweeps=n_sweeps, n_warmup=n_warmup,
-            energy_model=self.expensive_energy,
-        )
-        return MaterialsResult(
-            tc_estimate=estimate_critical_temperature(sweep),
-            tc_exact=exact_critical_temperature(lat.j),
-            expensive_calls=self.expensive_calls,
-            mc_energy_evaluations=len(temps) * n_sweeps,
-            ce_terms=(),
-            ce_rmse=0.0,
-            sweep=sweep,
-        )

@@ -10,9 +10,9 @@ process.
 SAIH's point (PAPERS.md) cuts both ways: evaluation machinery must itself
 be trustworthy. So fault injection here is **seeded and replayable** — a
 :class:`ChaosPlan` derived from a seed always kills the same workers after
-the same completion counts, SIGKILLs the server at the same campaign
-progress thresholds, and tears the same journal tails. Tests assert plan
-determinism (same seed → same schedule) and recovery determinism (the
+the same number of completion attempts, SIGKILLs the server at the same
+campaign progress thresholds, and tears the same journal tails. Tests assert
+plan determinism (same seed → same schedule) and recovery determinism (the
 surviving campaign's result set is byte-identical to an uninterrupted run).
 
 Fault repertoire:
@@ -75,16 +75,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class WorkerChaos:
-    """One worker's deterministic fault schedule (by completion count)."""
+    """One worker's deterministic fault schedule, keyed by the count of
+    completions the worker has attempted so far."""
 
     kill_at: tuple[int, ...] = ()
     drop_heartbeats_at: tuple[int, ...] = ()
 
-    def kill_before_complete(self, n_completed: int) -> bool:
-        return n_completed in self.kill_at
+    def kill_before_complete(self, n_attempted: int) -> bool:
+        return n_attempted in self.kill_at
 
-    def drop_heartbeats(self, n_completed: int) -> bool:
-        return n_completed in self.drop_heartbeats_at
+    def drop_heartbeats(self, n_attempted: int) -> bool:
+        return n_attempted in self.drop_heartbeats_at
 
 
 @dataclass(frozen=True)
@@ -206,8 +207,10 @@ def chaos_handlers() -> dict[str, Callable[[dict[str, Any], int], Any]]:
 class ChaosClient(ServiceClient):
     """A worker's client that injects one :class:`WorkerChaos` schedule.
 
-    The schedule is keyed by ``completed``, the count of completions the
-    server accepted from this client. While that count is planned to drop
+    The schedule is keyed by ``attempted``, the count of completions this
+    client has sent, whether the server accepted them or not: a job whose
+    heartbeats were dropped comes back ``LeaseExpired``, and the schedule
+    still moves on to the next job. While the count is planned to drop
     heartbeats, :meth:`heartbeat` sends nothing, so the running job's lease
     expires under it. At a planned kill count, :meth:`complete` exits the
     process with status 137 in place of sending: the lease is held, the
@@ -218,20 +221,18 @@ class ChaosClient(ServiceClient):
                  **kwargs: Any):
         super().__init__(socket_path, **kwargs)
         self.chaos = chaos
-        self.completed = 0
+        self.attempted = 0
 
     def heartbeat(self, job_ids: list[str]) -> float:
-        if self.chaos.drop_heartbeats(self.completed):
+        if self.chaos.drop_heartbeats(self.attempted):
             return 0.0  # nothing sent, so no deadline was granted
         return super().heartbeat(job_ids)
 
     def complete(self, job_id: str, result: Any) -> bool:
-        if self.chaos.kill_before_complete(self.completed):
+        if self.chaos.kill_before_complete(self.attempted):
             os._exit(137)
-        won = super().complete(job_id, result)
-        if won:
-            self.completed += 1
-        return won
+        self.attempted += 1
+        return super().complete(job_id, result)
 
 
 def chaos_campaign(

@@ -1,79 +1,9 @@
-"""Tests for repro.analysis and the repro.core facade."""
+"""Tests for the repro.core facade."""
 
-import numpy as np
 import pytest
 
-from repro.analysis import (
-    amdahl_speedup,
-    fit_serial_fraction,
-    gustafson_speedup,
-    parallel_efficiency,
-    roofline_point,
-    scaled_speedup,
-)
 from repro.core import ScalingStudyRunner, SummitSimulator, UsageSurvey
-from repro.errors import ConfigurationError
-from repro.machine.gpu import NVIDIA_V100
 from repro.training import ParallelismPlan
-
-
-class TestScalingLaws:
-    def test_amdahl_limits(self):
-        assert amdahl_speedup(1, 0.1) == 1.0
-        assert amdahl_speedup(10**6, 0.01) == pytest.approx(100, rel=0.01)
-
-    def test_amdahl_no_serial_is_linear(self):
-        assert amdahl_speedup(64, 0.0) == 64.0
-
-    def test_gustafson_grows_linearly(self):
-        assert gustafson_speedup(100, 0.1) == pytest.approx(0.1 + 0.9 * 100)
-
-    def test_parallel_efficiency(self):
-        assert parallel_efficiency(80.0, 100) == 0.8
-
-    def test_scaled_speedup_series(self):
-        out = scaled_speedup([10.0, 20.0, 40.0], [1, 2, 4])
-        assert out.tolist() == [1.0, 2.0, 4.0]
-
-    def test_fit_serial_fraction_recovers_truth(self):
-        s_true = 0.002
-        workers = np.array([1, 8, 64, 512, 4096])
-        effs = np.array([1.0 / (s_true * (p - 1) + 1) for p in workers])
-        assert fit_serial_fraction(workers, effs) == pytest.approx(s_true, rel=0.01)
-
-    def test_fit_clamps_to_unit_interval(self):
-        workers = np.array([1, 2])
-        effs = np.array([1.0, 1.5])  # superlinear -> negative raw fit
-        assert fit_serial_fraction(workers, effs) == 0.0
-
-    def test_invalid_inputs(self):
-        with pytest.raises(ConfigurationError):
-            amdahl_speedup(0, 0.1)
-        with pytest.raises(ConfigurationError):
-            amdahl_speedup(4, 1.5)
-        with pytest.raises(ConfigurationError):
-            fit_serial_fraction(np.array([2, 2]), np.array([1.0, 1.0]))
-
-
-class TestRoofline:
-    def test_matmul_is_compute_bound(self):
-        # Large GEMM: intensity in the hundreds of FLOPs/byte
-        point = roofline_point(NVIDIA_V100, flops=1e12, bytes_moved=2e9)
-        assert point.compute_bound
-        assert point.attainable_flops == NVIDIA_V100.peak()
-
-    def test_elementwise_is_memory_bound(self):
-        point = roofline_point(NVIDIA_V100, flops=1e9, bytes_moved=12e9)
-        assert not point.compute_bound
-        assert point.attainable_flops < NVIDIA_V100.peak()
-
-    def test_ridge_point_value(self):
-        point = roofline_point(NVIDIA_V100, 1e12, 1e9)
-        assert point.ridge_intensity == pytest.approx(125e12 / 900e9)
-
-    def test_invalid_inputs(self):
-        with pytest.raises(ConfigurationError):
-            roofline_point(NVIDIA_V100, 0, 1)
 
 
 class TestSummitSimulator:

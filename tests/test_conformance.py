@@ -12,15 +12,11 @@ import json
 
 import pytest
 
-from repro.verify import (
-    VerifyContext,
-    build_registry,
-    expectation_sections,
-    get_expectation,
-)
+from repro.verify import VerifyContext, build_registry
 from repro.verify.report import run_conformance
 
-REGISTRY_KEYS = [e.key for e in build_registry()]
+REGISTRY = {e.key: e for e in build_registry()}
+REGISTRY_KEYS = list(REGISTRY)
 
 
 # ---------------------------------------------------------------------------
@@ -29,7 +25,9 @@ REGISTRY_KEYS = [e.key for e in build_registry()]
 
 
 def test_registry_covers_every_paper_section():
-    assert expectation_sections() == (
+    # the section order run_conformance reports
+    sections = tuple(dict.fromkeys(e.section for e in build_registry()))
+    assert sections == (
         "table1", "table2", "table3",
         "fig1", "fig2", "fig3", "fig4", "fig5", "fig6",
         "section4b", "section5", "section6b",
@@ -51,13 +49,6 @@ def test_every_section4b_app_has_registry_entries():
         assert any(k.startswith(f"section4b.{app}.") for k in keys), app
 
 
-def test_get_expectation_rejects_unknown_key():
-    from repro.errors import ConfigurationError
-
-    with pytest.raises(ConfigurationError):
-        get_expectation("section9.nonexistent")
-
-
 # ---------------------------------------------------------------------------
 # The registry itself, one test per paper-stated quantity
 # ---------------------------------------------------------------------------
@@ -65,7 +56,7 @@ def test_get_expectation_rejects_unknown_key():
 
 @pytest.mark.parametrize("key", REGISTRY_KEYS)
 def test_expectation(key, verify_context):
-    result = get_expectation(key).check(verify_context)
+    result = REGISTRY[key].check(verify_context)
     assert result.passed, result.message()
 
 

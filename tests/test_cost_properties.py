@@ -12,12 +12,9 @@ from hypothesis import strategies as st
 
 from repro.apps.extreme_scale import EXTREME_SCALE_APPS
 from repro.cost import (
-    AllreduceCostModel,
-    CheckpointCostModel,
     ConvergenceCostModel,
     DataParallelCrossoverModel,
-    IoRequirementModel,
-    RooflineCostModel,
+    GradientAllreduceModel,
     step_cost_model,
     sweep,
     sweep_scalar,
@@ -52,7 +49,6 @@ def axis(elements, min_size=1, max_size=6):
                     unique=True).map(sorted)
 
 
-node_counts = axis(st.integers(min_value=1, max_value=SUMMIT.node_count))
 rank_counts = axis(st.integers(min_value=1, max_value=SUMMIT.node_count))
 message_sizes = axis(st.floats(min_value=1e3, max_value=4e9,
                                allow_nan=False, allow_infinity=False))
@@ -73,11 +69,14 @@ class TestAllreduceParity:
             ["ring", "recursive_doubling", "binomial_tree", "best"]),
     )
     def test_allreduce_grid(self, p, size, latency, bandwidth, algorithm):
+        # the step composite's allreduce stage, one GPU per node
         assert_bit_identical(
-            AllreduceCostModel(),
-            {"p": p, "message_bytes": size},
-            latency=latency, bandwidth=bandwidth,
-            allreduce_algorithm=algorithm,
+            GradientAllreduceModel(),
+            {"nodes_in_ring": p, "message_bytes": size},
+            inter_latency=latency, inter_bandwidth=bandwidth,
+            allreduce_algorithm=algorithm, replicas_per_node=1,
+            intra_latency=0.0, intra_bandwidth=1.0,
+            overlap_fraction=0.0, compute_micro=0.0,
         )
 
     @STANDARD_SETTINGS
@@ -111,47 +110,6 @@ class TestStepModelParity:
 
 
 class TestStorageAndAnalysisParity:
-    @STANDARD_SETTINGS
-    @given(
-        state=axis(st.floats(min_value=1e6, max_value=1e12)),
-        nodes=node_counts,
-        write_rate=st.floats(min_value=1e6, max_value=1e11),
-        mtbf=st.floats(min_value=3600.0, max_value=1e9),
-    )
-    def test_checkpoint_grid(self, state, nodes, write_rate, mtbf):
-        assert_bit_identical(
-            CheckpointCostModel(),
-            {"state_bytes_per_node": state, "n_nodes": nodes},
-            write_rate=write_rate, node_mtbf_seconds=mtbf,
-        )
-
-    @STANDARD_SETTINGS
-    @given(
-        samples=axis(st.floats(min_value=1e-3, max_value=1e6)),
-        devices=axis(st.integers(min_value=1, max_value=30000)),
-        bytes_per_sample=st.floats(min_value=1.0, max_value=1e9),
-    )
-    def test_io_requirement_grid(self, samples, devices, bytes_per_sample):
-        assert_bit_identical(
-            IoRequirementModel(),
-            {"samples_per_second_per_device": samples, "n_devices": devices},
-            bytes_per_sample=bytes_per_sample,
-        )
-
-    @STANDARD_SETTINGS
-    @given(
-        flops=axis(st.floats(min_value=1e3, max_value=1e15)),
-        bytes_moved=axis(st.floats(min_value=1.0, max_value=1e12)),
-        peak=st.floats(min_value=1e9, max_value=1e15),
-        membw=st.floats(min_value=1e9, max_value=1e13),
-    )
-    def test_roofline_grid(self, flops, bytes_moved, peak, membw):
-        assert_bit_identical(
-            RooflineCostModel(),
-            {"flops": flops, "bytes_moved": bytes_moved},
-            peak_flops=peak, memory_bandwidth=membw,
-        )
-
     @STANDARD_SETTINGS
     @given(
         batch=axis(st.integers(min_value=1, max_value=1 << 20)),

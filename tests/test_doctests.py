@@ -15,7 +15,6 @@ MODULES = [
     "repro.exec.parallel",
     "repro.exec.cache",
     "repro.ml.mlp",
-    "repro.ml.surrogate",
     "repro.optim.sgd",
     "repro.optim.schedule",
     "repro.machine.summit",
@@ -26,7 +25,6 @@ MODULES = [
     "repro.telemetry.stream",
     "repro.training.job",
     "repro.training.scaling",
-    "repro.analysis.scaling_laws",
     "repro.atomicio",
     "repro.resilience.retry",
     "repro.service.spec",

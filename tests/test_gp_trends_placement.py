@@ -1,18 +1,8 @@
-"""Tests for the GP surrogate, GB reproduction map, adoption trends and
-topology-aware placement."""
+"""Tests for adoption trends and topology-aware placement."""
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.apps.reproductions import (
-    GB_REPRODUCTIONS,
-    reproduction_for,
-    verify_coverage,
-)
 from repro.errors import ConfigurationError
-from repro.ml.gp import GaussianProcess, rbf_kernel
 from repro.network.placement import (
     PlacementStrategy,
     cross_leaf_fraction,
@@ -28,111 +18,6 @@ from repro.portfolio.trends import (
     fit_adoption_trend,
     usage_accounting_comparison,
 )
-
-
-class TestRbfKernel:
-    def test_diagonal_is_signal_variance(self):
-        x = np.random.default_rng(0).normal(size=(5, 3))
-        k = rbf_kernel(x, x, length_scale=1.0, variance=2.5)
-        assert np.allclose(np.diag(k), 2.5)
-
-    def test_decays_with_distance(self):
-        a = np.zeros((1, 2))
-        near = np.full((1, 2), 0.1)
-        far = np.full((1, 2), 3.0)
-        k_near = rbf_kernel(a, near, 1.0, 1.0)[0, 0]
-        k_far = rbf_kernel(a, far, 1.0, 1.0)[0, 0]
-        assert k_near > k_far
-
-    def test_symmetric_psd(self):
-        x = np.random.default_rng(1).normal(size=(10, 2))
-        k = rbf_kernel(x, x, 0.5, 1.0)
-        assert np.allclose(k, k.T)
-        assert np.linalg.eigvalsh(k).min() > -1e-9
-
-
-class TestGaussianProcess:
-    @pytest.fixture(scope="class")
-    def fitted(self):
-        x = np.linspace(0, 1, 10).reshape(-1, 1)
-        y = np.sin(2 * np.pi * x).ravel()
-        return GaussianProcess(length_scale=0.2).fit(x, y), x, y
-
-    def test_interpolates_training_points(self, fitted):
-        gp, x, y = fitted
-        mean, std = gp.predict(x)
-        assert np.allclose(mean, y, atol=1e-3)
-        assert (std < 0.05).all()
-
-    def test_reverts_to_prior_far_away(self, fitted):
-        gp, _, _ = fitted
-        mean, std = gp.predict(np.array([[50.0]]))
-        assert abs(mean[0] - np.mean(gp._alpha) * 0) < 0.5  # near prior mean
-        assert std[0] == pytest.approx(1.0, abs=1e-6)
-
-    def test_uncertainty_smaller_near_data(self, fitted):
-        gp, _, _ = fitted
-        _, std_near = gp.predict(np.array([[0.45]]))
-        _, std_far = gp.predict(np.array([[2.0]]))
-        assert std_near[0] < std_far[0]
-
-    def test_interpolation_between_points_accurate(self, fitted):
-        gp, _, _ = fitted
-        query = np.array([[0.25]])
-        mean, _ = gp.predict(query)
-        assert mean[0] == pytest.approx(np.sin(2 * np.pi * 0.25), abs=0.05)
-
-    def test_log_marginal_likelihood_prefers_right_lengthscale(self):
-        x = np.linspace(0, 1, 20).reshape(-1, 1)
-        y = np.sin(2 * np.pi * x).ravel()
-        good = GaussianProcess(length_scale=0.2, noise=1e-4).fit(x, y)
-        bad = GaussianProcess(length_scale=0.001, noise=1e-4).fit(x, y)
-        assert good.log_marginal_likelihood(y) > bad.log_marginal_likelihood(y)
-
-    def test_acquisition_is_posterior_std(self, fitted):
-        gp, x, _ = fitted
-        scores = gp.acquisition(np.vstack([x[:1], [[3.0]]]))
-        assert scores[1] > scores[0]
-
-    def test_predict_before_fit_rejected(self):
-        with pytest.raises(ConfigurationError):
-            GaussianProcess().predict(np.zeros((1, 1)))
-
-    def test_invalid_hyperparameters(self):
-        with pytest.raises(ConfigurationError):
-            GaussianProcess(length_scale=0.0)
-
-    @settings(max_examples=20, deadline=None)
-    @given(noise=st.floats(min_value=1e-6, max_value=0.1))
-    def test_noise_increases_training_uncertainty(self, noise):
-        x = np.linspace(0, 1, 6).reshape(-1, 1)
-        y = x.ravel() ** 2
-        gp = GaussianProcess(length_scale=0.3, noise=noise).fit(x, y)
-        _, std = gp.predict(x)
-        assert (std >= 0).all()
-
-
-class TestGbReproductions:
-    def test_every_ai_finalist_mapped(self):
-        coverage = verify_coverage()
-        assert all(coverage.values()), {
-            k: v for k, v in coverage.items() if not v
-        }
-
-    def test_ten_reproductions(self):
-        assert len(GB_REPRODUCTIONS) == 10
-
-    def test_lookup(self):
-        repro = reproduction_for("Kurth et al.")
-        assert "repro.apps.extreme_scale" in repro.modules
-
-    def test_unknown_finalist_rejected(self):
-        with pytest.raises(ConfigurationError):
-            reproduction_for("Nobody et al.")
-
-    def test_mechanisms_are_descriptive(self):
-        for repro in GB_REPRODUCTIONS:
-            assert len(repro.mechanism) > 20
 
 
 class TestAdoptionTrends:

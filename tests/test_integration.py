@@ -14,6 +14,7 @@ from repro.science.md import LennardJonesMD, lattice_state
 from repro.science.potentials import LennardJonesPotential, MLPairPotential
 from repro.training import DataSource, ParallelismPlan, ScalingStudy, TrainingJob
 from repro.training.convergence import RESNET50_CONVERGENCE, time_to_solution
+from tests.instruments import radial_distribution
 
 
 class TestDataParallelStoryline:
@@ -139,7 +140,7 @@ class TestMLPotentialStoryline:
             rng = np.random.default_rng(0)
             for _ in range(400):
                 md.langevin_step(0.7, 1.0, rng)
-            r, g = md.radial_distribution(n_bins=40)
+            r, g = radial_distribution(md, n_bins=40)
             peaks.append(r[g.argmax()])
         assert abs(peaks[0] - peaks[1]) < 0.2
 

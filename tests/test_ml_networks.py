@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.ml import MLP, Autoencoder, VariationalAutoencoder
-from repro.ml.data import latent_manifold
+from tests.instruments import latent_manifold
 from repro.ml.losses import mse
 from repro.ml.mlp import Dense
 
@@ -56,7 +56,7 @@ class TestMLPGradients:
 
     def test_parameter_count(self):
         net = MLP([4, 8, 2])
-        assert net.n_parameters == 4 * 8 + 8 + 8 * 2 + 2
+        assert sum(p.size for p in net.parameters) == 4 * 8 + 8 + 8 * 2 + 2
 
     def test_relu_hidden_by_default(self):
         net = MLP([2, 4, 1])
@@ -129,15 +129,6 @@ class TestVariationalAutoencoder:
     def test_encode_returns_mean_only(self):
         vae = VariationalAutoencoder(20, 3, seed=0)
         assert vae.encode(np.zeros((4, 20))).shape == (4, 3)
-
-    def test_sampling_is_stochastic_around_mean(self):
-        x = latent_manifold(50, n_features=20, latent_dim=2, seed=3)
-        vae = VariationalAutoencoder(20, 2, hidden=[16], seed=3)
-        rng1 = np.random.default_rng(0)
-        rng2 = np.random.default_rng(1)
-        z1 = vae.sample_latent(x, rng1)
-        z2 = vae.sample_latent(x, rng2)
-        assert not np.allclose(z1, z2)
 
     def test_latent_too_large_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -12,7 +12,6 @@ from repro.network.collectives import (
     algorithmic_bandwidth,
     allgather_time,
     allreduce_time,
-    best_allreduce_algorithm,
     binomial_tree_allreduce_time,
     broadcast_time,
     paper_allreduce_estimate,
@@ -98,13 +97,14 @@ class TestOtherAlgorithms:
 
 class TestAlgorithmSelection:
     def test_ring_wins_large_messages(self):
-        assert (
-            best_allreduce_algorithm(1024, 1e9, LINK) is AllreduceAlgorithm.RING
+        assert allreduce_time(1024, 1e9, LINK, None) == ring_allreduce_time(
+            1024, 1e9, LINK
         )
 
     def test_latency_optimal_wins_small_messages_many_ranks(self):
-        best = best_allreduce_algorithm(4096, 1e3, LINK)
-        assert best is not AllreduceAlgorithm.RING
+        assert allreduce_time(4096, 1e3, LINK, None) < ring_allreduce_time(
+            4096, 1e3, LINK
+        )
 
     def test_auto_never_worse_than_ring(self):
         for p in (2, 64, 4608):

@@ -23,6 +23,7 @@ from repro.portfolio import reference as ref
 from repro.portfolio.generate import capped_allocate, integerize
 from repro.portfolio.report import render_all
 from repro.portfolio.taxonomy import subdomain_domain
+from tests.instruments import consistency_report
 
 
 class TestTaxonomy:
@@ -95,7 +96,7 @@ class TestProject:
 
 class TestReferenceConsistency:
     def test_all_cross_checks_pass(self):
-        report = ref.consistency_report()
+        report = consistency_report()
         assert all(report.values()), {k: v for k, v in report.items() if not v}
 
     def test_program_totals_as_stated(self):

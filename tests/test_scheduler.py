@@ -14,6 +14,7 @@ from repro.scheduler import (
     Scheduler,
     campaign_from_portfolio,
 )
+from repro.scheduler import jobs as jobs_module
 from repro.scheduler.jobs import (
     SUMMIT_QUEUE_BINS,
     synthetic_facility_year,
@@ -245,6 +246,19 @@ class TestFacilityYearInputs:
         monkeypatch.setattr(np.random, "default_rng", no_draws)
         with pytest.raises(ConfigurationError):
             synthetic_facility_year(n_nodes=64, **{name: value})
+
+    @pytest.mark.parametrize("n_nodes, horizon", [
+        (1, 1e300),  # finite budget, ~3e296 jobs: used to never return
+        (4608, 61 * 365 * 86400.0),  # ~5.5 million jobs
+    ])
+    def test_overlong_stream_rejected_before_any_job(self, n_nodes, horizon,
+                                                     monkeypatch):
+        def no_jobs(*args, **kwargs):
+            raise AssertionError("built a job before checking the length")
+
+        monkeypatch.setattr(jobs_module, "Job", no_jobs)
+        with pytest.raises(ConfigurationError, match="jobs; at most"):
+            synthetic_facility_year(n_nodes=n_nodes, horizon=horizon)
 
     def test_fraction_bounds_are_honoured(self):
         day = 86400.0

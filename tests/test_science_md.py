@@ -7,11 +7,8 @@ from repro.errors import ConfigurationError
 from repro.science.docking import CompoundLibrary, DockingOracle
 from repro.science.ffea import MassSpringModel
 from repro.science.md import LennardJonesMD, MDState, lattice_state
-from repro.science.potentials import (
-    LennardJonesPotential,
-    MLPairPotential,
-    MorsePotential,
-)
+from repro.science.potentials import LennardJonesPotential, MLPairPotential
+from tests.instruments import radial_distribution
 
 
 class TestLattice:
@@ -105,7 +102,7 @@ class TestLennardJonesMD:
         rng = np.random.default_rng(1)
         for _ in range(300):
             md.langevin_step(0.7, 1.0, rng)
-        r, g = md.radial_distribution(n_bins=40)
+        r, g = radial_distribution(md, n_bins=40)
         peak_r = r[g.argmax()]
         assert 0.9 < peak_r < 1.4  # LJ minimum at 2^(1/6) ~ 1.12
 
@@ -130,11 +127,6 @@ class TestPotentials:
         lj = LennardJonesPotential()
         assert lj.force_over_r(np.array([0.9]))[0] > 0
         assert lj.force_over_r(np.array([1.5]))[0] < 0
-
-    def test_morse_minimum_at_r0(self):
-        morse = MorsePotential(depth=2.0, a=2.0, r0=1.2)
-        assert morse.energy(np.array([1.2]))[0] == pytest.approx(-2.0)
-        assert morse.force_over_r(np.array([1.2]))[0] == pytest.approx(0.0, abs=1e-10)
 
     def test_force_is_negative_energy_gradient(self):
         lj = LennardJonesPotential()

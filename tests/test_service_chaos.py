@@ -93,7 +93,7 @@ class TestChaosClient:
         assert client.complete("j1", {}) is True
         client.heartbeat(["j2"])
         assert sent == ["complete", "heartbeat", "complete"]
-        assert client.completed == 2
+        assert client.attempted == 2
 
     def test_exits_in_place_of_a_planned_completion(self, monkeypatch):
         client, sent = self._recording(WorkerChaos(kill_at=(1,)), monkeypatch)

@@ -23,7 +23,7 @@ from repro.service import (
     run_worker,
     serve,
 )
-from tests.service_chaos import chaos_campaign
+from tests.service_chaos import ChaosClient, WorkerChaos, chaos_campaign
 
 FAST = dict(
     lease_timeout_s=0.4,
@@ -141,6 +141,33 @@ class TestLeases:
                 time.sleep(heartbeat_s)
             assert client.status()["total_requeues"] == 0
             assert client.complete(job_id, {"ok": 1})
+
+    def test_one_jobs_dropped_heartbeats_spare_its_later_jobs(
+        self, chaos_handlers
+    ):
+        # every job outlives the lease, so only heartbeats keep one alive;
+        # the plan drops them for the worker's first job alone
+        spec = chaos_campaign(
+            n_jobs=2, slow_every=1, sleep_s=0.7, lease_timeout_s=0.5,
+            heartbeat_interval_s=0.05, max_attempts=3,
+            backoff_base_s=0.01, backoff_max_s=0.05,
+        )
+        with running_server(spec) as client:
+            worker = ChaosClient(
+                client.socket_path, WorkerChaos(drop_heartbeats_at=(0,)),
+                session="w0", policy=TEST_POLICY,
+            )
+            completed = []
+            thread = threading.Thread(
+                target=lambda: completed.append(run_worker(worker)),
+                daemon=True,
+            )
+            thread.start()
+            thread.join(timeout=20.0)
+            status = client.status()
+        assert completed == [2], status
+        assert status["total_requeues"] == 1
+        assert worker.attempted == 3  # the stale completion counts too
 
     def test_requeued_job_completes_under_new_session(self):
         spec = CampaignSpec(name="t", jobs=_jobs(1), **FAST)
@@ -312,7 +339,7 @@ class TestProtocol:
                                jitter_fraction=0.0),
         )
         with pytest.raises(ServiceError, match="cannot reach server"):
-            client.ping()
+            client.request("ping")
 
     def test_results_are_canonical_json(self):
         spec = CampaignSpec(name="t", jobs=_jobs(2), **FAST)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro import units
 from repro.errors import CapacityError, ConfigurationError
-from repro.storage.burst_buffer import SUMMIT_NVME, BurstBuffer, CachingLayer, StagingPlan
+from repro.storage.burst_buffer import SUMMIT_NVME, BurstBuffer, StagingPlan
 from repro.storage.dataset import IMAGENET, Dataset, ShardingPlan
 from repro.storage.filesystem import SUMMIT_GPFS, SharedFileSystem
 from repro.storage.io_model import io_feasibility, read_requirement
@@ -72,11 +72,13 @@ class TestShardingPlan:
     def test_full_replication_sees_everything(self):
         plan = ShardingPlan(IMAGENET, n_nodes=2, nvme_bytes_per_node=1e15,
                             replication=2)
-        assert plan.shuffle_fraction() == 1.0
+        assert plan.samples_per_node == IMAGENET.n_samples
 
     def test_sharded_shuffle_window_shrinks(self):
         plan = ShardingPlan(IMAGENET, n_nodes=128, nvme_bytes_per_node=1.6e12)
-        assert plan.shuffle_fraction() == pytest.approx(1 / 128, rel=0.01)
+        assert plan.samples_per_node / IMAGENET.n_samples == pytest.approx(
+            1 / 128, rel=0.01
+        )
 
     def test_replication_cannot_exceed_nodes(self):
         with pytest.raises(ConfigurationError):
@@ -133,26 +135,6 @@ class TestStagingPlan:
             staging.reshuffle_time(1.5)
 
 
-class TestCachingLayer:
-    def test_first_epoch_slow_later_fast(self):
-        cache = CachingLayer(SUMMIT_GPFS, SUMMIT_NVME)
-        first = cache.epoch_read_time(IMAGENET, n_nodes=1024, epoch=0)
-        later = cache.epoch_read_time(IMAGENET, n_nodes=1024, epoch=3)
-        assert later < first
-
-    def test_warm_epoch_reads_at_nvme_speed(self):
-        cache = CachingLayer(SUMMIT_GPFS, SUMMIT_NVME)
-        per_node = IMAGENET.total_bytes / 1024
-        assert cache.epoch_read_time(IMAGENET, 1024, 1) == pytest.approx(
-            per_node / SUMMIT_NVME.read_bandwidth
-        )
-
-    def test_negative_epoch_rejected(self):
-        cache = CachingLayer(SUMMIT_GPFS, SUMMIT_NVME)
-        with pytest.raises(ConfigurationError):
-            cache.epoch_read_time(IMAGENET, 8, -1)
-
-
 class TestIoModel:
     """Section VI-B's read-requirement arithmetic."""
 
@@ -182,10 +164,8 @@ class TestIoModel:
         req = read_requirement(1445, 500e3, 27648)
         feas = io_feasibility(req, SUMMIT_GPFS, SUMMIT_NVME, 4608,
                               random_access=False)
-        assert feas.io_bound_throughput_fraction(use_nvme=True) == 1.0
-        assert feas.io_bound_throughput_fraction(use_nvme=False) == pytest.approx(
-            2.5 / 20, rel=0.02
-        )
+        assert min(1.0, feas.nvme_margin) == 1.0
+        assert min(1.0, feas.shared_fs_margin) == pytest.approx(2.5 / 20, rel=0.02)
 
     @given(st.integers(min_value=1, max_value=100_000))
     def test_requirement_linear_in_devices(self, n):

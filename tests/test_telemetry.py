@@ -105,12 +105,6 @@ class TestHistogram:
         h.record(9.0)  # overflow
         assert h.counts == [2, 2, 1, 1]
 
-    def test_bucket_bounds(self):
-        h = Histogram("h", edges=(1.0, 2.0))
-        assert h.bucket_bounds(0) == (float("-inf"), 1.0)
-        assert h.bucket_bounds(1) == (1.0, 2.0)
-        assert h.bucket_bounds(2) == (2.0, float("inf"))
-
     def test_non_increasing_edges_rejected(self):
         with pytest.raises(ConfigurationError):
             Histogram("h", edges=(1.0, 1.0))

@@ -16,7 +16,6 @@ from repro.telemetry import (
     DEFAULT_SHARD_MAX_BYTES,
     ShardAggregator,
     ShardedJsonlSink,
-    SpanSink,
     Telemetry,
     chrome_trace_json,
     iter_shard_records,
@@ -41,9 +40,6 @@ def _spill_scenario(tmp_path, name="dag", seed=0, shard_max_bytes=4096):
 
 
 class TestShardedJsonlSink:
-    def test_satisfies_the_sink_protocol(self, tmp_path):
-        assert isinstance(ShardedJsonlSink(tmp_path / "s"), SpanSink)
-
     def test_spills_and_counts_every_record(self, tmp_path):
         baseline = run_scenario("dag", seed=0).telemetry
         directory, sink = _spill_scenario(tmp_path)

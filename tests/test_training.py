@@ -78,7 +78,8 @@ class TestStepBreakdown:
 
     def test_fractions_sum_to_one(self):
         b = make_job(overlap_fraction=0.0).breakdown()
-        assert b.comm_fraction + b.io_fraction + b.compute_fraction == pytest.approx(1.0)
+        busy = (b.compute + b.mp_exchange + b.straggler) / b.total
+        assert b.comm_fraction + b.io_fraction + busy == pytest.approx(1.0)
 
     def test_single_node_has_intra_node_comm_only(self):
         b = make_job(nodes=1, overlap_fraction=0.0).breakdown()
@@ -215,6 +216,14 @@ class TestScalingStudy:
         job = make_job(nodes=1, local_batch=7)
         with pytest.raises(ConfigurationError):
             ScalingStudy(job).strong_scaling([1, 4], global_batch=100)
+
+    @pytest.mark.parametrize("global_batch", [0, -768])
+    def test_strong_scaling_nonpositive_batch_rejected(self, global_batch):
+        # 0 used to fall back to the base job's batch (768 here); a negative
+        # batch raised about local_batch instead of naming global_batch
+        job = make_job(nodes=1, local_batch=128)
+        with pytest.raises(ConfigurationError, match="global_batch"):
+            ScalingStudy(job).strong_scaling([1, 2], global_batch=global_batch)
 
     def test_table_renders_all_rows(self):
         points = ScalingStudy(make_job(nodes=1)).weak_scaling([1, 8])

@@ -76,13 +76,6 @@ class TestMaterialsWorkflow:
         orders = [r.order_parameter for r in result.sweep]
         assert orders[-1] > orders[0] + 0.4
 
-    def test_first_principles_baseline_pays_per_measurement(self):
-        wf = MaterialsWorkflow(lattice_size=8, seed=1)
-        baseline = wf.run_first_principles_baseline(
-            temperatures=np.linspace(3.0, 1.5, 4), n_sweeps=20, n_warmup=10
-        )
-        assert baseline.expensive_calls == 4 * 20
-
     def test_small_lattice_rejected(self):
         with pytest.raises(ConfigurationError):
             MaterialsWorkflow(lattice_size=2)
@@ -213,8 +206,8 @@ class TestMultiscaleWorkflow:
         assert run.makespan < graph.serial_time()
 
     def test_cs2_accelerates_training_leg(self):
-        slow = MultiscaleWorkflow.campaign_makespan(n_windows=3, use_cs2=False)
-        fast = MultiscaleWorkflow.campaign_makespan(n_windows=3, use_cs2=True)
+        slow = MultiscaleWorkflow.campaign_graph(n_windows=3, use_cs2=False).execute()
+        fast = MultiscaleWorkflow.campaign_graph(n_windows=3, use_cs2=True).execute()
         assert fast.makespan <= slow.makespan
 
     def test_campaign_critical_path_ends_at_last_gno(self):
