@@ -17,7 +17,7 @@ def main() -> None:
     sim = SummitSimulator()
 
     print("=" * 72)
-    print("Machine:", sim.system.describe())
+    print(sim.machine.describe())
     print()
 
     # -- Section VI-B: allreduce cost estimates -------------------------------

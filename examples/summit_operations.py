@@ -23,12 +23,11 @@ Run:  python examples/summit_operations.py
 import numpy as np
 
 from repro.apps.extreme_scale import get_app
+from repro.machine import SUMMIT
 from repro.portfolio import generate_portfolio
 from repro.scheduler import FaultModel, Policy, Scheduler, campaign_from_portfolio
 from repro.science.solver import solver_study
-from repro.storage.burst_buffer import SUMMIT_NVME
 from repro.storage.checkpoint import CheckpointPlan
-from repro.storage.filesystem import SUMMIT_GPFS
 
 
 def main() -> None:
@@ -57,7 +56,7 @@ def main() -> None:
         state_bytes_per_node=100e9, n_nodes=4096,
         node_mtbf_seconds=5 * 365 * 24 * 3600.0,
     )
-    for name, tier in plan.compare_tiers(SUMMIT_NVME, SUMMIT_GPFS).items():
+    for name, tier in plan.compare_tiers(SUMMIT.nvme, SUMMIT.shared_fs).items():
         print(f"  {name:<10} write {tier['write_time']:>7.0f} s   "
               f"optimal interval {tier['optimal_interval'] / 3600:>5.2f} h   "
               f"overhead {tier['overhead']:>5.1%}")

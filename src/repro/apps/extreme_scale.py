@@ -20,12 +20,12 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.machine.spec import MachineSpec
     from repro.resilience.report import ResilienceReport
+    from repro.resilience.restart import RestartStats
+    from repro.training.goodput import GoodputModel
 
 from repro.errors import ConfigurationError
-from repro.machine.summit import summit
-from repro.machine.system import System
+from repro.machine.spec import MachineSpec, resolve_machine
 from repro.models import (
     ModelSpec,
     deeplabv3plus,
@@ -36,20 +36,6 @@ from repro.models import (
 )
 from repro.training.job import TrainingJob
 from repro.training.parallelism import DataSource, ParallelismPlan
-
-
-def _resolve_system(
-    system: "System | None", machine: "MachineSpec | str | None"
-) -> System:
-    """An explicit ``system`` wins; else ``machine`` (registry name or
-    spec) builds one; else the historical Summit default."""
-    if system is not None:
-        return system
-    if machine is not None:
-        from repro.machine.spec import resolve_machine
-
-        return resolve_machine(machine).system()
-    return summit(include_high_mem=False)
 
 
 @dataclass(frozen=True)
@@ -68,26 +54,22 @@ class ExtremeScaleApp:
     def job(
         self,
         n_nodes: int,
-        system: System | None = None,
-        machine: "MachineSpec | str | None" = None,
+        machine: MachineSpec | str | None = None,
     ) -> TrainingJob:
+        """The app's training job at ``n_nodes`` on ``machine`` (a registry
+        name or spec; default Summit)."""
         return TrainingJob(
             model=self.model_factory(),
-            system=_resolve_system(system, machine),
+            machine=resolve_machine(machine),
             n_nodes=n_nodes,
             plan=self.plan,
             data_source=self.data_source,
         )
 
-    def simulate(
-        self,
-        system: System | None = None,
-        machine: "MachineSpec | str | None" = None,
-    ) -> dict:
+    def simulate(self, machine: MachineSpec | str | None = None) -> dict:
         """Run baseline and peak configurations; return measured numbers."""
-        system = _resolve_system(system, machine)
-        base = self.job(self.baseline_nodes, system)
-        peak = self.job(self.peak_nodes, system)
+        base = self.job(self.baseline_nodes, machine)
+        peak = self.job(self.peak_nodes, machine)
         return {
             "key": self.key,
             "nodes": self.peak_nodes,
@@ -98,11 +80,7 @@ class ExtremeScaleApp:
             "reported": self.reported,
         }
 
-    def cost_model(
-        self,
-        system: System | None = None,
-        machine: "MachineSpec | str | None" = None,
-    ):
+    def cost_model(self, machine: MachineSpec | str | None = None):
         """The app's step-time composite from the :mod:`repro.cost` layer.
 
         Evaluate at one node count (``.evaluate(n_nodes=...)``) or across a
@@ -113,17 +91,12 @@ class ExtremeScaleApp:
 
         return step_cost(
             self.model_factory(),
-            _resolve_system(system, machine),
+            resolve_machine(machine),
             self.plan,
             data_source=self.data_source,
         )
 
-    def sweep_nodes(
-        self,
-        n_nodes,
-        system: System | None = None,
-        machine: "MachineSpec | str | None" = None,
-    ):
+    def sweep_nodes(self, n_nodes, machine: MachineSpec | str | None = None):
         """Vectorized step-time sweep over a node-count axis.
 
         ``n_nodes`` is any 1-D integer sequence; node counts must be
@@ -132,7 +105,7 @@ class ExtremeScaleApp:
         """
         from repro.cost import sweep
 
-        return sweep(self.cost_model(system, machine), {"n_nodes": n_nodes})
+        return sweep(self.cost_model(machine), {"n_nodes": n_nodes})
 
     def resilience_report(
         self,
@@ -142,8 +115,7 @@ class ExtremeScaleApp:
         tier: str = "nvme",
         empirical: bool = True,
         seed: int = 0,
-        system: System | None = None,
-        machine: "MachineSpec | str | None" = None,
+        machine: MachineSpec | str | None = None,
     ) -> "ResilienceReport":
         """Expected goodput at scale under failures and checkpointing.
 
@@ -155,7 +127,7 @@ class ExtremeScaleApp:
         """
         nodes = n_nodes if n_nodes is not None else self.peak_nodes
         model = self.goodput_model(
-            nodes, node_mtbf_seconds, state_bytes_per_node, system, machine
+            nodes, node_mtbf_seconds, state_bytes_per_node, machine
         )
         return model.report(
             name=f"{self.key} @ {nodes} nodes ({tier})",
@@ -169,14 +141,10 @@ class ExtremeScaleApp:
         n_nodes: int | None = None,
         node_mtbf_seconds: float | None = None,
         state_bytes_per_node: float | None = None,
-        system: System | None = None,
-        machine: "MachineSpec | str | None" = None,
+        machine: MachineSpec | str | None = None,
     ) -> "GoodputModel":
-        """The resilience-aware throughput model at this app's width.
-
-        With ``machine`` set, the checkpoint tiers (NVMe, shared FS) come
-        from that machine's spec instead of Summit's.
-        """
+        """The resilience-aware throughput model at this app's width, with
+        the checkpoint tiers (NVMe, shared FS) of ``machine``."""
         from repro.resilience.faults import DEFAULT_NODE_MTBF_SECONDS
         from repro.training.goodput import (
             DEFAULT_STATE_BYTES_PER_NODE,
@@ -184,7 +152,8 @@ class ExtremeScaleApp:
         )
 
         nodes = n_nodes if n_nodes is not None else self.peak_nodes
-        kwargs = dict(
+        return GoodputModel(
+            job=self.job(nodes, machine),
             node_mtbf_seconds=(
                 node_mtbf_seconds
                 if node_mtbf_seconds is not None
@@ -196,10 +165,6 @@ class ExtremeScaleApp:
                 else DEFAULT_STATE_BYTES_PER_NODE
             ),
         )
-        job = self.job(nodes, system, machine)
-        if machine is not None:
-            return GoodputModel.for_machine(job, machine, **kwargs)
-        return GoodputModel(job=job, **kwargs)
 
     def resilience_ensemble(
         self,
@@ -210,8 +175,7 @@ class ExtremeScaleApp:
         n_replicas: int = 8,
         seed: int = 0,
         n_jobs: int = 1,
-        system: System | None = None,
-        machine: "MachineSpec | str | None" = None,
+        machine: MachineSpec | str | None = None,
     ) -> "list[RestartStats]":
         """A Monte-Carlo ensemble of checkpoint-restart runs for this app.
 
@@ -220,7 +184,7 @@ class ExtremeScaleApp:
         an ``n_jobs``-invariant error bar around the Young/Daly optimum.
         """
         model = self.goodput_model(
-            n_nodes, node_mtbf_seconds, state_bytes_per_node, system, machine
+            n_nodes, node_mtbf_seconds, state_bytes_per_node, machine
         )
         return model.simulate_ensemble(
             tier=tier, seed=seed, n_replicas=n_replicas, n_jobs=n_jobs,

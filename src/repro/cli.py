@@ -271,6 +271,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.crossover:
         from repro.core import SummitSimulator
         from repro.cost import crossover_nodes
+        from repro.machine.spec import resolve_machine
 
         compute_ms = _check_positive(
             50.0 if args.compute_ms is None else args.compute_ms,
@@ -282,7 +283,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 float, "--message-mb",
             )
         ]
-        sim = SummitSimulator.for_machine(args.machine)
+        sim = SummitSimulator(machine=resolve_machine(args.machine))
         sizes = np.array([mb * 1e6 for mb in message_mb])
         result = sim.crossover_surface(
             sizes, np.array(nodes), compute_time=compute_ms * 1e-3,

@@ -9,15 +9,13 @@ Three entry points mirror the paper's three quantitative strands:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
 
 from repro import units
 from repro.cost import crossover_sweep
 from repro.cost.sweep import SweepResult
 from repro.errors import ConfigurationError
-from repro.machine.summit import summit
-from repro.machine.system import System
+from repro.machine.spec import SUMMIT, MachineSpec
 from repro.models.catalog import get_model
 from repro.network.collectives import paper_allreduce_estimate, ring_allreduce_time
 from repro.portfolio.analytics import PortfolioAnalytics
@@ -27,53 +25,41 @@ from repro.training.job import TrainingJob
 from repro.training.parallelism import DataSource, ParallelismPlan
 from repro.training.scaling import ScalingPoint, ScalingStudy
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.machine.spec import MachineSpec
-
 
 @dataclass
 class SummitSimulator:
     """The Summit machine model plus the Section VI-B analytics.
 
     Despite the name (kept for API stability), the simulator runs against
-    any machine: build one with :meth:`for_machine` and every analytic —
-    allreduce estimates, step sweeps, crossover surfaces, I/O feasibility —
+    any registry machine (``SummitSimulator(machine=FRONTIER_LIKE)``): every
+    analytic — allreduce estimates, crossover surfaces, I/O feasibility —
     uses that machine's links and storage tiers.
 
     >>> sim = SummitSimulator()
-    >>> round(sim.system.peak_flops() / 1e18, 1)   # "over 3 AI-ExaOps"
+    >>> round(sim.machine.peak_flops() / 1e18, 1)   # "over 3 AI-ExaOps"
     3.5
     >>> t = sim.allreduce_estimate("bert_large")
     >>> 0.10 < t < 0.12   # "roughly ... 110 ms"
     True
     """
 
-    system: System = field(default_factory=lambda: summit())
-
-    @classmethod
-    def for_machine(
-        cls, machine: "MachineSpec | str | None" = None
-    ) -> "SummitSimulator":
-        """A simulator over a registry machine (name or spec; default
-        Summit — bit-identical to ``SummitSimulator()`` for the analytics,
-        which only read the main partition)."""
-        if machine is None:
-            return cls()
-        from repro.machine.spec import resolve_machine
-
-        return cls(system=resolve_machine(machine).system())
+    machine: MachineSpec = SUMMIT
 
     def allreduce_estimate(self, model_key: str) -> float:
         """The paper's bandwidth-only allreduce estimate for a model's
         gradient (Section VI-B)."""
         model = get_model(model_key)
-        return paper_allreduce_estimate(model.gradient_bytes, self.system.interconnect)
+        return paper_allreduce_estimate(
+            model.gradient_bytes, self.machine.interconnect
+        )
 
     def allreduce_detailed(self, model_key: str, n_nodes: int) -> float:
         """Full ring-allreduce cost, latency terms included."""
         model = get_model(model_key)
-        self.system.require_nodes(n_nodes)
-        return ring_allreduce_time(n_nodes, model.gradient_bytes, self.system.interconnect)
+        self.machine.require_nodes(n_nodes)
+        return ring_allreduce_time(
+            n_nodes, model.gradient_bytes, self.machine.interconnect
+        )
 
     def crossover_surface(
         self,
@@ -85,10 +71,10 @@ class SummitSimulator:
         """Section VI-B comm-vs-compute crossover surface on this machine.
 
         Any of ``message_bytes`` / ``node_counts`` / ``bandwidth`` may be a
-        sequence (a grid axis); ``bandwidth`` defaults to the system
-        interconnect's aggregate injection bandwidth.
+        sequence (a grid axis); ``bandwidth`` defaults to the machine's
+        aggregate injection bandwidth.
         """
-        link = self.system.interconnect
+        link = self.machine.interconnect
         return crossover_sweep(
             message_bytes,
             node_counts,
@@ -100,26 +86,26 @@ class SummitSimulator:
     def io_report(self, model_key: str, n_nodes: int | None = None) -> dict:
         """The Section VI-B read-bandwidth feasibility analysis."""
         model = get_model(model_key)
-        n = self.system.node_count if n_nodes is None else n_nodes
-        self.system.require_nodes(n)
-        gpus = n * self.system.node.gpu_count
-        samples_per_s = model.samples_per_second(self.system.node.gpus)
+        machine = self.machine
+        n = machine.node_count if n_nodes is None else n_nodes
+        machine.require_nodes(n)
+        gpus = n * machine.gpus_per_node
+        samples_per_s = model.samples_per_second(machine.gpus)
         req = read_requirement(samples_per_s, model.bytes_per_sample, gpus)
-        nvme = self.system.nvme
-        if nvme is None or self.system.shared_fs is None:
+        nvme = machine.nvme
+        if nvme is None:
             raise ConfigurationError("system lacks an NVMe tier or shared FS")
-        feas = io_feasibility(
-            req, self.system.shared_fs, nvme, n, random_access=False
-        )
+        shared_fs = machine.shared_fs
+        feas = io_feasibility(req, shared_fs, nvme, n, random_access=False)
         return {
             "required": req.required_bandwidth,
-            "shared_fs": self.system.shared_fs.aggregate_read_bandwidth,
+            "shared_fs": shared_fs.aggregate_read_bandwidth,
             "nvme": nvme.aggregate_read_bandwidth(n),
             "shared_fs_feasible": feas.shared_fs_feasible,
             "nvme_feasible": feas.nvme_feasible,
             "summary": (
                 f"{model.name}: needs {units.format_rate(req.required_bandwidth)}; "
-                f"shared FS {units.format_rate(self.system.shared_fs.aggregate_read_bandwidth)} "
+                f"shared FS {units.format_rate(shared_fs.aggregate_read_bandwidth)} "
                 f"({'ok' if feas.shared_fs_feasible else 'insufficient'}), "
                 f"NVMe {units.format_rate(nvme.aggregate_read_bandwidth(n))} "
                 f"({'ok' if feas.nvme_feasible else 'insufficient'})"
@@ -134,32 +120,12 @@ class ScalingStudyRunner:
     model_key: str
     plan: ParallelismPlan
     data_source: DataSource = DataSource.NVME
-    system: System = field(default_factory=lambda: summit(include_high_mem=False))
-
-    @classmethod
-    def for_machine(
-        cls,
-        model_key: str,
-        plan: ParallelismPlan,
-        machine: "MachineSpec | str | None" = None,
-        data_source: DataSource = DataSource.NVME,
-    ) -> "ScalingStudyRunner":
-        """A runner whose system comes from the machine registry."""
-        if machine is None:
-            return cls(model_key=model_key, plan=plan, data_source=data_source)
-        from repro.machine.spec import resolve_machine
-
-        return cls(
-            model_key=model_key,
-            plan=plan,
-            data_source=data_source,
-            system=resolve_machine(machine).system(),
-        )
+    machine: MachineSpec = SUMMIT
 
     def run(self, node_counts: list[int], strong: bool = False) -> list[ScalingPoint]:
         base = TrainingJob(
             model=get_model(self.model_key),
-            system=self.system,
+            machine=self.machine,
             n_nodes=min(node_counts),
             plan=self.plan,
             data_source=self.data_source,
@@ -173,7 +139,7 @@ class ScalingStudyRunner:
         points = self.run(node_counts, strong=strong)
         mode = "strong" if strong else "weak"
         return ScalingStudy.table(
-            points, title=f"{self.model_key} {mode} scaling on {self.system.name}"
+            points, title=f"{self.model_key} {mode} scaling on {self.machine.name}"
         )
 
 

@@ -276,38 +276,46 @@ STEP_CRITICAL = ("compute", "straggler", "mp_exchange", "comm_exposed", "io_expo
 
 def step_cost_model(
     model: Any,
-    system: Any,
+    machine: Any,
     plan: Any,
     data_source: Any = "nvme",
     precision: Any = None,
-    intra_node_link: Any = None,
 ) -> CompositeCostModel:
-    """Bind a (model, system, plan) configuration into the step composite.
+    """Bind a (model, machine, plan) configuration into the step composite.
 
-    Arguments mirror :func:`repro.training.step_time.step_breakdown`;
-    ``data_source`` may be the :class:`~repro.training.parallelism.DataSource`
-    enum or its string value. The returned composite requires only
-    ``n_nodes`` — a scalar for ``evaluate`` or an integer array for
-    ``evaluate_batch`` / :func:`repro.cost.sweep.sweep`.
+    Arguments mirror :func:`repro.training.step_time.step_breakdown`:
+    ``machine`` is a :class:`~repro.machine.spec.MachineSpec`, whose GPUs,
+    node count, injection and intra-node links and storage tiers the
+    stages read; ``data_source`` may be the
+    :class:`~repro.training.parallelism.DataSource` enum or its string
+    value. The returned composite requires only ``n_nodes`` — a scalar for
+    ``evaluate`` or an integer array for ``evaluate_batch`` /
+    :func:`repro.cost.sweep.sweep`.
+
+    >>> from repro.machine import SUMMIT
+    >>> from repro.models import resnet50
+    >>> from repro.training.parallelism import ParallelismPlan
+    >>> cost = step_cost_model(resnet50(), SUMMIT, ParallelismPlan(local_batch=32))
+    >>> cost.name
+    'step[ResNet-50 @ Summit]'
     """
-    node = system.node
-    if not node.has_gpus:
-        raise ConfigurationError(f"{system.name} main partition has no GPUs")
-    if plan.model_shards > node.gpu_count and plan.model_shards % node.gpu_count:
+    if machine.gpus is None:
+        raise ConfigurationError(f"{machine.name} main partition has no GPUs")
+    gpu_count = machine.gpus_per_node
+    if plan.model_shards > gpu_count and plan.model_shards % gpu_count:
         raise ConfigurationError(
             "multi-node model parallelism must use whole nodes per replica"
         )
-    if intra_node_link is None:
-        raise ConfigurationError("step_cost_model needs an intra_node_link spec")
 
     source = getattr(data_source, "value", data_source)
     shards = plan.model_shards
-    gpu_count = node.gpu_count
     sustained = (
-        model.sustained_flops(node.gpus)
+        model.sustained_flops(machine.gpus)
         if precision is None
-        else model.sustained_flops(node.gpus, precision)
+        else model.sustained_flops(machine.gpus, precision)
     )
+    inter_link = machine.interconnect
+    intra_link = machine.intra_node_link
 
     # -- model-parallel boundary (static per configuration) ----------------------
     mp_active = shards > 1
@@ -316,7 +324,7 @@ def step_cost_model(
         boundary_bytes = (
             2.0 * act_bytes * plan.local_batch * (shards - 1) / shards
         )
-        mp_link = intra_node_link if shards <= gpu_count else system.interconnect
+        mp_link = intra_link if shards <= gpu_count else inter_link
         mp_latency, mp_bandwidth = mp_link.latency, mp_link.total_bandwidth
     else:
         boundary_bytes, mp_latency, mp_bandwidth = 0.0, 0.0, 1.0
@@ -325,16 +333,15 @@ def step_cost_model(
     if source == "memory":
         io_mode, io_params = "none", {}
     elif source == "nvme":
-        if system.nvme is None:
+        nvme = machine.nvme
+        if nvme is None:
             raise ConfigurationError(
-                f"{system.name} nodes have no NVMe burst buffer"
+                f"{machine.name} nodes have no NVMe burst buffer"
             )
         io_mode = "rate"
-        io_params = {"io_rate": system.nvme.read_bandwidth}
+        io_params = {"io_rate": nvme.read_bandwidth}
     elif source == "shared_fs":
-        if system.shared_fs is None:
-            raise ConfigurationError(f"{system.name} has no shared filesystem")
-        fs = system.shared_fs
+        fs = machine.shared_fs
         io_mode = "shared_fs"
         io_params = {
             # Order matters for bit parity: derate the aggregate first, as
@@ -355,8 +362,8 @@ def step_cost_model(
     )
     algorithm = plan.allreduce_algorithm
     defaults: dict[str, Any] = {
-        "system_name": system.name,
-        "max_nodes": system.node_count,
+        "system_name": machine.name,
+        "max_nodes": machine.node_count,
         "gpu_count": gpu_count,
         "model_shards": shards,
         "local_batch": plan.local_batch,
@@ -370,10 +377,10 @@ def step_cost_model(
         "mp_bandwidth": mp_bandwidth,
         "message_bytes": model.gradient_bytes / shards,
         "replicas_per_node": replicas_per_node,
-        "intra_latency": intra_node_link.latency,
-        "intra_bandwidth": intra_node_link.total_bandwidth,
-        "inter_latency": system.interconnect.latency,
-        "inter_bandwidth": system.interconnect.total_bandwidth,
+        "intra_latency": intra_link.latency,
+        "intra_bandwidth": intra_link.total_bandwidth,
+        "inter_latency": inter_link.latency,
+        "inter_bandwidth": inter_link.total_bandwidth,
         "overlap_fraction": plan.overlap_fraction,
         "allreduce_algorithm": getattr(algorithm, "value", algorithm),
         "io_mode": io_mode,
@@ -390,7 +397,7 @@ def step_cost_model(
         GradientAllreduceModel(),
         InputPipelineCostModel(),
         StragglerCostModel(),
-        name=f"step[{model.name} @ {system.name}]",
+        name=f"step[{model.name} @ {machine.name}]",
         critical=STEP_CRITICAL,
         defaults=defaults,
     )

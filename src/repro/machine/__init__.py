@@ -2,11 +2,14 @@
 
 This package provides the static hardware catalog the rest of the library
 builds on: GPU and CPU specifications (:mod:`repro.machine.gpu`,
-:mod:`repro.machine.cpu`), node compositions (:mod:`repro.machine.node`),
-whole systems (:mod:`repro.machine.system`), the machine registry
+:mod:`repro.machine.cpu`) and the machine registry
 (:mod:`repro.machine.spec` — ``summit``, ``frontier-like``,
-``perlmutter-like``, ``tpu-pod-like``) and the concrete OLCF machines
-described in Section II-A of the paper (:mod:`repro.machine.summit`).
+``perlmutter-like``, ``tpu-pod-like``). A
+:class:`~repro.machine.spec.MachineSpec` is the one machine value every
+analysis reads. Node compositions (:mod:`repro.machine.node`) and whole
+systems (:mod:`repro.machine.system`) make up the Section II-A inventory
+of the concrete OLCF machines (:mod:`repro.machine.summit`): Summit with
+its high-memory nodes, Rhea and Andes.
 """
 
 from repro.machine.cpu import (

@@ -1,14 +1,15 @@
 """Compute-node composition.
 
 A :class:`NodeSpec` aggregates sockets, accelerators, memory tiers, the
-node-local burst buffer and the network injection bandwidth. The derived
-properties (peak FLOPs per precision, HBM capacity) are what the training
-simulator consumes.
+node-local burst buffer and the network injection bandwidth. It is what
+the Section II-A inventory (:mod:`repro.machine.summit`) lists and what
+:meth:`~repro.machine.spec.MachineSpec.node` builds for per-node peaks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 from repro.machine.cpu import CpuSpec
@@ -49,7 +50,6 @@ class NodeSpec:
     nvme_read_bandwidth: float
     nvme_write_bandwidth: float
     injection_bandwidth: float
-    tags: frozenset[str] = field(default_factory=frozenset)
 
     def __post_init__(self) -> None:
         if self.cpu_count <= 0:
@@ -60,26 +60,20 @@ class NodeSpec:
             raise ConfigurationError(f"{self.name}: gpu_count > 0 but no GPU spec")
         if self.gpu_count == 0 and self.gpus is not None:
             raise ConfigurationError(f"{self.name}: GPU spec given but gpu_count is 0")
-        if self.host_memory_bytes <= 0:
-            raise ConfigurationError(f"{self.name}: host memory must be positive")
-        if self.nvme_bytes < 0:
-            raise ConfigurationError(f"{self.name}: negative NVMe capacity")
-        if self.nvme_bytes > 0 and (
-            self.nvme_read_bandwidth <= 0 or self.nvme_write_bandwidth <= 0
-        ):
-            raise ConfigurationError(
-                f"{self.name}: NVMe present but bandwidth non-positive"
-            )
-        if self.injection_bandwidth <= 0:
-            raise ConfigurationError(f"{self.name}: injection bandwidth must be positive")
-
-    @property
-    def has_gpus(self) -> bool:
-        return self.gpu_count > 0
-
-    @property
-    def has_nvme(self) -> bool:
-        return self.nvme_bytes > 0
+        # each check is written so that NaN fails it
+        for field_name in ("host_memory_bytes", "injection_bandwidth"):
+            if not 0.0 < getattr(self, field_name) < math.inf:
+                raise ConfigurationError(
+                    f"{self.name}: {field_name} must be positive and finite"
+                )
+        nvme = ("nvme_bytes", "nvme_read_bandwidth", "nvme_write_bandwidth")
+        if any(getattr(self, f) != 0.0 for f in nvme):
+            for field_name in nvme:
+                if not 0.0 < getattr(self, field_name) < math.inf:
+                    raise ConfigurationError(
+                        f"{self.name}: {field_name} must be positive and "
+                        "finite, or all three NVMe figures zero"
+                    )
 
     @property
     def usable_cores(self) -> int:

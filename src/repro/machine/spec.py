@@ -1,4 +1,4 @@
-"""The machine registry: frozen :class:`MachineSpec` + named factories.
+"""The machine registry: frozen :class:`MachineSpec` values by name.
 
 This module is the single source of truth for every machine-level
 calibration number in the library. A :class:`MachineSpec` captures the
@@ -23,28 +23,34 @@ name                      provenance  sketch
 ``tpu-pod-like``          estimated   256 x 4 TPU-class chips, torus ICI
 ========================  ==========  ===================================
 
-``summit()`` is **bit-identical** to the historical Summit calibration
+:data:`SUMMIT` is **bit-identical** to the historical Summit calibration
 constants; the conformance goldens assert this byte-for-byte.
+
+A spec is the one machine value the analyses read: the training
+simulator, the step-cost composite, the Section IV-B apps, the goodput
+model and the :mod:`repro.core` facade all take a :class:`MachineSpec`
+and read its fields and adapters. :class:`~repro.machine.system.System`
+is only the Section II-A inventory that ``repro machine --system`` prints.
 
 Import discipline: this module imports only :mod:`repro.units`,
 :mod:`repro.errors` and the leaf CPU/GPU catalogs, so any layer can read
-``SUMMIT.<field>`` without creating an import cycle. The adapters that build :class:`~repro.network.link.LinkSpec`,
+``SUMMIT.<field>`` without creating an import cycle. The adapters that
+build :class:`~repro.network.link.LinkSpec`,
 :class:`~repro.storage.filesystem.SharedFileSystem`,
-:class:`~repro.storage.burst_buffer.BurstBuffer`,
-:class:`~repro.machine.node.NodeSpec` and
-:class:`~repro.machine.system.System` objects import those layers lazily
+:class:`~repro.storage.burst_buffer.BurstBuffer` and
+:class:`~repro.machine.node.NodeSpec` objects import those layers lazily
 at call time.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
+import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from repro import units
-from repro.errors import ConfigurationError
+from repro.errors import CapacityError, ConfigurationError
 from repro.machine.cpu import (
     AMD_EPYC_7A53,
     AMD_EPYC_7763,
@@ -63,7 +69,6 @@ from repro.machine.gpu import (
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.machine.node import NodeSpec
-    from repro.machine.system import System
     from repro.network.link import LinkSpec
     from repro.storage.burst_buffer import BurstBuffer
     from repro.storage.filesystem import SharedFileSystem
@@ -73,13 +78,9 @@ __all__ = [
     "MachineSpec",
     "PROVENANCE_CLASSES",
     "TOPOLOGY_CLASSES",
-    "frontier_like",
     "get_machine",
     "machine_names",
-    "perlmutter_like",
     "resolve_machine",
-    "summit",
-    "tpu_pod_like",
 ]
 
 #: Where a spec's numbers come from: the paper itself, or public estimates.
@@ -92,7 +93,7 @@ TOPOLOGY_CLASSES = ("fat-tree", "dragonfly", "torus")
 @dataclass(frozen=True)
 class MachineSpec:
     """Frozen description of one machine, sufficient to rebuild every
-    link/storage/system model the cost layers consume.
+    link, storage and node model the cost layers consume.
 
     All rates are bytes/s, capacities bytes, latencies seconds, FLOPs
     FLOP/s — the same SI discipline as :mod:`repro.units`.
@@ -132,12 +133,6 @@ class MachineSpec:
     nvme_read_bandwidth: float = 0.0
     nvme_write_bandwidth: float = 0.0
 
-    # -- fabric shape for on-demand topology instantiation -------------------
-    fabric_levels: int = 3
-    fabric_radix: int = 36
-
-    node_tags: frozenset = frozenset({"gpu"})
-
     def __post_init__(self) -> None:
         if self.provenance not in PROVENANCE_CLASSES:
             raise ConfigurationError(
@@ -159,11 +154,11 @@ class MachineSpec:
             )
         if self.cpu_count < 1:
             raise ConfigurationError(f"{self.key}: need at least one socket")
-        if self.host_memory_bytes <= 0:
-            raise ConfigurationError(f"{self.key}: host memory must be positive")
         if self.injection_rails < 1:
             raise ConfigurationError(f"{self.key}: injection rails must be >= 1")
+        # each check is written so that NaN fails it
         for field_name in (
+            "host_memory_bytes",
             "injection_rail_bandwidth",
             "intra_node_bandwidth",
             "fs_aggregate_read_bandwidth",
@@ -171,29 +166,28 @@ class MachineSpec:
             "fs_per_client_bandwidth",
             "fs_capacity_bytes",
         ):
-            if getattr(self, field_name) <= 0:
+            if not 0.0 < getattr(self, field_name) < math.inf:
                 raise ConfigurationError(
-                    f"{self.key}: {field_name} must be positive"
+                    f"{self.key}: {field_name} must be positive and finite"
                 )
         for field_name in ("injection_latency", "intra_node_latency"):
-            if getattr(self, field_name) < 0:
+            if not 0.0 <= getattr(self, field_name) < math.inf:
                 raise ConfigurationError(
-                    f"{self.key}: {field_name} must be non-negative"
+                    f"{self.key}: {field_name} must be finite and "
+                    "non-negative"
                 )
         nvme = (
-            self.nvme_capacity_bytes,
-            self.nvme_read_bandwidth,
-            self.nvme_write_bandwidth,
+            "nvme_capacity_bytes",
+            "nvme_read_bandwidth",
+            "nvme_write_bandwidth",
         )
-        if any(v < 0 for v in nvme):
-            raise ConfigurationError(f"{self.key}: negative NVMe figure")
-        if any(v > 0 for v in nvme) and not all(v > 0 for v in nvme):
-            raise ConfigurationError(
-                f"{self.key}: NVMe capacity and bandwidths must all be set "
-                "or all be zero"
-            )
-        if self.fabric_levels < 1 or self.fabric_radix < 2:
-            raise ConfigurationError(f"{self.key}: malformed fabric shape")
+        if any(getattr(self, f) != 0.0 for f in nvme):
+            for field_name in nvme:
+                if not 0.0 < getattr(self, field_name) < math.inf:
+                    raise ConfigurationError(
+                        f"{self.key}: {field_name} must be positive and "
+                        "finite, or all three NVMe figures zero"
+                    )
 
     # -- derived scalars ------------------------------------------------------
 
@@ -222,7 +216,18 @@ class MachineSpec:
         """Main-partition peak FLOP/s at ``precision``."""
         return self.node_count * self.node().peak_flops(precision)
 
-    # -- adapters into the link/storage/machine layers ------------------------
+    def require_nodes(self, n: int) -> None:
+        """Raise :class:`CapacityError` if an ``n``-node job cannot be placed
+        on the main partition."""
+        if n < 1:
+            raise ConfigurationError("job size must be at least one node")
+        if n > self.node_count:
+            raise CapacityError(
+                f"{self.name}: requested {n} nodes, main partition has "
+                f"{self.node_count}"
+            )
+
+    # -- adapters into the link, storage and node layers ----------------------
 
     @property
     def interconnect(self) -> "LinkSpec":
@@ -287,44 +292,9 @@ class MachineSpec:
             nvme_read_bandwidth=self.nvme_read_bandwidth,
             nvme_write_bandwidth=self.nvme_write_bandwidth,
             injection_bandwidth=self.injection_bandwidth,
-            tags=self.node_tags,
-        )
-
-    def system(
-        self,
-        extra_partitions: tuple = (),
-    ) -> "System":
-        """A :class:`~repro.machine.system.System` over this spec's main
-        partition (plus any ``extra_partitions``)."""
-        from repro.machine.system import System
-
-        return System(
-            name=self.name,
-            node=self.node(),
-            node_count=self.node_count,
-            interconnect=self.interconnect,
-            shared_fs=self.shared_fs,
-            extra_partitions=extra_partitions,
-            fabric_levels=self.fabric_levels,
-            fabric_radix=self.fabric_radix,
-            intra_node_link=self.intra_node_link,
         )
 
     # -- reporting ------------------------------------------------------------
-
-    def as_dict(self) -> dict:
-        """JSON-able flat record: every field plus the derived aggregates."""
-        out = dataclasses.asdict(self)
-        out["cpus"] = self.cpus.name
-        out["gpus"] = self.gpus.name if self.gpus is not None else None
-        out["node_tags"] = sorted(self.node_tags)
-        out["injection_bandwidth"] = self.injection_bandwidth
-        out["algorithmic_bandwidth"] = self.algorithmic_bandwidth
-        out["aggregate_nvme_read_bandwidth"] = (
-            self.aggregate_nvme_read_bandwidth
-        )
-        out["peak_flops_mixed"] = self.peak_flops(Precision.MIXED)
-        return out
 
     def describe(self) -> str:
         """Multi-line human-readable summary, provenance tagged."""
@@ -390,9 +360,6 @@ SUMMIT = MachineSpec(
     nvme_capacity_bytes=1.6 * units.TB,
     nvme_read_bandwidth=6.0 * units.GB,
     nvme_write_bandwidth=2.1 * units.GB,
-    fabric_levels=3,
-    fabric_radix=36,
-    node_tags=frozenset({"gpu", "nvme"}),
 )
 
 #: Frontier-class machine: MI250X nodes on a Slingshot dragonfly with the
@@ -422,9 +389,6 @@ FRONTIER_LIKE = MachineSpec(
     nvme_capacity_bytes=3.84 * units.TB,
     nvme_read_bandwidth=8.0 * units.GB,
     nvme_write_bandwidth=4.0 * units.GB,
-    fabric_levels=2,
-    fabric_radix=64,
-    node_tags=frozenset({"gpu", "nvme"}),
 )
 
 #: Perlmutter-class machine: A100 GPU nodes on Slingshot-11; no node-local
@@ -451,9 +415,6 @@ PERLMUTTER_LIKE = MachineSpec(
     fs_aggregate_write_bandwidth=5 * units.TB,
     fs_per_client_bandwidth=20 * units.GB,
     fs_capacity_bytes=35 * units.PB,
-    fabric_levels=2,
-    fabric_radix=64,
-    node_tags=frozenset({"gpu"}),
 )
 
 #: Abstract TPU-pod-class machine: four TPU-class chips per host on a torus
@@ -480,36 +441,15 @@ TPU_POD_LIKE = MachineSpec(
     fs_aggregate_write_bandwidth=1 * units.TB,
     fs_per_client_bandwidth=5 * units.GB,
     fs_capacity_bytes=100 * units.PB,
-    fabric_levels=1,
-    fabric_radix=16,
-    node_tags=frozenset({"gpu"}),
 )
 
 
-def summit() -> MachineSpec:
-    """The paper's machine — the default everywhere, bit-identical to the
-    historical calibration constants."""
-    return SUMMIT
-
-
-def frontier_like() -> MachineSpec:
-    return FRONTIER_LIKE
-
-
-def perlmutter_like() -> MachineSpec:
-    return PERLMUTTER_LIKE
-
-
-def tpu_pod_like() -> MachineSpec:
-    return TPU_POD_LIKE
-
-
-#: Name -> factory. Keys are what ``--machine`` accepts on the CLI.
-MACHINES: dict[str, Callable[[], MachineSpec]] = {
-    "summit": summit,
-    "frontier-like": frontier_like,
-    "perlmutter-like": perlmutter_like,
-    "tpu-pod-like": tpu_pod_like,
+#: Name -> spec. Keys are what ``--machine`` accepts on the CLI.
+MACHINES: dict[str, MachineSpec] = {
+    "summit": SUMMIT,
+    "frontier-like": FRONTIER_LIKE,
+    "perlmutter-like": PERLMUTTER_LIKE,
+    "tpu-pod-like": TPU_POD_LIKE,
 }
 
 
@@ -527,7 +467,7 @@ def get_machine(name: str) -> MachineSpec:
     'estimated'
     """
     try:
-        return MACHINES[name]()
+        return MACHINES[name]
     except KeyError:
         raise ConfigurationError(
             f"unknown machine {name!r}; choose from {', '.join(machine_names())}"

@@ -1,12 +1,13 @@
-"""Factories for the concrete OLCF machines of Section II-A.
+"""The Section II-A inventory: the concrete OLCF systems, all partitions.
 
 All capacities and rates below are as stated in the paper (see DESIGN.md
 "Calibration constants"); where the paper gives no number (e.g. Andes'
 interconnect) we use the published system documentation values.
 
 The Summit calibration numbers themselves live in the machine registry —
-:data:`repro.machine.spec.SUMMIT` — and the node/system builders here
-consume that spec, so there is exactly one copy of every value.
+:data:`repro.machine.spec.SUMMIT` — and the builders here read that spec,
+so there is exactly one copy of every value. ``repro machine --system``
+prints these; every analysis reads the spec.
 """
 
 from __future__ import annotations
@@ -50,19 +51,24 @@ def summit_high_mem_node() -> NodeSpec:
         nvme_read_bandwidth=4 * SUMMIT.nvme_read_bandwidth,
         nvme_write_bandwidth=4 * SUMMIT.nvme_write_bandwidth,
         injection_bandwidth=SUMMIT.injection_bandwidth,
-        tags=frozenset({"gpu", "nvme", "high-mem"}),
     )
 
 
-def summit(include_high_mem: bool = True) -> System:
-    """The full Summit system: 4 608 original nodes (+54 high-memory nodes).
+def summit() -> System:
+    """The full Summit system: 4 608 original nodes and 54 high-memory nodes.
 
     >>> s = summit()
     >>> round(s.peak_flops() / 1e18, 2)   # "over 3 AI-ExaOps"
     3.5
     """
-    extras = ((summit_high_mem_node(), 54),) if include_high_mem else ()
-    return SUMMIT.system(extra_partitions=extras)
+    return System(
+        name=SUMMIT.name,
+        node=SUMMIT.node(),
+        node_count=SUMMIT.node_count,
+        interconnect=SUMMIT.interconnect,
+        shared_fs=SUMMIT.shared_fs,
+        extra_partitions=((summit_high_mem_node(), 54),),
+    )
 
 
 def rhea() -> System:
@@ -98,7 +104,6 @@ def rhea() -> System:
         interconnect=LinkSpec(latency=1.3 * units.US, bandwidth=7 * units.GB),
         shared_fs=SUMMIT.shared_fs,
         extra_partitions=((gpu_node, 9),),
-        fabric_levels=2,
     )
 
 
@@ -136,5 +141,4 @@ def andes() -> System:
         interconnect=LinkSpec(latency=1.3 * units.US, bandwidth=12.5 * units.GB),
         shared_fs=SUMMIT.shared_fs,
         extra_partitions=((gpu_node, 9),),
-        fabric_levels=2,
     )

@@ -1,15 +1,19 @@
-"""Whole-system model: nodes + interconnect + storage hierarchy."""
+"""The Section II-A inventory: a whole OLCF system and its partitions.
+
+A :class:`System` is what ``repro machine --system`` prints: Summit with
+its 54 high-memory nodes, Rhea and Andes. Every analysis reads a
+:class:`~repro.machine.spec.MachineSpec` instead.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 from repro import units
-from repro.errors import CapacityError, ConfigurationError
+from repro.errors import ConfigurationError
 from repro.machine.gpu import Precision
 from repro.machine.node import NodeSpec
 from repro.network.link import LinkSpec
-from repro.storage.burst_buffer import BurstBuffer
 from repro.storage.filesystem import SharedFileSystem
 
 
@@ -28,14 +32,9 @@ class System:
         nodes or Andes' nine inherited GPU nodes.
     interconnect:
         Per-node injection link spec.
-    fabric_levels / fabric_radix:
-        Fat-tree shape parameters, carried over from the machine spec.
     shared_fs:
         Center-wide filesystem; ``None`` for a cluster sharing another
         system's filesystem (Rhea/Andes mount Summit's).
-    intra_node_link:
-        NVLink-class link between accelerators inside a node; ``None`` for
-        systems where it is unknown (callers fall back to Summit's NVLink2).
     """
 
     name: str
@@ -44,9 +43,6 @@ class System:
     interconnect: LinkSpec
     shared_fs: SharedFileSystem | None = None
     extra_partitions: tuple[tuple[NodeSpec, int], ...] = field(default_factory=tuple)
-    fabric_levels: int = 3
-    fabric_radix: int = 36
-    intra_node_link: LinkSpec | None = None
 
     def __post_init__(self) -> None:
         if self.node_count < 1:
@@ -60,10 +56,6 @@ class System:
     # -- aggregates -------------------------------------------------------------
 
     @property
-    def total_nodes(self) -> int:
-        return self.node_count + sum(c for _, c in self.extra_partitions)
-
-    @property
     def total_gpus(self) -> int:
         total = self.node_count * self.node.gpu_count
         total += sum(spec.gpu_count * c for spec, c in self.extra_partitions)
@@ -75,30 +67,6 @@ class System:
         for spec, count in self.extra_partitions:
             total += count * spec.peak_flops(precision)
         return total
-
-    @property
-    def nvme(self) -> BurstBuffer | None:
-        """Main-partition burst buffer, if the nodes have one."""
-        if not self.node.has_nvme:
-            return None
-        return BurstBuffer(
-            capacity_bytes=self.node.nvme_bytes,
-            read_bandwidth=self.node.nvme_read_bandwidth,
-            write_bandwidth=self.node.nvme_write_bandwidth,
-        )
-
-    # -- allocation ---------------------------------------------------------------
-
-    def require_nodes(self, n: int) -> None:
-        """Raise :class:`CapacityError` if an ``n``-node job cannot be placed
-        on the main partition."""
-        if n < 1:
-            raise ConfigurationError("job size must be at least one node")
-        if n > self.node_count:
-            raise CapacityError(
-                f"{self.name}: requested {n} nodes, main partition has "
-                f"{self.node_count}"
-            )
 
     def describe(self) -> str:
         """One-paragraph human-readable summary."""

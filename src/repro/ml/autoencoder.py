@@ -118,12 +118,6 @@ class VariationalAutoencoder(Autoencoder):
         stats = self.encoder.forward(x)
         return stats[:, : self.latent_dim]
 
-    def encode_stats(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        stats = self.encoder.forward(x)
-        mu = stats[:, : self.latent_dim]
-        log_var = np.clip(stats[:, self.latent_dim :], -10.0, 10.0)
-        return mu, log_var
-
     def fit(
         self,
         x: np.ndarray,

@@ -10,12 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.machine.spec import MachineSpec
 
 
 @dataclass(frozen=True)
@@ -60,44 +56,3 @@ class LinkSpec:
         if size_bytes < 0:
             raise ConfigurationError(f"negative message size: {size_bytes}")
         return self.latency + size_bytes / self.total_bandwidth
-
-
-def intra_node_link(machine: "MachineSpec | str | None" = None) -> LinkSpec:
-    """NVLink-class intra-node :class:`LinkSpec` for ``machine``."""
-    from repro.machine.spec import resolve_machine
-
-    return resolve_machine(machine).intra_node_link
-
-
-# The Summit singletons below are resolved lazily (PEP 562) from the machine
-# registry so importing this module never drags in ``repro.machine`` — the
-# registry imports this module for the LinkSpec class.
-#
-#   EDR_RAIL          one EDR InfiniBand rail (12.5 GB/s payload)
-#   SUMMIT_INJECTION  dual-rail EDR NIC, 25 GB/s injection per node
-#   NVLINK2           NVLink 2.0 brick pair inside a node (per direction)
-
-
-def __getattr__(name: str) -> LinkSpec:
-    if name == "EDR_RAIL":
-        from repro.machine.spec import SUMMIT
-
-        return LinkSpec(
-            latency=SUMMIT.injection_latency,
-            bandwidth=SUMMIT.injection_rail_bandwidth,
-        )
-    if name == "SUMMIT_INJECTION":
-        from repro.machine.spec import SUMMIT
-
-        return SUMMIT.interconnect
-    if name == "NVLINK2":
-        from repro.machine.spec import SUMMIT
-
-        return SUMMIT.intra_node_link
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__() -> list:
-    return sorted(
-        set(globals()) | {"EDR_RAIL", "SUMMIT_INJECTION", "NVLINK2"}
-    )

@@ -28,11 +28,13 @@ from repro.network.link import LinkSpec
 
 
 def _default_link() -> LinkSpec:
-    # Resolved at instantiation time: EDR_RAIL is a lazy (PEP 562) attribute
-    # backed by the machine registry, which imports this module's package.
-    from repro.network.link import EDR_RAIL
+    """One EDR rail of Summit's injection link."""
+    from repro.machine.spec import SUMMIT
 
-    return EDR_RAIL
+    return LinkSpec(
+        latency=SUMMIT.injection_latency,
+        bandwidth=SUMMIT.injection_rail_bandwidth,
+    )
 
 
 @dataclass(frozen=True)

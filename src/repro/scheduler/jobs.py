@@ -11,7 +11,6 @@ import numpy as np
 from repro.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.machine.spec import MachineSpec
     from repro.portfolio.project import Project
 
 
@@ -58,52 +57,18 @@ SUMMIT_QUEUE_BINS = (
     (1, 2.0),
 )
 
-#: The bins as machine fractions: Summit's thresholds are 60 % / 20 % /
-#: 2 % / 1 % of 4 608 nodes (rounded), which is how the policy transfers
-#: to other machine sizes.
-QUEUE_BIN_FRACTIONS = (
-    (0.6, 24.0),
-    (0.2, 24.0),
-    (0.02, 12.0),
-    (0.01, 6.0),
-    (None, 2.0),  # catch-all: 1 node and up
-)
-
 #: Longest stream :func:`synthetic_facility_year` builds: about 60
 #: Summit-years (a 4,608-node year is ~83,000 jobs). A larger node-second
 #: budget is finite but would take hours and gigabytes to materialise.
 MAX_SYNTHETIC_JOBS = 5_000_000
 
 
-def queue_bins_for(
-    machine: "MachineSpec | str | None" = None,
-) -> tuple[tuple[int, float], ...]:
-    """The capability-queue bins scaled to ``machine``'s node count.
-
-    Summit reproduces :data:`SUMMIT_QUEUE_BINS` exactly (the fractions
-    round back to the paper's thresholds).
-    """
-    from repro.machine.spec import resolve_machine
-
-    nodes = resolve_machine(machine).node_count
-    return tuple(
-        (1 if fraction is None else max(1, round(fraction * nodes)), hours)
-        for fraction, hours in QUEUE_BIN_FRACTIONS
-    )
-
-
-def walltime_limit(
-    nodes: int, machine: "MachineSpec | str | None" = None
-) -> float:
-    """Walltime limit in seconds for a job of ``nodes`` nodes.
-
-    Without ``machine`` this is Summit's exact queue policy; with one, the
-    bins scale as fractions of that machine's node count.
-    """
+def walltime_limit(nodes: int) -> float:
+    """Walltime limit in seconds for a job of ``nodes`` nodes under
+    Summit's queue policy."""
     if nodes < 1:
         raise ConfigurationError("nodes must be >= 1")
-    bins = SUMMIT_QUEUE_BINS if machine is None else queue_bins_for(machine)
-    for min_nodes, hours in bins:
+    for min_nodes, hours in SUMMIT_QUEUE_BINS:
         if nodes >= min_nodes:
             return hours * 3600.0
     raise AssertionError("unreachable: last bin matches all sizes")
@@ -213,43 +178,31 @@ def synthetic_facility_year(
 def campaign_from_portfolio(
     projects: list[Project],
     jobs_per_project: int = 3,
-    machine_nodes: int | None = None,
     horizon: float = 7 * 24 * 3600.0,
     seed: int = 0,
-    machine: "MachineSpec | str | None" = None,
 ) -> list[Job]:
     """Generate a synthetic job stream from portfolio records.
 
     Job sizes follow a log-uniform distribution from 1 node to a per-project
     cap that scales with the project's allocation (bigger awards run wider,
-    the INCITE capability expectation); durations are log-normal within the
-    size bin's walltime limit; submissions are uniform over the horizon.
-
-    ``machine`` sizes the campaign (node-count cap and queue bins) to a
-    registry machine; an explicit ``machine_nodes`` overrides its node
-    count. The default is Summit's 4 608 nodes with Summit's exact bins.
+    the INCITE capability expectation) up to Summit's 4 608 nodes;
+    durations are log-normal within the size bin's walltime limit;
+    submissions are uniform over the horizon.
     """
     if not projects:
         raise ConfigurationError("no projects")
     if jobs_per_project < 1:
         raise ConfigurationError("jobs_per_project must be >= 1")
-    if machine_nodes is None:
-        if machine is None:
-            machine_nodes = 4608
-        else:
-            from repro.machine.spec import resolve_machine
-
-            machine_nodes = resolve_machine(machine).node_count
     rng = np.random.default_rng(seed)
     max_alloc = max(p.allocation_hours for p in projects)
     jobs: list[Job] = []
     for p_idx, project in enumerate(projects):
         # cap grows with allocation share: DD projects run small, INCITE wide
-        cap = max(1, int(machine_nodes * (project.allocation_hours / max_alloc)))
+        cap = max(1, int(4608 * (project.allocation_hours / max_alloc)))
         for j in range(jobs_per_project):
             log_nodes = rng.uniform(0, np.log(max(2, cap)))
             nodes = max(1, int(np.exp(log_nodes)))
-            limit = walltime_limit(nodes, machine)
+            limit = walltime_limit(nodes)
             duration = float(
                 np.clip(limit * rng.lognormal(mean=-1.2, sigma=0.6), 300.0, limit)
             )

@@ -96,20 +96,3 @@ class StagingPlan:
         write_rate = self.shared_fs.aggregate_write_bandwidth
         read_rate = self.shared_fs.aggregate_read_bandwidth
         return moved / write_rate + moved / read_rate
-
-
-# ``SUMMIT_NVME`` — 1.6 TB, ~6 GB/s read / ~2.1 GB/s write per node — resolves
-# lazily (PEP 562) from the machine registry, which imports this module for
-# the BurstBuffer class.
-
-
-def __getattr__(name: str) -> BurstBuffer:
-    if name == "SUMMIT_NVME":
-        from repro.machine.spec import SUMMIT
-
-        return SUMMIT.nvme
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__() -> list:
-    return sorted(set(globals()) | {"SUMMIT_NVME"})

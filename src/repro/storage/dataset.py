@@ -9,7 +9,6 @@ outsize [a] single NVMe volume").
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro import units
@@ -75,10 +74,6 @@ class ShardingPlan:
     @property
     def fits(self) -> bool:
         return self.bytes_per_node <= self.nvme_bytes_per_node
-
-    @property
-    def samples_per_node(self) -> int:
-        return math.ceil(self.dataset.n_samples * self.replication / self.n_nodes)
 
     def require_fits(self) -> None:
         if not self.fits:

@@ -75,19 +75,3 @@ class SharedFileSystem:
         if size_bytes == 0:
             return 0.0
         return size_bytes / self.read_bandwidth(n_clients, random_access)
-
-
-# ``SUMMIT_GPFS`` — Alpine, 2.5 TB/s read, 250 PB — resolves lazily (PEP 562)
-# from the machine registry, which imports this module for the class above.
-
-
-def __getattr__(name: str) -> SharedFileSystem:
-    if name == "SUMMIT_GPFS":
-        from repro.machine.spec import SUMMIT
-
-        return SUMMIT.shared_fs
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__() -> list:
-    return sorted(set(globals()) | {"SUMMIT_GPFS"})

@@ -1,8 +1,8 @@
 """Distributed-training performance simulator.
 
 Models a synchronous data-parallel (optionally model-parallel and
-gradient-accumulating) training step on a machine from
-:mod:`repro.machine`, composing:
+gradient-accumulating) training step on a registry machine, a
+:class:`~repro.machine.spec.MachineSpec`, composing:
 
 - compute time from the model's calibrated sustained FLOP rate;
 - gradient allreduce time from the hierarchical (NVLink intra-node +

@@ -3,7 +3,8 @@
 Combines the step-time simulator with the Young/Daly checkpoint model and
 the event-driven resilience layer: a :class:`GoodputModel` takes a
 :class:`~repro.training.job.TrainingJob`, derives (or is told) the
-checkpoint payload per node, prices the write on either storage tier, and
+checkpoint payload per node, prices the write on either of the job's
+machine's storage tiers (node-local NVMe or the shared filesystem), and
 reports what fraction of the job's raw sustained throughput survives
 checkpointing and failure-rework at the job's width — the paper's point
 that full-machine time-to-solution is a resilience number, not a peak one.
@@ -12,32 +13,14 @@ that full-machine time-to-solution is a resilience number, not a peak one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 from repro.resilience.faults import DEFAULT_NODE_MTBF_SECONDS
 from repro.resilience.report import ResilienceReport
 from repro.resilience.restart import RestartStats, simulate_checkpoint_restart
-from repro.storage.burst_buffer import BurstBuffer
 from repro.storage.checkpoint import CheckpointPlan
-from repro.storage.filesystem import SharedFileSystem
 from repro.training.job import _OPTIMIZER_STATE_BYTES_PER_PARAM, TrainingJob
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.machine.spec import MachineSpec
-
-
-def _summit_nvme() -> BurstBuffer:
-    from repro.storage.burst_buffer import SUMMIT_NVME
-
-    return SUMMIT_NVME
-
-
-def _summit_gpfs() -> SharedFileSystem:
-    from repro.storage.filesystem import SUMMIT_GPFS
-
-    return SUMMIT_GPFS
 
 
 #: Default useful-work length of an empirical run, in units of the job's
@@ -60,13 +43,15 @@ class GoodputModel:
     weights and optimizer moments, sharded across the job's nodes) — real
     jobs usually also persist framework and data-loader state, so a larger
     explicit payload is often the honest choice.
+
+    The checkpoint tiers are the job's machine's: ``tier="nvme"`` writes to
+    its node-local burst buffer (and raises on a machine without one),
+    ``tier="shared_fs"`` to its shared filesystem.
     """
 
     job: TrainingJob
     node_mtbf_seconds: float = DEFAULT_NODE_MTBF_SECONDS
     state_bytes_per_node: float | None = None
-    nvme: BurstBuffer | None = field(default_factory=_summit_nvme)
-    shared_fs: SharedFileSystem = field(default_factory=_summit_gpfs)
 
     def __post_init__(self) -> None:
         # each check is written so that NaN fails it
@@ -76,30 +61,6 @@ class GoodputModel:
             0.0 < self.state_bytes_per_node < math.inf
         ):
             raise ConfigurationError("state size must be positive and finite")
-
-    @classmethod
-    def for_machine(
-        cls,
-        job: TrainingJob,
-        machine: "MachineSpec | str | None" = None,
-        **kwargs,
-    ) -> "GoodputModel":
-        """A goodput model whose storage tiers come from ``machine``
-        (default Summit). Machines without node-local NVMe get
-        ``nvme=None``; the ``"nvme"`` checkpoint tier then raises."""
-        from repro.machine.spec import resolve_machine
-
-        spec = resolve_machine(machine)
-        kwargs.setdefault("nvme", spec.nvme)
-        kwargs.setdefault("shared_fs", spec.shared_fs)
-        return cls(job=job, **kwargs)
-
-    def _require_nvme(self) -> BurstBuffer:
-        if self.nvme is None:
-            raise ConfigurationError(
-                "this machine has no node-local NVMe tier; use tier='shared_fs'"
-            )
-        return self.nvme
 
     # -- checkpoint configuration ----------------------------------------------
 
@@ -121,9 +82,15 @@ class GoodputModel:
     def write_time(self, tier: str = "nvme") -> float:
         plan = self.plan()
         if tier == "nvme":
-            return plan.write_time_nvme(self._require_nvme())
+            nvme = self.job.machine.nvme
+            if nvme is None:
+                raise ConfigurationError(
+                    "this machine has no node-local NVMe tier; use "
+                    "tier='shared_fs'"
+                )
+            return plan.write_time_nvme(nvme)
         if tier == "shared_fs":
-            return plan.write_time_shared(self.shared_fs)
+            return plan.write_time_shared(self.job.machine.shared_fs)
         raise ConfigurationError(
             f"unknown storage tier {tier!r}; use 'nvme' or 'shared_fs'"
         )

@@ -6,7 +6,7 @@ from dataclasses import dataclass, replace
 
 from repro.errors import CapacityError, ConfigurationError
 from repro.machine.gpu import Precision
-from repro.machine.system import System
+from repro.machine.spec import MachineSpec
 from repro.models.base import ModelSpec
 from repro.training.parallelism import DataSource, ParallelismPlan
 from repro.training.step_time import StepBreakdown, step_breakdown
@@ -20,29 +20,32 @@ _OPTIMIZER_STATE_BYTES_PER_PARAM = 16.0
 class TrainingJob:
     """A distributed training configuration ready to be timed.
 
-    >>> from repro.machine import summit
+    ``machine`` is the registry spec the job runs on; its main partition
+    bounds ``n_nodes``.
+
+    >>> from repro.machine import SUMMIT
     >>> from repro.models import resnet50
     >>> from repro.training import ParallelismPlan
-    >>> job = TrainingJob(resnet50(), summit(), 16, ParallelismPlan(local_batch=128))
+    >>> job = TrainingJob(resnet50(), SUMMIT, 16, ParallelismPlan(local_batch=128))
     >>> 0 < job.step_time() < 1
     True
     """
 
     model: ModelSpec
-    system: System
+    machine: MachineSpec
     n_nodes: int
     plan: ParallelismPlan
     data_source: DataSource = DataSource.NVME
     precision: Precision = Precision.MIXED
 
     def __post_init__(self) -> None:
-        self.system.require_nodes(self.n_nodes)
+        self.machine.require_nodes(self.n_nodes)
         self._check_memory()
 
     def _check_memory(self) -> None:
-        node = self.system.node
-        if node.gpus is None:
-            raise ConfigurationError(f"{self.system.name} has no GPUs")
+        gpus = self.machine.gpus
+        if gpus is None:
+            raise ConfigurationError(f"{self.machine.name} has no GPUs")
         weights = self.model.parameters * (
             2.0 + _OPTIMIZER_STATE_BYTES_PER_PARAM
         ) / self.plan.model_shards
@@ -50,11 +53,11 @@ class TrainingJob:
             self.model.activation_bytes_per_sample * self.plan.local_batch
             / self.plan.model_shards
         )
-        if weights + activations > node.gpus.memory_bytes:
+        if weights + activations > gpus.memory_bytes:
             raise CapacityError(
                 f"{self.model.name}: replica shard needs "
                 f"{(weights + activations) / 1e9:.1f} GB, GPU has "
-                f"{node.gpus.memory_bytes / 1e9:.1f} GB — increase model_shards "
+                f"{gpus.memory_bytes / 1e9:.1f} GB — increase model_shards "
                 f"or reduce local_batch"
             )
 
@@ -63,7 +66,7 @@ class TrainingJob:
     def breakdown(self) -> StepBreakdown:
         return step_breakdown(
             self.model,
-            self.system,
+            self.machine,
             self.n_nodes,
             self.plan,
             self.data_source,
@@ -85,7 +88,7 @@ class TrainingJob:
 
     @property
     def n_gpus(self) -> int:
-        return self.n_nodes * self.system.node.gpu_count
+        return self.n_nodes * self.machine.gpus_per_node
 
     def global_batch(self) -> int:
         return self.plan.global_batch(self.n_gpus)

@@ -26,11 +26,9 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 from repro.machine.gpu import Precision
-from repro.machine.system import System
+from repro.machine.spec import MachineSpec
 from repro.models.base import ModelSpec
 from repro.network.collectives import allreduce_time
-from repro.network.link import LinkSpec
-from repro.training.step_time import resolve_intra_node_link
 
 
 @dataclass(frozen=True)
@@ -81,24 +79,22 @@ class PipelineBreakdown:
 
 def pipeline_step(
     model: ModelSpec,
-    system: System,
+    machine: MachineSpec,
     n_nodes: int,
     plan: PipelinePlan,
     dp_replicas: int | None = None,
-    stage_link: LinkSpec | None = None,
     precision: Precision = Precision.MIXED,
 ) -> PipelineBreakdown:
     """Time one optimizer step of pipeline (+ data) parallel training.
 
-    Stages live on consecutive GPUs; with ``stages <= 6`` the stage link is
-    NVLink, beyond that the fabric. ``dp_replicas`` defaults to all GPUs
-    divided by the stage count.
+    Stages live on consecutive GPUs; while a replica fits in one node the
+    stage link is the machine's intra-node link, beyond that its fabric.
+    ``dp_replicas`` defaults to all GPUs divided by the stage count.
     """
-    system.require_nodes(n_nodes)
-    node = system.node
-    if node.gpus is None:
-        raise ConfigurationError(f"{system.name} has no GPUs")
-    n_gpus = n_nodes * node.gpu_count
+    machine.require_nodes(n_nodes)
+    if machine.gpus is None:
+        raise ConfigurationError(f"{machine.name} has no GPUs")
+    n_gpus = n_nodes * machine.gpus_per_node
     if plan.stages > n_gpus:
         raise ConfigurationError("more stages than GPUs")
     replicas = dp_replicas if dp_replicas is not None else n_gpus // plan.stages
@@ -106,14 +102,16 @@ def pipeline_step(
         raise ConfigurationError("replica/stage layout exceeds GPU count")
 
     link = (
-        resolve_intra_node_link(system, stage_link)
-        if plan.stages <= node.gpu_count
-        else system.interconnect
+        machine.intra_node_link
+        if plan.stages <= machine.gpus_per_node
+        else machine.interconnect
     )
 
     # per-micro-batch compute of one stage (the pipeline's clock period)
     micro_flops = plan.micro_batch_size * model.effective_flops_per_sample
-    stage_time = micro_flops / plan.stages / model.sustained_flops(node.gpus, precision)
+    stage_time = (
+        micro_flops / plan.stages / model.sustained_flops(machine.gpus, precision)
+    )
     ideal_compute = plan.micro_batches * plan.stages * stage_time / plan.stages
     # total = m * stage_time per stage pipeline; fill/drain adds (s-1) periods
     bubble = (plan.stages - 1) * stage_time
@@ -130,7 +128,7 @@ def pipeline_step(
     # data-parallel allreduce over replicas, message = params/stages
     if replicas > 1:
         message = model.gradient_bytes / plan.stages
-        dp_allreduce = allreduce_time(replicas, message, system.interconnect, None)
+        dp_allreduce = allreduce_time(replicas, message, machine.interconnect, None)
     else:
         dp_allreduce = 0.0
 
@@ -146,7 +144,7 @@ def pipeline_step(
 
 def compare_strategies(
     model: ModelSpec,
-    system: System,
+    machine: MachineSpec,
     n_nodes: int,
     local_batch: int,
     stages: int = 6,
@@ -157,12 +155,12 @@ def compare_strategies(
     from repro.training.step_time import step_breakdown
 
     dp = step_breakdown(
-        model, system, n_nodes,
+        model, machine, n_nodes,
         ParallelismPlan(local_batch=local_batch, overlap_fraction=0.0),
         DataSource.MEMORY,
     )
     pipeline = pipeline_step(
-        model, system, n_nodes,
+        model, machine, n_nodes,
         PipelinePlan(stages=stages, micro_batches=local_batch,
                      micro_batch_size=1),
     )

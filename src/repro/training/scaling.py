@@ -47,10 +47,10 @@ _HEADER = (
 class ScalingStudy:
     """Run a node-count sweep for a base job.
 
-    >>> from repro.machine import summit
+    >>> from repro.machine import SUMMIT
     >>> from repro.models import resnet50
     >>> from repro.training import ParallelismPlan, TrainingJob
-    >>> base = TrainingJob(resnet50(), summit(), 1, ParallelismPlan(local_batch=128))
+    >>> base = TrainingJob(resnet50(), SUMMIT, 1, ParallelismPlan(local_batch=128))
     >>> study = ScalingStudy(base)
     >>> points = study.weak_scaling([1, 4, 16])
     >>> points[0].efficiency
@@ -88,7 +88,7 @@ class ScalingStudy:
             target = global_batch
         jobs = []
         for n in sorted(node_counts):
-            gpus = n * self.base.system.node.gpu_count
+            gpus = n * self.base.machine.gpus_per_node
             replicas = self.base.plan.replicas(gpus)
             denominator = replicas * self.base.plan.accumulation_steps
             if target % denominator:

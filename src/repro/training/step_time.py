@@ -16,6 +16,9 @@ rank times exceeds the mean by ~``sigma * sqrt(2 ln n)``.
 The allreduce is modelled as an intra-node NVLink ring followed by an
 inter-node InfiniBand ring over the node count (the NCCL hierarchical
 scheme), and model-parallel activation exchange is added to each micro-step.
+Every machine number — GPUs per node and their FLOPs, the injection and
+intra-node links, the NVMe and shared-filesystem read rates, the node
+count — comes from one :class:`~repro.machine.spec.MachineSpec`.
 
 The formulas themselves live in the :mod:`repro.cost` layer:
 :func:`step_breakdown` binds the configuration into the step composite from
@@ -31,22 +34,9 @@ from dataclasses import dataclass
 
 from repro.cost import CompositeCostModel, step_cost_model
 from repro.machine.gpu import Precision
-from repro.machine.system import System
+from repro.machine.spec import MachineSpec
 from repro.models.base import ModelSpec
-from repro.network.link import LinkSpec
 from repro.training.parallelism import DataSource, ParallelismPlan
-
-
-def resolve_intra_node_link(system: System, link: LinkSpec | None) -> LinkSpec:
-    """An explicit link wins; else the system's own intra-node fabric; else
-    Summit's NVLink2 (the historical default, kept for compatibility)."""
-    if link is not None:
-        return link
-    if system.intra_node_link is not None:
-        return system.intra_node_link
-    from repro.network.link import NVLINK2
-
-    return NVLINK2
 
 
 @dataclass(frozen=True)
@@ -88,41 +78,38 @@ class StepBreakdown:
 
 def step_cost(
     model: ModelSpec,
-    system: System,
+    machine: MachineSpec,
     plan: ParallelismPlan,
     data_source: DataSource = DataSource.NVME,
     precision: Precision = Precision.MIXED,
-    intra_node_link: LinkSpec | None = None,
 ) -> CompositeCostModel:
-    """The step-time composite for this configuration, ready to evaluate
-    at one node count (``evaluate(n_nodes=...)``) or across a whole grid
-    (:func:`repro.cost.sweep` over an ``n_nodes`` axis)."""
+    """The step-time composite for this configuration on ``machine``, ready
+    to evaluate at one node count (``evaluate(n_nodes=...)``) or across a
+    whole grid (:func:`repro.cost.sweep` over an ``n_nodes`` axis).
+
+    >>> from repro.machine import SUMMIT
+    >>> from repro.models import resnet50
+    >>> cost = step_cost(resnet50(), SUMMIT, ParallelismPlan(local_batch=32))
+    >>> cost.evaluate(n_nodes=16)["samples"]
+    3072
+    """
     return step_cost_model(
-        model,
-        system,
-        plan,
-        data_source=data_source,
-        precision=precision,
-        intra_node_link=resolve_intra_node_link(system, intra_node_link),
+        model, machine, plan, data_source=data_source, precision=precision,
     )
 
 
 def step_breakdown(
     model: ModelSpec,
-    system: System,
+    machine: MachineSpec,
     n_nodes: int,
     plan: ParallelismPlan,
     data_source: DataSource = DataSource.NVME,
     precision: Precision = Precision.MIXED,
-    intra_node_link: LinkSpec | None = None,
 ) -> StepBreakdown:
     """Compute the step-time decomposition for a job configuration."""
-    system.require_nodes(n_nodes)
+    machine.require_nodes(n_nodes)
     cost = step_cost(
-        model, system, plan,
-        data_source=data_source,
-        precision=precision,
-        intra_node_link=intra_node_link,
+        model, machine, plan, data_source=data_source, precision=precision,
     )
     bd = cost.evaluate(n_nodes=n_nodes)
     return StepBreakdown(

@@ -264,12 +264,12 @@ class VerifyContext:
     def comm_compute_ratio(self, model_key: str, local_batch: int) -> float:
         """The paper's allreduce-vs-per-batch-compute ratio (Sec. VI-B)."""
         from repro.machine.gpu import NVIDIA_V100
+        from repro.machine.spec import SUMMIT
         from repro.models.catalog import get_model
         from repro.network.collectives import paper_allreduce_estimate
-        from repro.network.link import SUMMIT_INJECTION
 
         model = get_model(model_key)
-        comm = paper_allreduce_estimate(model.gradient_bytes, SUMMIT_INJECTION)
+        comm = paper_allreduce_estimate(model.gradient_bytes, SUMMIT.interconnect)
         return comm / model.step_compute_time(NVIDIA_V100, local_batch)
 
     @cached_property
@@ -279,7 +279,7 @@ class VerifyContext:
         bound" claim, measured through the full training simulator."""
         import dataclasses as dc
 
-        from repro.machine.summit import summit
+        from repro.machine.spec import SUMMIT
         from repro.models import bert_large
         from repro.training.job import TrainingJob
         from repro.training.parallelism import (
@@ -293,7 +293,7 @@ class VerifyContext:
             activation_bytes_per_sample=48e6,
         )
         job = TrainingJob(
-            giant, summit(include_high_mem=False), 1024,
+            giant, SUMMIT, 1024,
             ParallelismPlan(
                 local_batch=8, overlap_fraction=0.0,
                 allreduce_algorithm=AllreduceAlgorithm.RING,
@@ -306,15 +306,14 @@ class VerifyContext:
     def staging_costs(self) -> tuple[float, float, float]:
         """(stage, epoch-read, reshuffle) seconds for full-Summit ImageNet."""
         from repro.machine.spec import SUMMIT
-        from repro.storage.burst_buffer import SUMMIT_NVME, StagingPlan
+        from repro.storage.burst_buffer import StagingPlan
         from repro.storage.dataset import IMAGENET, ShardingPlan
-        from repro.storage.filesystem import SUMMIT_GPFS
 
         plan = ShardingPlan(
             IMAGENET, n_nodes=SUMMIT.node_count,
             nvme_bytes_per_node=SUMMIT.nvme_capacity_bytes,
         )
-        staging = StagingPlan(plan, SUMMIT_GPFS, SUMMIT_NVME)
+        staging = StagingPlan(plan, SUMMIT.shared_fs, SUMMIT.nvme)
         return (
             staging.staging_time(),
             staging.epoch_read_time(),

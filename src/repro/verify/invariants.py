@@ -266,10 +266,9 @@ def audit_crossover_shape(machine=None) -> InvariantResult:
 
     if machine is None:
         from repro.machine.spec import SUMMIT
-        from repro.network.link import SUMMIT_INJECTION
 
         key = "invariant.crossover_shape"
-        link = SUMMIT_INJECTION
+        link = SUMMIT.interconnect
         latency = SUMMIT.injection_latency
         max_ranks = 4096
     else:

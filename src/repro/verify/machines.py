@@ -7,7 +7,7 @@ their conformance battery is *structural*: every derived quantity the
 :class:`~repro.machine.spec.MachineSpec` exposes must re-derive from its
 primitive fields (aggregate NVMe = per-node x node count, injection =
 rails x rail bandwidth, peak FLOPs = nodes x GPUs x per-GPU), the spec
-must round-trip through its System/LinkSpec/filesystem adapters without
+must round-trip through its node, link and storage adapters without
 drift, and the Section VI-B analytics replayed on the machine must keep
 their shape (crossover node count nonincreasing in message size; grid
 sweeps bit-identical to scalar evaluation).
@@ -82,7 +82,8 @@ def build_machine_registry(spec: "MachineSpec") -> tuple[Expectation, ...]:
         ),
         _structural(
             spec, "system_round_trip",
-            "System adapter preserves node count, GPU count and link rates",
+            "node, link and storage adapters preserve GPU count, link rates "
+            "and storage bandwidths",
             lambda ctx: _system_round_trip(spec),
         ),
         _structural(
@@ -121,26 +122,25 @@ def build_machine_registry(spec: "MachineSpec") -> tuple[Expectation, ...]:
 
 
 def _system_round_trip(spec: "MachineSpec") -> bool:
-    """The System built from the spec re-exposes the spec's numbers."""
-    system = spec.system()
-    node = system.node
+    """The node, link and storage adapters re-expose the spec's numbers."""
+    node = spec.node()
+    link = spec.interconnect
     checks = [
-        system.node_count == spec.node_count,
         node.gpu_count == spec.gpus_per_node,
-        system.interconnect.total_bandwidth == spec.injection_bandwidth,
-        system.interconnect.latency == spec.injection_latency,
-        system.shared_fs is not None
-        and system.shared_fs.aggregate_read_bandwidth
+        node.injection_bandwidth == spec.injection_bandwidth,
+        link.total_bandwidth == spec.injection_bandwidth,
+        link.latency == spec.injection_latency,
+        spec.shared_fs.aggregate_read_bandwidth
         == spec.fs_aggregate_read_bandwidth,
     ]
     if spec.has_nvme:
         checks.append(
-            system.nvme is not None
-            and system.nvme.aggregate_read_bandwidth(spec.node_count)
+            spec.nvme is not None
+            and spec.nvme.aggregate_read_bandwidth(spec.node_count)
             == spec.aggregate_nvme_read_bandwidth
         )
     else:
-        checks.append(system.nvme is None)
+        checks.append(spec.nvme is None)
     return all(checks)
 
 

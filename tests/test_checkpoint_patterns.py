@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
+from repro.machine import SUMMIT
 from repro.network.pattern import (
     PATTERNS,
     bisection_pattern,
@@ -17,9 +18,10 @@ from repro.network.pattern import (
 )
 from repro.network.routing import Router, RoutingPolicy
 from repro.network.topology import FatTree, FatTreeSpec
-from repro.storage.burst_buffer import SUMMIT_NVME
 from repro.storage.checkpoint import CheckpointPlan
-from repro.storage.filesystem import SUMMIT_GPFS
+
+GPFS = SUMMIT.shared_fs
+NVME = SUMMIT.nvme
 
 
 class TestCheckpointPlan:
@@ -39,12 +41,12 @@ class TestCheckpointPlan:
         assert plan.system_mtbf == pytest.approx(plan.node_mtbf_seconds / 2048)
 
     def test_nvme_writes_are_node_local(self, plan):
-        t = plan.write_time_nvme(SUMMIT_NVME)
+        t = plan.write_time_nvme(NVME)
         assert t == pytest.approx(100e9 / 2.1e9)
 
     def test_shared_fs_writes_contend(self, plan):
-        nvme_t = plan.write_time_nvme(SUMMIT_NVME)
-        fs_t = plan.write_time_shared(SUMMIT_GPFS)
+        nvme_t = plan.write_time_nvme(NVME)
+        fs_t = plan.write_time_shared(GPFS)
         assert fs_t > nvme_t  # 2.5 TB/s / 1024 nodes < 2.1 GB/s per node
 
     def test_young_interval_formula(self, plan):
@@ -54,14 +56,14 @@ class TestCheckpointPlan:
         )
 
     def test_optimal_interval_minimises_overhead(self, plan):
-        delta = plan.write_time_nvme(SUMMIT_NVME)
+        delta = plan.write_time_nvme(NVME)
         tau_star = plan.optimal_interval(delta)
         best = plan.overhead_fraction(delta, tau_star)
         for factor in (0.3, 0.5, 2.0, 3.0):
             assert plan.overhead_fraction(delta, tau_star * factor) >= best
 
     def test_cheaper_writes_mean_less_overhead(self, plan):
-        tiers = plan.compare_tiers(SUMMIT_NVME, SUMMIT_GPFS)
+        tiers = plan.compare_tiers(NVME, GPFS)
         assert tiers["nvme"]["overhead"] < tiers["shared_fs"]["overhead"]
         assert tiers["nvme"]["optimal_interval"] < tiers["shared_fs"][
             "optimal_interval"
@@ -69,13 +71,13 @@ class TestCheckpointPlan:
 
     def test_nvme_wins_checkpointing_at_4096_nodes(self):
         plan = CheckpointPlan(100e9, 4096, 5 * 365 * 24 * 3600.0)
-        tiers = plan.compare_tiers(SUMMIT_NVME, SUMMIT_GPFS)
+        tiers = plan.compare_tiers(NVME, GPFS)
         assert tiers["nvme"]["overhead"] < tiers["shared_fs"]["overhead"]
 
     def test_more_nodes_more_overhead(self):
         small = CheckpointPlan(100e9, 64, 5 * 365 * 24 * 3600.0)
         large = CheckpointPlan(100e9, 4096, 5 * 365 * 24 * 3600.0)
-        delta = small.write_time_nvme(SUMMIT_NVME)
+        delta = small.write_time_nvme(NVME)
         assert large.overhead_fraction(delta) > small.overhead_fraction(delta)
 
     def test_invalid_inputs(self):

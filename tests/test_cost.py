@@ -31,7 +31,6 @@ from repro.cost import (
 from repro.errors import CapacityError, ConfigurationError
 from repro.machine.gpu import NVIDIA_V100
 from repro.machine.spec import SUMMIT
-from repro.machine.summit import summit
 from repro.models.catalog import resnet50
 from repro.network.collectives import (
     AllreduceAlgorithm,
@@ -39,14 +38,12 @@ from repro.network.collectives import (
     algorithmic_bandwidth,
     paper_allreduce_estimate,
 )
-from repro.network.link import NVLINK2, SUMMIT_INJECTION
 from repro.storage.checkpoint import CheckpointPlan
-from repro.storage.burst_buffer import SUMMIT_NVME
 from repro.storage.io_model import read_requirement
 from repro.training.convergence import RESNET50_CONVERGENCE
 from repro.training.step_time import step_breakdown
 
-SYSTEM = summit(include_high_mem=False)
+INJECTION = SUMMIT.interconnect
 
 # -- golden values captured from the seed implementation -------------------------
 
@@ -101,7 +98,7 @@ GOLDEN_STEP = {
         total=0.40757484987754244),
 }
 
-#: (p, golden) for BERT-large's 1.4 GB gradient over SUMMIT_INJECTION.
+#: (p, golden) for BERT-large's 1.4 GB gradient over Summit's injection link.
 GOLDEN_ALLREDUCE = {
     2: dict(ring=0.056002, recursive_doubling=0.056001, binomial_tree=0.112002,
             best=0.056001),
@@ -117,8 +114,7 @@ BERT_GRADIENT_BYTES = 1.4e9
 def _app_cost_model(key):
     app = EXTREME_SCALE_APPS[key]
     return step_cost_model(
-        app.model_factory(), SYSTEM, app.plan,
-        data_source=app.data_source, intra_node_link=NVLINK2,
+        app.model_factory(), SUMMIT, app.plan, data_source=app.data_source,
     )
 
 
@@ -137,7 +133,7 @@ class TestGoldenStepRegression:
     def test_step_breakdown_matches_cost_layer(self, key, n_nodes):
         app = EXTREME_SCALE_APPS[key]
         sb = step_breakdown(
-            app.model_factory(), SYSTEM, n_nodes, app.plan,
+            app.model_factory(), SUMMIT, n_nodes, app.plan,
             data_source=app.data_source,
         )
         bd = _app_cost_model(key).evaluate(n_nodes=n_nodes)
@@ -152,17 +148,17 @@ class TestGoldenCollectives:
         golden = GOLDEN_ALLREDUCE[p]
         for name in ("ring", "recursive_doubling", "binomial_tree"):
             got = allreduce_time(
-                p, BERT_GRADIENT_BYTES, SUMMIT_INJECTION,
+                p, BERT_GRADIENT_BYTES, INJECTION,
                 AllreduceAlgorithm(name),
             )
             assert got == golden[name], f"{name}@{p}"
         assert allreduce_time(
-            p, BERT_GRADIENT_BYTES, SUMMIT_INJECTION, None
+            p, BERT_GRADIENT_BYTES, INJECTION, None
         ) == golden["best"]
 
     @pytest.mark.parametrize("p", sorted(GOLDEN_ALLREDUCE))
     def test_kernels_match_linkspec_adapter(self, p):
-        lat, bw = SUMMIT_INJECTION.latency, SUMMIT_INJECTION.total_bandwidth
+        lat, bw = INJECTION.latency, INJECTION.total_bandwidth
         for name in ("ring", "recursive_doubling", "binomial_tree"):
             assert kernels.allreduce_time(
                 p, BERT_GRADIENT_BYTES, lat, bw, name
@@ -172,12 +168,12 @@ class TestGoldenCollectives:
         ) == GOLDEN_ALLREDUCE[p]["best"]
 
     def test_paper_estimates(self):
-        assert paper_allreduce_estimate(102.4e6, SUMMIT_INJECTION) == 0.008192
-        assert paper_allreduce_estimate(1.4e9, SUMMIT_INJECTION) == 0.112
+        assert paper_allreduce_estimate(102.4e6, INJECTION) == 0.008192
+        assert paper_allreduce_estimate(1.4e9, INJECTION) == 0.112
 
     def test_algorithmic_bandwidth(self):
         assert algorithmic_bandwidth(
-            4608, BERT_GRADIENT_BYTES, SUMMIT_INJECTION
+            4608, BERT_GRADIENT_BYTES, INJECTION
         ) == 11552137386.085955
 
 
@@ -195,7 +191,7 @@ class TestGoldenStorageModels:
             state_bytes_per_node=30e9, n_nodes=4600,
             node_mtbf_seconds=5 * 365 * 24 * 3600.0,
         )
-        write_time = plan.write_time_nvme(SUMMIT_NVME)
+        write_time = plan.write_time_nvme(SUMMIT.nvme)
         assert write_time == 14.285714285714286
         assert plan.optimal_interval(write_time) == 989.6357319678679
         assert plan.overhead_fraction(write_time) == 0.029287409010441898

@@ -20,12 +20,8 @@ from repro.cost import (
     sweep_scalar,
 )
 from repro.machine.spec import SUMMIT
-from repro.machine.summit import summit
-from repro.network.link import NVLINK2
 
 from .hypothesis_settings import QUICK_SETTINGS, STANDARD_SETTINGS
-
-SYSTEM = summit(include_high_mem=False)
 
 
 def assert_bit_identical(model, grid, **fixed):
@@ -103,8 +99,8 @@ class TestStepModelParity:
             st.integers(min_value=1, max_value=SUMMIT.node_count // span))
         nodes = [m * span for m in data.draw(multiplier)]
         model = step_cost_model(
-            app.model_factory(), SYSTEM, app.plan,
-            data_source=app.data_source, intra_node_link=NVLINK2,
+            app.model_factory(), SUMMIT, app.plan,
+            data_source=app.data_source,
         )
         assert_bit_identical(model, {"n_nodes": nodes})
 

@@ -10,6 +10,7 @@ MODULES = [
     "repro.units",
     "repro.core.api",
     "repro.cost.kernels",
+    "repro.cost.models",
     "repro.cost.breakdown",
     "repro.cost.sweep",
     "repro.exec.parallel",
@@ -17,6 +18,7 @@ MODULES = [
     "repro.ml.mlp",
     "repro.optim.sgd",
     "repro.optim.schedule",
+    "repro.machine.spec",
     "repro.machine.summit",
     "repro.portfolio.taxonomy",
     "repro.science.md",
@@ -25,6 +27,7 @@ MODULES = [
     "repro.telemetry.stream",
     "repro.training.job",
     "repro.training.scaling",
+    "repro.training.step_time",
     "repro.atomicio",
     "repro.resilience.retry",
     "repro.service.spec",

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.apps.extreme_scale import get_app
-from repro.machine.summit import summit
+from repro.machine import SUMMIT
 from repro.models import get_model, resnet50
 from repro.network.collectives import AllreduceAlgorithm
 from repro.optim import LAMB, LARS, SGD
@@ -27,11 +27,10 @@ class TestDataParallelStoryline:
         is 'close to the time of per-batch forward and backward propagation
         and hence hard to hide'; a 3x-BERT model (with the local batch the
         GPU memory still allows) is communication-bound outright."""
-        system = summit(include_high_mem=False)
 
         def comm_fraction(model, local_batch):
             job = TrainingJob(
-                model, system, 1024,
+                model, SUMMIT, 1024,
                 ParallelismPlan(
                     local_batch=local_batch, overlap_fraction=0.0,
                     allreduce_algorithm=AllreduceAlgorithm.RING,
@@ -54,18 +53,16 @@ class TestDataParallelStoryline:
         assert large > 0.5
 
     def test_io_wall_appears_with_scale_on_gpfs(self):
-        system = summit(include_high_mem=False)
         plan = ParallelismPlan(local_batch=128)
-        small = TrainingJob(resnet50(), system, 16, plan, DataSource.SHARED_FS)
-        large = TrainingJob(resnet50(), system, 4096, plan, DataSource.SHARED_FS)
+        small = TrainingJob(resnet50(), SUMMIT, 16, plan, DataSource.SHARED_FS)
+        large = TrainingJob(resnet50(), SUMMIT, 4096, plan, DataSource.SHARED_FS)
         assert small.breakdown().io_fraction < 0.05
         assert large.breakdown().io_fraction > 0.30
 
     def test_nvme_removes_the_io_wall(self):
-        system = summit(include_high_mem=False)
         plan = ParallelismPlan(local_batch=128)
-        gpfs = TrainingJob(resnet50(), system, 4096, plan, DataSource.SHARED_FS)
-        nvme = TrainingJob(resnet50(), system, 4096, plan, DataSource.NVME)
+        gpfs = TrainingJob(resnet50(), SUMMIT, 4096, plan, DataSource.SHARED_FS)
+        nvme = TrainingJob(resnet50(), SUMMIT, 4096, plan, DataSource.NVME)
         assert nvme.step_time() < 0.5 * gpfs.step_time()
 
 
@@ -73,11 +70,10 @@ class TestTimeToSolutionStoryline:
     """Why every Section IV-B app pairs scale-out with LARS/LAMB."""
 
     def test_sgd_time_to_solution_saturates_lars_does_not(self):
-        system = summit(include_high_mem=False)
         plan = ParallelismPlan(local_batch=64)
         times_sgd, times_lars = [], []
         for nodes in (64, 1024):
-            job = TrainingJob(resnet50(), system, nodes, plan)
+            job = TrainingJob(resnet50(), SUMMIT, nodes, plan)
             times_sgd.append(time_to_solution(job, RESNET50_CONVERGENCE, "sgd"))
             times_lars.append(time_to_solution(job, RESNET50_CONVERGENCE, "lars"))
         sgd_speedup = times_sgd[0] / times_sgd[1]
@@ -86,7 +82,7 @@ class TestTimeToSolutionStoryline:
 
     def test_layerwise_optimizers_win_time_to_solution_at_1024_nodes(self):
         job = TrainingJob(
-            resnet50(), summit(include_high_mem=False), 1024,
+            resnet50(), SUMMIT, 1024,
             ParallelismPlan(local_batch=64),
         )
         times = {
@@ -200,7 +196,7 @@ class TestExtremeScaleAblation:
         comm = {}
         for algo in (None, AllreduceAlgorithm.RING):
             job = TrainingJob(
-                get_model("deepmd"), summit(include_high_mem=False), 4096,
+                get_model("deepmd"), SUMMIT, 4096,
                 ParallelismPlan(local_batch=8, overlap_fraction=0.0,
                                 allreduce_algorithm=algo),
                 DataSource.MEMORY,

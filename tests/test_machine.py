@@ -70,7 +70,7 @@ class TestSummitNode:
         node = SUMMIT.node()
         assert node.cpu_count == 2
         assert node.gpu_count == 6
-        assert node.has_nvme
+        assert node.nvme_bytes == SUMMIT.nvme_capacity_bytes > 0
 
     def test_42_usable_cores(self):
         # "One POWER9 core of each processor is reserved for the system,
@@ -115,20 +115,23 @@ class TestSummitNode:
             )
 
 
+def _total_nodes(system) -> int:
+    return system.node_count + sum(c for _, c in system.extra_partitions)
+
+
 class TestSummitSystem:
     def test_node_count(self):
         assert summit().node_count == 4608
 
     def test_total_nodes_includes_high_mem(self):
-        assert summit().total_nodes == 4608 + 54
-        assert summit(include_high_mem=False).total_nodes == 4608
+        assert _total_nodes(summit()) == 4608 + 54
 
     def test_over_3_ai_exaops(self):
         # Summit "over 3 AI-ExaOps mixed precision peak performance"
         assert summit().peak_flops(Precision.MIXED) > 3e18
 
     def test_gpu_count(self):
-        assert summit(include_high_mem=False).total_gpus == 4608 * 6
+        assert summit().total_gpus == (4608 + 54) * 6
 
     def test_injection_bandwidth_25_gbs(self):
         assert summit().interconnect.total_bandwidth == 25e9
@@ -136,18 +139,18 @@ class TestSummitSystem:
     def test_nvme_aggregate_over_27_tbs(self):
         # Section VI-B: "node-local NVMe has aggregate read bandwidth over
         # 27 TB/s"
-        assert summit().nvme.aggregate_read_bandwidth(4608) > 27e12
+        assert SUMMIT.nvme.aggregate_read_bandwidth(4608) > 27e12
 
     def test_gpfs_read_2_5_tbs(self):
         assert summit().shared_fs.aggregate_read_bandwidth == 2.5e12
 
     def test_require_nodes_over_capacity(self):
         with pytest.raises(CapacityError):
-            summit().require_nodes(5000)
+            SUMMIT.require_nodes(5000)
 
     def test_require_nodes_zero(self):
         with pytest.raises(ConfigurationError):
-            summit().require_nodes(0)
+            SUMMIT.require_nodes(0)
 
     def test_describe_mentions_name(self):
         assert "Summit" in summit().describe()
@@ -157,15 +160,15 @@ class TestCompanionClusters:
     def test_rhea_partitions(self):
         r = rhea()
         assert r.node_count == 512
-        assert r.total_nodes == 521  # 512 CPU + 9 GPU
+        assert _total_nodes(r) == 521  # 512 CPU + 9 GPU
 
     def test_andes_704_nodes(self):
         # "the 704-node Andes cluster", including the nine ex-Rhea GPU nodes
-        assert andes().total_nodes == 704
+        assert _total_nodes(andes()) == 704
 
     def test_companions_share_summit_filesystem(self):
         assert rhea().shared_fs is summit().shared_fs
         assert andes().shared_fs is summit().shared_fs
 
     def test_rhea_cpu_nodes_have_no_gpus(self):
-        assert not rhea().node.has_gpus
+        assert rhea().node.gpus is None

@@ -1,9 +1,11 @@
 """Tests for the machine registry: Summit builders built from the spec,
-Summit byte-identity goldens, property tests over random valid MachineSpecs, the
-``machine`` sweep axis, and the ``--machine`` CLI surface."""
+Summit byte-identity goldens, constructor checks and property tests over
+random valid MachineSpecs, the ``machine`` sweep axis, and the ``--machine``
+CLI surface."""
 
 import dataclasses
 import json
+import math
 import pathlib
 
 import numpy as np
@@ -21,6 +23,7 @@ from repro.cost.crossover import (
 )
 from repro.errors import ConfigurationError
 from repro.machine.gpu import GpuSpec, Precision
+from repro.machine.node import NodeSpec
 from repro.machine.spec import (
     FRONTIER_LIKE,
     MACHINES,
@@ -33,7 +36,7 @@ from repro.machine.spec import (
     resolve_machine,
 )
 from repro.models.catalog import get_model
-from repro.scheduler.jobs import SUMMIT_QUEUE_BINS, queue_bins_for
+from repro.scheduler.jobs import SUMMIT_QUEUE_BINS
 from repro.training.parallelism import DataSource, ParallelismPlan
 from repro.training.step_time import step_cost
 
@@ -97,11 +100,6 @@ class TestRegistry:
     def test_perlmutter_has_no_nvme(self):
         assert not PERLMUTTER_LIKE.has_nvme
         assert PERLMUTTER_LIKE.nvme is None
-        assert PERLMUTTER_LIKE.system().nvme is None
-
-    def test_as_dict_is_json_serializable(self):
-        for name in machine_names():
-            json.dumps(get_machine(name).as_dict(), sort_keys=True)
 
 
 class TestNoDrift:
@@ -115,36 +113,79 @@ class TestNoDrift:
     def test_summit_system_built_from_spec(self):
         from repro.machine.summit import summit
 
-        system = summit(include_high_mem=False)
+        system = summit()
+        assert system.name == SUMMIT.name
+        assert system.node == SUMMIT.node()
         assert system.node_count == SUMMIT.node_count
         assert system.interconnect == SUMMIT.interconnect
-        assert system.shared_fs == SUMMIT.shared_fs
-        assert system.intra_node_link == SUMMIT.intra_node_link
+        assert system.shared_fs is SUMMIT.shared_fs
 
     def test_link_singletons_match_spec(self):
-        from repro.network.link import EDR_RAIL, NVLINK2, SUMMIT_INJECTION
+        """Summit's links come from the spec's fields: the dual-rail
+        injection link, NVLink inside a node, and the one EDR rail each
+        fat-tree cable carries."""
+        from repro.network.topology import FatTreeSpec
 
-        assert EDR_RAIL.bandwidth == SUMMIT.injection_rail_bandwidth
-        assert EDR_RAIL.latency == SUMMIT.injection_latency
-        assert SUMMIT_INJECTION == SUMMIT.interconnect
-        assert SUMMIT_INJECTION.total_bandwidth == SUMMIT.injection_bandwidth
-        assert NVLINK2 == SUMMIT.intra_node_link
+        rail = FatTreeSpec(hosts=64).link
+        assert rail.bandwidth == SUMMIT.injection_rail_bandwidth
+        assert rail.latency == SUMMIT.injection_latency
+        assert SUMMIT.interconnect.total_bandwidth == SUMMIT.injection_bandwidth
+        assert SUMMIT.interconnect.latency == SUMMIT.injection_latency
+        assert SUMMIT.intra_node_link.total_bandwidth == (
+            SUMMIT.intra_node_bandwidth
+        )
+        assert SUMMIT.intra_node_link.latency == SUMMIT.intra_node_latency
 
     def test_storage_singletons_match_spec(self):
-        from repro.storage.burst_buffer import SUMMIT_NVME
-        from repro.storage.filesystem import SUMMIT_GPFS
+        """One filesystem object per spec, and the NVMe tier from the
+        spec's three NVMe figures."""
+        from repro.storage.burst_buffer import BurstBuffer
 
-        assert SUMMIT_GPFS == SUMMIT.shared_fs
-        assert SUMMIT_NVME == SUMMIT.nvme
+        assert SUMMIT.shared_fs is SUMMIT.shared_fs
+        assert SUMMIT.shared_fs.aggregate_read_bandwidth == (
+            SUMMIT.fs_aggregate_read_bandwidth
+        )
+        assert SUMMIT.nvme == BurstBuffer(
+            capacity_bytes=SUMMIT.nvme_capacity_bytes,
+            read_bandwidth=SUMMIT.nvme_read_bandwidth,
+            write_bandwidth=SUMMIT.nvme_write_bandwidth,
+        )
 
     def test_queue_bins_reproduce_summit_thresholds(self):
-        assert queue_bins_for(None) == SUMMIT_QUEUE_BINS
-        assert queue_bins_for("summit") == SUMMIT_QUEUE_BINS
+        """The scheduler's bins are 60 %, 20 %, 2 % and 1 % of Summit's
+        node count, and a catch-all from 1 node."""
+        fractions = (0.6, 0.2, 0.02, 0.01)
+        assert [low for low, _ in SUMMIT_QUEUE_BINS] == [
+            round(f * SUMMIT.node_count) for f in fractions
+        ] + [1]
 
-    def test_queue_bins_scale_to_other_machines(self):
-        bins = queue_bins_for("frontier-like")
-        assert bins[0][0] == round(0.6 * FRONTIER_LIKE.node_count)
-        assert bins[-1][0] == 1
+
+def _float_fields(cls) -> tuple[str, ...]:
+    """The rates, latencies and capacities a machine is described by."""
+    return tuple(
+        f.name for f in dataclasses.fields(cls) if f.type in ("float", float)
+    )
+
+
+SPEC_FLOAT_FIELDS = _float_fields(MachineSpec)
+NODE_FLOAT_FIELDS = _float_fields(NodeSpec)
+
+
+class TestNonFiniteRejected:
+    """NaN fails every constructor check, and infinity is no rate, latency
+    or capacity: each is a ConfigurationError naming the field."""
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("field", SPEC_FLOAT_FIELDS)
+    def test_machine_spec_rejects(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            dataclasses.replace(SUMMIT, **{field: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("field", NODE_FLOAT_FIELDS)
+    def test_node_spec_rejects(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            dataclasses.replace(SUMMIT.node(), **{field: value})
 
 
 class TestSummitGolden:
@@ -192,9 +233,6 @@ def machine_specs(draw) -> MachineSpec:
         nvme_capacity_bytes=1.6 * units.TB if has_nvme else 0.0,
         nvme_read_bandwidth=6.0 * units.GB if has_nvme else 0.0,
         nvme_write_bandwidth=2.1 * units.GB if has_nvme else 0.0,
-        node_tags=(
-            frozenset({"gpu", "nvme"}) if has_nvme else frozenset({"gpu"})
-        ),
     )
 
 
@@ -232,10 +270,10 @@ class TestMachineSpecProperties:
         model = get_model("resnet50")
         # data from memory: the random spec may have no NVMe tier
         slow_bd = step_cost(
-            model, spec.system(), plan, data_source=DataSource.MEMORY
+            model, spec, plan, data_source=DataSource.MEMORY
         ).evaluate(n_nodes=16)
         fast_bd = step_cost(
-            model, faster.system(), plan, data_source=DataSource.MEMORY
+            model, faster, plan, data_source=DataSource.MEMORY
         ).evaluate(n_nodes=16)
         assert fast_bd["compute"] <= slow_bd["compute"]
         assert fast_bd["compute"] > 0

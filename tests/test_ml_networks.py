@@ -139,6 +139,8 @@ class TestVariationalAutoencoder:
         x = latent_manifold(300, n_features=20, latent_dim=2, seed=4)
         vae = VariationalAutoencoder(20, 2, hidden=[16], beta=10.0, seed=4)
         vae.fit(x, epochs=150, seed=4)
-        mu, log_var = vae.encode_stats(x)
+        stats = vae.encoder.forward(x)
+        mu = stats[:, :2]
+        log_var = np.clip(stats[:, 2:], -10.0, 10.0)
         assert abs(float(mu.mean())) < 0.5
         assert abs(float(np.exp(log_var).mean()) - 1.0) < 0.5

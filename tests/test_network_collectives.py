@@ -19,9 +19,10 @@ from repro.network.collectives import (
     reduce_scatter_time,
     ring_allreduce_time,
 )
-from repro.network.link import SUMMIT_INJECTION, LinkSpec
+from repro.machine import SUMMIT
+from repro.network.link import LinkSpec
 
-LINK = SUMMIT_INJECTION
+LINK = SUMMIT.interconnect
 
 
 class TestPaperEstimates:

@@ -7,18 +7,24 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.network.link import EDR_RAIL, NVLINK2, SUMMIT_INJECTION, LinkSpec
+from repro.machine import SUMMIT
+from repro.network.link import LinkSpec
 from repro.network.routing import Router, RoutingPolicy
 from repro.network.topology import FatTree, FatTreeSpec
+
+#: One EDR rail of Summit's dual-rail injection link.
+EDR_RAIL = LinkSpec(
+    latency=SUMMIT.injection_latency, bandwidth=SUMMIT.injection_rail_bandwidth
+)
 
 
 class TestLinkSpec:
     def test_summit_injection_is_25_gbs(self):
-        assert SUMMIT_INJECTION.total_bandwidth == 25e9
+        assert SUMMIT.interconnect.total_bandwidth == 25e9
 
     def test_dual_rail_doubles_bandwidth_not_latency(self):
-        assert SUMMIT_INJECTION.total_bandwidth == 2 * EDR_RAIL.total_bandwidth
-        assert SUMMIT_INJECTION.latency == EDR_RAIL.latency
+        assert SUMMIT.interconnect.total_bandwidth == 2 * EDR_RAIL.total_bandwidth
+        assert SUMMIT.interconnect.latency == EDR_RAIL.latency
 
     def test_transfer_time_alpha_beta(self):
         link = LinkSpec(latency=1e-6, bandwidth=10e9)
@@ -62,7 +68,7 @@ class TestLinkSpec:
 
     @given(st.floats(min_value=1, max_value=1e12))
     def test_transfer_time_monotone_in_size(self, size):
-        assert NVLINK2.transfer_time(size) <= NVLINK2.transfer_time(size * 2)
+        assert SUMMIT.intra_node_link.transfer_time(size) <= SUMMIT.intra_node_link.transfer_time(size * 2)
 
 
 class TestFatTreeSpec:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.machine.summit import summit
+from repro.machine import SUMMIT
 from repro.models import bert_large
 from repro.training.pipeline import (
     PipelineBreakdown,
@@ -15,8 +15,6 @@ from repro.training.pipeline import (
     compare_strategies,
     pipeline_step,
 )
-
-SYSTEM = summit(include_high_mem=False)
 
 
 class TestPipelinePlan:
@@ -49,7 +47,7 @@ class TestPipelinePlan:
 class TestPipelineStep:
     def test_breakdown_components_positive(self):
         b = pipeline_step(
-            bert_large(), SYSTEM, 64, PipelinePlan(stages=6, micro_batches=16)
+            bert_large(), SUMMIT, 64, PipelinePlan(stages=6, micro_batches=16)
         )
         assert b.compute > 0
         assert b.bubble > 0
@@ -59,20 +57,20 @@ class TestPipelineStep:
 
     def test_bubble_matches_plan_fraction_roughly(self):
         plan = PipelinePlan(stages=6, micro_batches=16)
-        b = pipeline_step(bert_large(), SYSTEM, 64, plan)
+        b = pipeline_step(bert_large(), SUMMIT, 64, plan)
         measured = b.bubble / (b.compute + b.bubble)
         assert measured == pytest.approx(plan.bubble_fraction, rel=0.05)
 
     def test_single_replica_has_no_allreduce(self):
         b = pipeline_step(
-            bert_large(), SYSTEM, 1, PipelinePlan(stages=6, micro_batches=8),
+            bert_large(), SUMMIT, 1, PipelinePlan(stages=6, micro_batches=8),
             dp_replicas=1,
         )
         assert b.dp_allreduce == 0.0
 
     def test_sample_accounting(self):
         b = pipeline_step(
-            bert_large(), SYSTEM, 4,
+            bert_large(), SUMMIT, 4,
             PipelinePlan(stages=6, micro_batches=8, micro_batch_size=2),
         )
         assert b.samples == (4 * 6 // 6) * 16
@@ -80,13 +78,13 @@ class TestPipelineStep:
     def test_too_many_stages_rejected(self):
         with pytest.raises(ConfigurationError):
             pipeline_step(
-                bert_large(), SYSTEM, 1, PipelinePlan(stages=7, micro_batches=8)
+                bert_large(), SUMMIT, 1, PipelinePlan(stages=7, micro_batches=8)
             )
 
     def test_oversubscribed_layout_rejected(self):
         with pytest.raises(ConfigurationError):
             pipeline_step(
-                bert_large(), SYSTEM, 1,
+                bert_large(), SUMMIT, 1,
                 PipelinePlan(stages=6, micro_batches=8), dp_replicas=2,
             )
 
@@ -96,7 +94,7 @@ class TestStrategyComparison:
     model parallelization is essential'."""
 
     def test_data_parallel_wins_below_crossover(self):
-        result = compare_strategies(bert_large(), SYSTEM, 1024, 32)
+        result = compare_strategies(bert_large(), SUMMIT, 1024, 32)
         assert result["data_parallel"] > 0.9 * result["pipeline_hybrid"]
 
     def test_pipeline_wins_past_crossover(self):
@@ -104,11 +102,11 @@ class TestStrategyComparison:
             bert_large(), parameters=2.5 * 350e6,
             activation_bytes_per_sample=48e6,
         )
-        result = compare_strategies(giant, SYSTEM, 1024, 8)
+        result = compare_strategies(giant, SUMMIT, 1024, 8)
         assert result["pipeline_hybrid"] > result["data_parallel"]
 
     def test_both_strategies_scale_with_nodes(self):
-        small = compare_strategies(bert_large(), SYSTEM, 64, 32)
-        large = compare_strategies(bert_large(), SYSTEM, 512, 32)
+        small = compare_strategies(bert_large(), SUMMIT, 64, 32)
+        large = compare_strategies(bert_large(), SUMMIT, 512, 32)
         for key in small:
             assert large[key] > small[key]

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.machine.summit import summit
+from repro.machine import SUMMIT
 from repro.models.base import ModelSpec
 from repro.network.collectives import (
     allgather_time,
@@ -24,7 +24,6 @@ from repro.portfolio.generate import integerize, ipf_fit
 from repro.science.ising import AlloyLattice, MonteCarlo
 from repro.training import DataSource, ParallelismPlan, TrainingJob
 
-SYSTEM = summit(include_high_mem=False)
 
 links = st.builds(
     LinkSpec,
@@ -83,9 +82,9 @@ class TestTrainingProperties:
         model = ModelSpec("m", params, flops, 1e3, 0.2,
                           activation_bytes_per_sample=1e4)
         plan = ParallelismPlan(local_batch=batch)
-        small = TrainingJob(model, SYSTEM, max(1, nodes // 2), plan,
+        small = TrainingJob(model, SUMMIT, max(1, nodes // 2), plan,
                             DataSource.MEMORY)
-        large = TrainingJob(model, SYSTEM, nodes, plan, DataSource.MEMORY)
+        large = TrainingJob(model, SUMMIT, nodes, plan, DataSource.MEMORY)
         per_gpu_small = small.throughput() / small.n_gpus
         per_gpu_large = large.throughput() / large.n_gpus
         assert per_gpu_large <= per_gpu_small * 1.001
@@ -98,12 +97,12 @@ class TestTrainingProperties:
     def test_overlap_never_hurts(self, overlap, nodes):
         model = ModelSpec("m", 1e8, 1e10, 1e3, 0.2)
         base = TrainingJob(
-            model, SYSTEM, nodes,
+            model, SUMMIT, nodes,
             ParallelismPlan(local_batch=32, overlap_fraction=0.0),
             DataSource.MEMORY,
         )
         better = TrainingJob(
-            model, SYSTEM, nodes,
+            model, SUMMIT, nodes,
             ParallelismPlan(local_batch=32, overlap_fraction=overlap),
             DataSource.MEMORY,
         )
@@ -114,7 +113,7 @@ class TestTrainingProperties:
     def test_accumulation_preserves_sample_accounting(self, k):
         model = ModelSpec("m", 1e7, 1e9, 1e3, 0.2)
         plan = ParallelismPlan(local_batch=8, accumulation_steps=k)
-        job = TrainingJob(model, SYSTEM, 4, plan, DataSource.MEMORY)
+        job = TrainingJob(model, SUMMIT, 4, plan, DataSource.MEMORY)
         b = job.breakdown()
         assert b.samples == 4 * 6 * 8 * k
 

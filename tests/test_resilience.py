@@ -802,6 +802,40 @@ class TestGoodput:
         with pytest.raises(ConfigurationError, match="finite"):
             GoodputModel(job=get_app("khan").job(8), **{field: value})
 
+    def test_nvme_tier_missing_on_a_machine_without_nvme(self):
+        from repro.apps.extreme_scale import get_app
+        from repro.machine import PERLMUTTER_LIKE
+        from repro.training.goodput import GoodputModel
+
+        job = get_app("kurth").job(512, machine=PERLMUTTER_LIKE)
+        with pytest.raises(ConfigurationError, match="no node-local NVMe"):
+            GoodputModel(job=job).write_time("nvme")
+
+    def test_nvme_tier_is_the_jobs_machines(self):
+        from repro.apps.extreme_scale import get_app
+        from repro.machine import FRONTIER_LIKE
+        from repro.training.goodput import GoodputModel
+
+        model = GoodputModel(
+            job=get_app("kurth").job(512, machine=FRONTIER_LIKE)
+        )
+        assert model.write_time("nvme") == model.plan().write_time_nvme(
+            FRONTIER_LIKE.nvme
+        )
+
+    def test_shared_fs_tier_is_the_jobs_machines(self):
+        from repro.apps.extreme_scale import get_app
+        from repro.machine import FRONTIER_LIKE, SUMMIT
+        from repro.training.goodput import GoodputModel
+
+        model = GoodputModel(
+            job=get_app("kurth").job(512, machine=FRONTIER_LIKE)
+        )
+        plan = model.plan()
+        orion = plan.write_time_shared(FRONTIER_LIKE.shared_fs)
+        assert model.write_time("shared_fs") == orion
+        assert orion != plan.write_time_shared(SUMMIT.shared_fs)
+
     def test_analytic_only_report_is_self_consistent(self):
         from repro.apps.extreme_scale import get_app
 

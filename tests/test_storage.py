@@ -6,36 +6,40 @@ from hypothesis import strategies as st
 
 from repro import units
 from repro.errors import CapacityError, ConfigurationError
-from repro.storage.burst_buffer import SUMMIT_NVME, BurstBuffer, StagingPlan
+from repro.machine import SUMMIT
+from repro.storage.burst_buffer import BurstBuffer, StagingPlan
 from repro.storage.dataset import IMAGENET, Dataset, ShardingPlan
-from repro.storage.filesystem import SUMMIT_GPFS, SharedFileSystem
+from repro.storage.filesystem import SharedFileSystem
 from repro.storage.io_model import io_feasibility, read_requirement
+
+GPFS = SUMMIT.shared_fs
+NVME = SUMMIT.nvme
 
 
 class TestSharedFileSystem:
     def test_single_client_capped_by_client_limit(self):
-        assert SUMMIT_GPFS.read_bandwidth(1) == SUMMIT_GPFS.per_client_read_bandwidth
+        assert GPFS.read_bandwidth(1) == GPFS.per_client_read_bandwidth
 
     def test_many_clients_share_aggregate(self):
-        bw = SUMMIT_GPFS.read_bandwidth(4608)
+        bw = GPFS.read_bandwidth(4608)
         assert bw == pytest.approx(2.5e12 / 4608)
 
     def test_random_access_derated(self):
-        seq = SUMMIT_GPFS.read_bandwidth(4608, random_access=False)
-        rnd = SUMMIT_GPFS.read_bandwidth(4608, random_access=True)
-        assert rnd == pytest.approx(seq * SUMMIT_GPFS.random_read_derate)
+        seq = GPFS.read_bandwidth(4608, random_access=False)
+        rnd = GPFS.read_bandwidth(4608, random_access=True)
+        assert rnd == pytest.approx(seq * GPFS.random_read_derate)
 
     def test_read_time_scales_with_size(self):
-        t1 = SUMMIT_GPFS.read_time(1e9, n_clients=100)
-        t2 = SUMMIT_GPFS.read_time(2e9, n_clients=100)
+        t1 = GPFS.read_time(1e9, n_clients=100)
+        t2 = GPFS.read_time(2e9, n_clients=100)
         assert t2 == pytest.approx(2 * t1)
 
     def test_zero_read_free(self):
-        assert SUMMIT_GPFS.read_time(0) == 0.0
+        assert GPFS.read_time(0) == 0.0
 
     def test_invalid_client_count(self):
         with pytest.raises(ConfigurationError):
-            SUMMIT_GPFS.read_bandwidth(0)
+            GPFS.read_bandwidth(0)
 
     def test_bad_derate_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -69,17 +73,6 @@ class TestShardingPlan:
         with pytest.raises(CapacityError):
             plan.require_fits()
 
-    def test_full_replication_sees_everything(self):
-        plan = ShardingPlan(IMAGENET, n_nodes=2, nvme_bytes_per_node=1e15,
-                            replication=2)
-        assert plan.samples_per_node == IMAGENET.n_samples
-
-    def test_sharded_shuffle_window_shrinks(self):
-        plan = ShardingPlan(IMAGENET, n_nodes=128, nvme_bytes_per_node=1.6e12)
-        assert plan.samples_per_node / IMAGENET.n_samples == pytest.approx(
-            1 / 128, rel=0.01
-        )
-
     def test_replication_cannot_exceed_nodes(self):
         with pytest.raises(ConfigurationError):
             ShardingPlan(IMAGENET, n_nodes=2, nvme_bytes_per_node=1e15,
@@ -88,12 +81,12 @@ class TestShardingPlan:
 
 class TestBurstBuffer:
     def test_aggregate_scales_linearly(self):
-        assert SUMMIT_NVME.aggregate_read_bandwidth(4608) == pytest.approx(
+        assert NVME.aggregate_read_bandwidth(4608) == pytest.approx(
             4608 * 6e9
         )
 
     def test_summit_aggregate_over_27_tbs(self):
-        assert SUMMIT_NVME.aggregate_read_bandwidth(4608) > 27e12
+        assert NVME.aggregate_read_bandwidth(4608) > 27e12
 
     def test_invalid_capacity(self):
         with pytest.raises(ConfigurationError):
@@ -104,14 +97,14 @@ class TestStagingPlan:
     @pytest.fixture
     def staging(self):
         plan = ShardingPlan(IMAGENET, n_nodes=256, nvme_bytes_per_node=1.6e12)
-        return StagingPlan(plan, SUMMIT_GPFS, SUMMIT_NVME)
+        return StagingPlan(plan, GPFS, NVME)
 
     def test_staging_time_positive(self, staging):
         assert staging.staging_time() > 0
 
     def test_staging_bounded_by_nvme_write(self, staging):
         per_node = staging.plan.bytes_per_node
-        assert staging.staging_time() >= per_node / SUMMIT_NVME.write_bandwidth
+        assert staging.staging_time() >= per_node / NVME.write_bandwidth
 
     def test_epoch_read_faster_than_staging(self, staging):
         assert staging.epoch_read_time() < staging.staging_time()
@@ -149,20 +142,20 @@ class TestIoModel:
 
     def test_gpfs_infeasible_nvme_feasible_at_full_summit(self):
         req = read_requirement(1445, 500e3, 27648)
-        feas = io_feasibility(req, SUMMIT_GPFS, SUMMIT_NVME, 4608,
+        feas = io_feasibility(req, GPFS, NVME, 4608,
                               random_access=False)
         assert not feas.shared_fs_feasible
         assert feas.nvme_feasible
 
     def test_gpfs_feasible_at_small_scale(self):
         req = read_requirement(1445, 500e3, 6 * 64)
-        feas = io_feasibility(req, SUMMIT_GPFS, SUMMIT_NVME, 64,
+        feas = io_feasibility(req, GPFS, NVME, 64,
                               random_access=False)
         assert feas.shared_fs_feasible
 
     def test_io_bound_throughput_fraction(self):
         req = read_requirement(1445, 500e3, 27648)
-        feas = io_feasibility(req, SUMMIT_GPFS, SUMMIT_NVME, 4608,
+        feas = io_feasibility(req, GPFS, NVME, 4608,
                               random_access=False)
         assert min(1.0, feas.nvme_margin) == 1.0
         assert min(1.0, feas.shared_fs_margin) == pytest.approx(2.5 / 20, rel=0.02)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import CapacityError, ConfigurationError
-from repro.machine.summit import summit
+from repro.machine import SUMMIT
 from repro.models import bert_large, get_model, resnet50
 from repro.network.collectives import AllreduceAlgorithm
 from repro.training import (
@@ -24,14 +24,12 @@ from repro.training.convergence import (
     time_to_solution,
 )
 
-SYSTEM = summit(include_high_mem=False)
-
 
 def make_job(model=None, nodes=4, **plan_kwargs):
     plan_kwargs.setdefault("local_batch", 32)
     return TrainingJob(
         model=model or resnet50(),
-        system=SYSTEM,
+        machine=SUMMIT,
         n_nodes=nodes,
         plan=ParallelismPlan(**plan_kwargs),
     )
@@ -143,10 +141,11 @@ class TestStepBreakdown:
         assert ring.breakdown().comm > auto.breakdown().comm
 
     def test_cpu_system_rejected(self):
-        from repro.machine.summit import andes
-
-        with pytest.raises(ConfigurationError):
-            step_breakdown(resnet50(), andes(), 4, ParallelismPlan(local_batch=8))
+        cpu_only = dataclasses.replace(SUMMIT, gpus=None, gpus_per_node=0)
+        with pytest.raises(ConfigurationError, match="no GPUs"):
+            step_breakdown(
+                resnet50(), cpu_only, 4, ParallelismPlan(local_batch=8)
+            )
 
 
 class TestTrainingJob:
@@ -182,7 +181,7 @@ class TestTrainingJob:
             bert_large(), parameters=4e9, activation_bytes_per_sample=1e8
         )
         job = TrainingJob(
-            model=huge, system=SYSTEM, n_nodes=4,
+            model=huge, machine=SUMMIT, n_nodes=4,
             plan=ParallelismPlan(local_batch=4, model_shards=6),
         )
         assert job.step_time() > 0
@@ -290,7 +289,7 @@ class TestConvergence:
 def test_step_time_always_positive_and_finite(nodes, batch, overlap):
     job = TrainingJob(
         model=resnet50(),
-        system=SYSTEM,
+        machine=SUMMIT,
         n_nodes=nodes,
         plan=ParallelismPlan(local_batch=batch, overlap_fraction=overlap),
     )

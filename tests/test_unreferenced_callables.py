@@ -96,11 +96,7 @@ EXTENDED_STUDIES = (
 #: Callables whose only non-test caller was itself removed as test-only.
 #: Each is recorded in CHANGES.md for a decision: delete it, or give it a
 #: caller. Either way it then leaves this list.
-AWAITING_DECISION = (
-    "machine/system.py:total_nodes",
-    "ml/autoencoder.py:encode_stats",
-    "storage/dataset.py:samples_per_node",
-)
+AWAITING_DECISION = ()
 
 
 def _non_test_uses() -> set[str]:

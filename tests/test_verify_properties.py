@@ -53,12 +53,11 @@ def test_sweep_paths_bit_agree_on_random_grids(
 def test_crossover_sweep_paths_bit_agree(sizes, ranks, compute):
     from repro.cost.crossover import DataParallelCrossoverModel
     from repro.machine.spec import SUMMIT
-    from repro.network.link import SUMMIT_INJECTION
 
     grid = {"message_bytes": sizes, "n_ranks": ranks}
     fixed = {
         "latency": SUMMIT.injection_latency,
-        "bandwidth": SUMMIT_INJECTION.bandwidth,
+        "bandwidth": SUMMIT.interconnect.bandwidth,
         "compute_time": compute,
     }
     model = DataParallelCrossoverModel()
