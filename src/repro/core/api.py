@@ -94,7 +94,10 @@ class SummitSimulator:
         req = read_requirement(samples_per_s, model.bytes_per_sample, gpus)
         nvme = machine.nvme
         if nvme is None:
-            raise ConfigurationError("system lacks an NVMe tier or shared FS")
+            raise ConfigurationError(
+                f"{machine.name} nodes have no NVMe burst buffer to compare "
+                "with the shared filesystem"
+            )
         shared_fs = machine.shared_fs
         feas = io_feasibility(req, shared_fs, nvme, n, random_access=False)
         return {

@@ -9,7 +9,7 @@ capability computing". This package models that machinery:
 - :mod:`repro.scheduler.policy` — queue policies (FIFO, capability-priority
   backfill as on Summit);
 - :mod:`repro.scheduler.simulator` — runs a job stream against the machine
-  on the discrete-event engine, reporting utilisation, wait times, and the
+  in its own event loop, reporting utilisation, wait times, and the
   AI/ML share of *delivered* node-hours (the paper's alternative usage
   metric, Section II-C).
 """

@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.resilience.faults import DEFAULT_NODE_MTBF_SECONDS
+from repro.scheduler.jobs import is_integer
 
 
 @dataclass(frozen=True)
@@ -39,8 +40,17 @@ class FaultModel:
             raise ConfigurationError(
                 "checkpoint interval must be positive and finite"
             )
-        if self.max_requeues < 0:
-            raise ConfigurationError("max_requeues must be >= 0")
+        # a NaN or infinite count would make every queued pair a near tie
+        # (through the scheduler's horizon) and never abandon a job
+        if not is_integer(self.max_requeues, 0):
+            raise ConfigurationError(
+                f"max_requeues must be an integer >= 0, got "
+                f"{self.max_requeues!r}"
+            )
+        if not is_integer(self.seed, 0):
+            raise ConfigurationError(
+                f"seed must be an integer >= 0, got {self.seed!r}"
+            )
 
     def rng(self) -> np.random.Generator:
         return np.random.default_rng(self.seed)

@@ -30,7 +30,10 @@ class Job:
     project: Project | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
-        if self.nodes < 1:
+        # written so that NaN fails it; the full :func:`is_integer` check
+        # adds about 0.01 s per 83k jobs, some 1.5 % of generating a
+        # facility year, so only the scheduler and fault model make it
+        if not self.nodes >= 1:
             raise ConfigurationError(f"{self.job_id}: nodes must be >= 1")
         if not math.isfinite(self.duration) or self.duration <= 0:
             raise ConfigurationError(
@@ -61,6 +64,16 @@ SUMMIT_QUEUE_BINS = (
 #: Summit-years (a 4,608-node year is ~83,000 jobs). A larger node-second
 #: budget is finite but would take hours and gigabytes to materialise.
 MAX_SYNTHETIC_JOBS = 5_000_000
+
+
+def is_integer(value, least: int) -> bool:
+    """Whether ``value`` is an integer of at least ``least``: numpy ints
+    count; bools, floats (whole ones included) and NaN do not."""
+    return (
+        isinstance(value, (int, np.integer))
+        and not isinstance(value, bool)
+        and value >= least
+    )
 
 
 def walltime_limit(nodes: int) -> float:

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.core import ScalingStudyRunner, SummitSimulator, UsageSurvey
+from repro.errors import ConfigurationError
+from repro.machine import PERLMUTTER_LIKE
 from repro.training import ParallelismPlan
 
 
@@ -32,6 +34,16 @@ class TestSummitSimulator:
     def test_io_report_small_scale_gpfs_ok(self, sim):
         report = sim.io_report("resnet50", n_nodes=128)
         assert report["shared_fs_feasible"]
+
+    def test_io_report_names_the_machine_without_nvme(self):
+        # every machine has a shared filesystem; only the NVMe can be missing
+        sim = SummitSimulator(machine=PERLMUTTER_LIKE)
+        with pytest.raises(ConfigurationError) as raised:
+            sim.io_report("resnet50")
+        assert str(raised.value) == (
+            "Perlmutter-like nodes have no NVMe burst buffer to compare with "
+            "the shared filesystem"
+        )
 
 
 class TestScalingStudyRunner:

@@ -2,7 +2,8 @@
 
 ``Scheduler.run`` keeps its queue sorted by the ``now``-free
 ``policy.queue_key``, falls back to a per-event sort only near a float
-tie, and runs one pruned backfill pass per event.
+tie, and runs one pruned backfill pass per event; where only one job
+arrived and nothing else changed, that pass tests the arrival alone.
 :class:`tests.oracles.SortingScheduler` stable-sorts the whole queue by
 ``priority_key`` at every event and rescans backfill until a pass starts
 nothing. The two must be indistinguishable: the same ``repr`` of the
@@ -19,7 +20,10 @@ The job streams are built to break a kept order:
 - nudged capability ties: aging buys one node of priority per 900 s, so
   ``s_b = s_a + 900·(n_b - n_a)`` gives two jobs equal priority at every
   instant in exact arithmetic, and a few ulps either way leave them within
-  the tie margin, where float rounding decides their order.
+  the tie margin, where float rounding decides their order;
+- a backlog behind a blocked head, one arrival at a time: the points
+  where only the arrival is tested for backfill, and the points next to
+  them where that shortcut must not be taken (see :func:`backlog`).
 """
 
 from __future__ import annotations
@@ -67,9 +71,51 @@ def _nudge(value: float, ulps: int) -> float:
 
 
 @st.composite
+def backlog(draw):
+    """A full-width-ish head blocked behind one long job, then arrivals one
+    at a time.
+
+    ``long`` holds most of the machine until ``long_end`` and ``head``,
+    which needs some of those nodes, queues right behind it; its
+    reservation is ``long_end`` at first. Each later job arrives alone, at
+    a distinct multiple of 300 s. Most are narrow enough for the idle
+    nodes, with a run that ends a step before, at or a step after
+    ``long_end``, so backfill starts some and refuses others. Now and then
+    a wide one arrives that, under the capability policy, displaces the
+    head. Every duration is a multiple of 300 s too, so arrivals often
+    coincide with completions, where the full pass must run.
+    """
+    step = 300.0
+    held = draw(st.integers(N_NODES // 2, N_NODES - 2))
+    long_end = step * draw(st.integers(4, 40))
+    head_nodes = draw(st.integers(N_NODES - held + 1, N_NODES))
+    n = draw(st.integers(1, 22))
+    slots = sorted(draw(st.sets(st.integers(2, 48), min_size=n, max_size=n)))
+    jobs = [
+        Job("long", held, long_end, 0.0),
+        Job("head", head_nodes, draw(DURATIONS), step),
+    ]
+    for i, slot in enumerate(slots):
+        submit = step * slot
+        if draw(st.integers(0, 5)):
+            nodes = draw(st.integers(1, N_NODES - held))
+            straddle = step * draw(st.integers(-1, 1))
+            duration = max(step, long_end - submit + straddle)
+        else:
+            nodes = draw(st.integers(head_nodes - 1, N_NODES))
+            duration = draw(DURATIONS)
+        jobs.append(Job(f"j{i}", nodes, duration, submit, uses_ai=bool(i % 2)))
+    return jobs
+
+
+@st.composite
 def job_streams(draw, kind=None):
     """A list of jobs whose submit times follow one of the stream kinds."""
-    kind = kind or draw(st.sampled_from(("grid", "late", "nudged", "any")))
+    kind = kind or draw(
+        st.sampled_from(("grid", "late", "nudged", "any", "backlog"))
+    )
+    if kind == "backlog":
+        return draw(backlog())
     n = draw(st.integers(1, 24))
     nodes = draw(st.lists(st.integers(1, N_NODES), min_size=n, max_size=n))
     durations = draw(st.lists(DURATIONS, min_size=n, max_size=n))
@@ -136,6 +182,20 @@ def test_capability_near_ties_match_sorting_oracle(jobs, faults, traced):
     """Nudged ties are where a kept capability order can drift from the
     per-event sort; the tie guard must hand them to the sort."""
     _assert_matches_oracle(jobs, Policy.CAPABILITY, faults, traced)
+
+
+@settings(STANDARD_SETTINGS, max_examples=120)
+@given(
+    jobs=job_streams("backlog"),
+    policy=st.sampled_from(list(Policy)),
+    faults=FAULTS,
+    traced=st.booleans(),
+)
+def test_backlog_arrivals_match_sorting_oracle(jobs, policy, faults, traced):
+    """Single arrivals behind a blocked head take the arrival-only
+    backfill test; a coinciding completion or a displaced head must send
+    the point back to the full pass."""
+    _assert_matches_oracle(jobs, policy, faults, traced)
 
 
 @pytest.mark.parametrize("traced", [False, True])
