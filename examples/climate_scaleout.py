@@ -34,12 +34,12 @@ def main() -> None:
     print(f"At {app.peak_nodes} nodes:")
     print(f"  sustained          {units.format_flops(peak.sustained_flops())}")
     print(f"  step time          {units.format_time(b.total)}")
-    print(f"  compute            {units.format_time(b.compute)}")
-    print(f"  straggler penalty  {units.format_time(b.straggler)}")
-    print(f"  allreduce (total)  {units.format_time(b.comm)}  "
-          f"(exposed {units.format_time(b.comm_exposed)})")
-    print(f"  input pipeline     {units.format_time(b.io)}  "
-          f"(exposed {units.format_time(b.io_exposed)})")
+    print(f"  compute            {units.format_time(b['compute'])}")
+    print(f"  straggler penalty  {units.format_time(b['straggler'])}")
+    print(f"  allreduce (total)  {units.format_time(b['comm'])}  "
+          f"(exposed {units.format_time(b['comm_exposed'])})")
+    print(f"  input pipeline     {units.format_time(b['io'])}  "
+          f"(exposed {units.format_time(b['io_exposed'])})")
     print(f"  reported: 1.13 EF peak, 90.7 % parallel efficiency")
     print()
 
@@ -50,7 +50,7 @@ def main() -> None:
     print(
         f"Counterfactual — read inputs from GPFS instead of NVMe: "
         f"step {units.format_time(gb.total)} ({slowdown:.1f}x slower; "
-        f"exposed I/O {units.format_time(gb.io_exposed)})"
+        f"exposed I/O {units.format_time(gb['io_exposed'])})"
     )
 
     # -- counterfactual: no communication/computation overlap ------------------------
@@ -61,7 +61,7 @@ def main() -> None:
     print(
         f"Counterfactual — no comm/compute overlap: step "
         f"{units.format_time(nb.total)} "
-        f"({nb.total / b.total:.2f}x; exposed comm {units.format_time(nb.comm_exposed)})"
+        f"({nb.total / b.total:.2f}x; exposed comm {units.format_time(nb['comm_exposed'])})"
     )
 
 

@@ -87,9 +87,9 @@ class ExtremeScaleApp:
         grid (:meth:`sweep_nodes`); scalar results are bit-identical to
         ``job(n).breakdown()``.
         """
-        from repro.training.step_time import step_cost
+        from repro.cost import step_cost_model
 
-        return step_cost(
+        return step_cost_model(
             self.model_factory(),
             resolve_machine(machine),
             self.plan,

@@ -62,25 +62,15 @@ class SummitSimulator:
         )
 
     def crossover_surface(
-        self,
-        message_bytes,
-        node_counts,
-        compute_time: float,
-        bandwidth=None,
+        self, message_bytes, node_counts, compute_time: float
     ) -> SweepResult:
-        """Section VI-B comm-vs-compute crossover surface on this machine.
-
-        Any of ``message_bytes`` / ``node_counts`` / ``bandwidth`` may be a
-        sequence (a grid axis); ``bandwidth`` defaults to the machine's
-        aggregate injection bandwidth.
-        """
+        """Section VI-B comm-vs-compute crossover surface on this machine's
+        injection link; ``message_bytes`` and ``node_counts`` may each be a
+        sequence (a grid axis)."""
         link = self.machine.interconnect
         return crossover_sweep(
-            message_bytes,
-            node_counts,
-            link.total_bandwidth if bandwidth is None else bandwidth,
-            latency=link.latency,
-            compute_time=compute_time,
+            message_bytes, node_counts, link.total_bandwidth,
+            latency=link.latency, compute_time=compute_time,
         )
 
     def io_report(self, model_key: str, n_nodes: int | None = None) -> dict:

@@ -6,6 +6,14 @@ paths: scalar ``evaluate(**config)`` (bit-identical to the original
 handwritten formulas) and vectorized ``evaluate_batch`` / :func:`sweep`
 (NumPy broadcasting over configuration grids). The training, network,
 storage, and analysis layers are all thin adapters over this package.
+
+Both paths return one result type, :class:`CostBreakdown`: named terms read
+by key (``b["comm_exposed"]``), a critical-path ``total`` and a
+``fraction(term)`` of it. :func:`compose` wires stages into a composite;
+:func:`step_cost_model` is the Section IV-B step-time composite whose
+scalar evaluation is :func:`repro.training.step_time.step_breakdown`;
+:func:`crossover_sweep` maps the Section VI-B comm-vs-compute surface for
+a given injection bandwidth and latency.
 """
 
 from repro.cost import kernels
@@ -14,7 +22,6 @@ from repro.cost.crossover import (
     DataParallelCrossoverModel,
     crossover_nodes,
     crossover_sweep,
-    machine_crossover_sweep,
 )
 from repro.cost.kernels import ALLREDUCE_ALGORITHMS
 from repro.cost.model import (
@@ -56,6 +63,5 @@ __all__ = [
     "sweep_scalar",
     "DataParallelCrossoverModel",
     "crossover_sweep",
-    "machine_crossover_sweep",
     "crossover_nodes",
 ]

@@ -36,8 +36,8 @@ class CostBreakdown(Mapping):
     3.0
     >>> round(bd.fraction("comm"), 4)
     0.3333
-    >>> bd["raw"], bd.is_scalar, bd.shape
-    (9.0, True, ())
+    >>> bd["raw"], bd.shape
+    (9.0, ())
     """
 
     model: str
@@ -90,10 +90,6 @@ class CostBreakdown(Mapping):
     # -- shape handling -----------------------------------------------------------
 
     @property
-    def is_scalar(self) -> bool:
-        return not any(_is_array(v) for v in self.terms.values())
-
-    @property
     def shape(self) -> tuple[int, ...]:
         """Broadcast shape of the terms (``()`` for the scalar path)."""
         return np.broadcast_shapes(*(np.shape(v) for v in self.terms.values()))
@@ -115,21 +111,3 @@ class CostBreakdown(Mapping):
             provenance=self.provenance,
             critical=self.critical,
         )
-
-    # -- presentation -------------------------------------------------------------
-
-    def summary(self, formatter=None) -> str:
-        """Human-readable term listing; arrays are summarised by shape."""
-        fmt = formatter or (lambda v: f"{v:.6g}")
-        lines = [f"{self.model} cost breakdown:"]
-        for name, value in self.terms.items():
-            if _is_array(value):
-                rendered = f"array{np.shape(value)}"
-            else:
-                rendered = fmt(value)
-            note = self.provenance.get(name, "")
-            star = "*" if name in self.critical else " "
-            lines.append(f" {star} {name:<16} {rendered:>14}  {note}")
-        if self.is_scalar:
-            lines.append(f"   {'total':<16} {fmt(self.total):>14}  (critical path)")
-        return "\n".join(lines)

@@ -22,7 +22,6 @@ from repro.cost.sweep import SweepResult, sweep
 __all__ = [
     "DataParallelCrossoverModel",
     "crossover_sweep",
-    "machine_crossover_sweep",
     "crossover_nodes",
 ]
 
@@ -93,33 +92,6 @@ def crossover_sweep(
         else:
             fixed[name] = value
     return sweep(DataParallelCrossoverModel(), grid, **fixed)
-
-
-def machine_crossover_sweep(
-    message_bytes: Any,
-    n_ranks: Any,
-    machine: Any = None,
-    compute_time: float = 0.1,
-    algorithm: str | None = "ring",
-) -> SweepResult:
-    """The Section VI-B crossover surface recomputed for one machine.
-
-    ``machine`` is a registry name or :class:`~repro.machine.spec.MachineSpec`
-    (default Summit); its injection latency and aggregate bandwidth replace
-    the Summit globals, so the same surface answers "where does allreduce
-    overtake compute on a Frontier-class fabric?".
-    """
-    from repro.machine.spec import resolve_machine
-
-    spec = resolve_machine(machine)
-    return crossover_sweep(
-        message_bytes,
-        n_ranks,
-        bandwidth=spec.injection_bandwidth,
-        latency=spec.injection_latency,
-        compute_time=compute_time,
-        algorithm=algorithm,
-    )
 
 
 def crossover_nodes(result: SweepResult) -> np.ndarray:

@@ -169,28 +169,6 @@ def allreduce_time(
     )
 
 
-def reduce_scatter_time(
-    p: Number, size_bytes: Number, latency: Number, bandwidth: Number
-) -> Number:
-    """Ring reduce-scatter: ``(p-1) alpha + (p-1)/p * M / B``."""
-    return (p - 1) * latency + (p - 1) / p * size_bytes / bandwidth
-
-
-def allgather_time(
-    p: Number, size_bytes: Number, latency: Number, bandwidth: Number
-) -> Number:
-    """Ring allgather of a ``size_bytes`` total result."""
-    return (p - 1) * latency + (p - 1) / p * size_bytes / bandwidth
-
-
-def broadcast_time(
-    p: Number, size_bytes: Number, latency: Number, bandwidth: Number
-) -> Number:
-    """Scatter + allgather broadcast (van de Geijn)."""
-    scatter = _ceil_log2(p) * latency + (p - 1) / p * size_bytes / bandwidth
-    return scatter + allgather_time(p, size_bytes, latency, bandwidth)
-
-
 def paper_allreduce_estimate(size_bytes: Number, bandwidth: Number) -> Number:
     """The paper's bandwidth-only estimate: message over half the injection
     bandwidth (Section VI-B's 8 ms / 110 ms numbers).
@@ -199,18 +177,6 @@ def paper_allreduce_estimate(size_bytes: Number, bandwidth: Number) -> Number:
     0.112
     """
     return size_bytes / (bandwidth / 2.0)
-
-
-def algorithmic_bandwidth(
-    p: Number, size_bytes: Number, latency: Number, bandwidth: Number
-) -> Number:
-    """Achieved allreduce bytes/s; tends to ``bandwidth / 2`` as p, M grow."""
-    t = ring_allreduce_time(p, size_bytes, latency, bandwidth)
-    if _is_array(t):
-        return np.where(t == 0.0, math.inf, size_bytes / np.where(t == 0.0, 1.0, t))
-    if t == 0.0:
-        return math.inf
-    return size_bytes / t
 
 
 def transfer_time(size_bytes: Number, latency: Number, bandwidth: Number) -> Number:

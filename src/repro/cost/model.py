@@ -9,10 +9,10 @@ points sharing **one** implementation of the formulas (``_terms``):
 - ``evaluate_batch(**config)`` — the vectorized path: NumPy arrays (or
   mixes of arrays and scalars) broadcast through the same formulas.
 
-Models compose with ``|`` into a :class:`CompositeCostModel` that evaluates
-stages left to right in a shared namespace: each stage's output terms become
-config for the stages after it, which is how ``step time = compute ∘
-allreduce ∘ io ∘ straggler`` is wired without duplicating any expression.
+:func:`compose` builds a :class:`CompositeCostModel` that evaluates stages
+left to right in a shared namespace: each stage's output terms become config
+for the stages after it, which is how ``step time = compute ∘ allreduce ∘
+io ∘ straggler`` is wired without duplicating any expression.
 """
 
 from __future__ import annotations
@@ -95,41 +95,6 @@ class AnalyticCostModel(abc.ABC):
             critical=self.critical or tuple(terms),
         )
 
-    # -- machine binding ----------------------------------------------------------
-
-    def machine_config(self, machine: Any) -> dict[str, Any]:
-        """Config overrides this model derives from a machine.
-
-        The base mapping covers the interconnect keys shared by the network
-        cost models — ``latency`` (injection latency) and ``bandwidth``
-        (aggregate injection bytes/s) — restricted to the keys this model
-        actually ``requires``. Subclasses bind more (FLOPs, storage rates)
-        by overriding. Raises if the model has no machine-derived keys, so
-        a ``machine`` sweep axis on an incompatible model fails loudly.
-        """
-        from repro.machine.spec import resolve_machine
-
-        spec = resolve_machine(machine)
-        mapping: dict[str, Any] = {
-            "latency": spec.injection_latency,
-            "bandwidth": spec.injection_bandwidth,
-        }
-        overrides = {k: v for k, v in mapping.items() if k in self.requires}
-        if not overrides:
-            raise ConfigurationError(
-                f"{self.name}: no machine-derived config keys among requires "
-                f"{list(self.requires)}; override machine_config() to bind "
-                "this model to a machine"
-            )
-        return overrides
-
-    # -- composition --------------------------------------------------------------
-
-    def __or__(self, other: "AnalyticCostModel") -> "CompositeCostModel":
-        if not isinstance(other, AnalyticCostModel):
-            return NotImplemented
-        return CompositeCostModel([self, other])
-
 
 class CompositeCostModel(AnalyticCostModel):
     """Stages evaluated left to right in a shared config namespace.
@@ -145,20 +110,14 @@ class CompositeCostModel(AnalyticCostModel):
         critical: tuple[str, ...] = (),
         defaults: dict[str, Any] | None = None,
     ):
-        flat: list[AnalyticCostModel] = []
-        for stage in stages:
-            if isinstance(stage, CompositeCostModel):
-                flat.extend(stage.stages)
-            else:
-                flat.append(stage)
-        if not flat:
+        if not stages:
             raise ConfigurationError("composite cost model needs >= 1 stage")
-        self.stages = flat
+        self.stages = list(stages)
         self.name = name
         self.critical = critical
         self.defaults = dict(defaults or {})
         prov: dict[str, str] = {}
-        for stage in flat:
+        for stage in stages:
             prov.update(stage.provenance)
         self.provenance = prov
 
@@ -191,23 +150,6 @@ class CompositeCostModel(AnalyticCostModel):
             out.update(produced)
         return out
 
-    def machine_config(self, machine: Any) -> dict[str, Any]:
-        """Union of the stages' machine-derived overrides; raises only if
-        *no* stage binds to a machine."""
-        overrides: dict[str, Any] = {}
-        bound = False
-        for stage in self.stages:
-            try:
-                overrides.update(stage.machine_config(machine))
-                bound = True
-            except ConfigurationError:
-                continue
-        if not bound:
-            raise ConfigurationError(
-                f"{self.name}: no stage derives config from a machine"
-            )
-        return overrides
-
     def evaluate_batch_staged(
         self, telemetry: Any, **config: Any
     ) -> CostBreakdown:
@@ -222,16 +164,6 @@ class CompositeCostModel(AnalyticCostModel):
         """
         return self._wrap(self._terms(self._batch_config(config), telemetry))
 
-    def __or__(self, other: AnalyticCostModel) -> "CompositeCostModel":
-        if not isinstance(other, AnalyticCostModel):
-            return NotImplemented
-        return CompositeCostModel(
-            [*self.stages, other],
-            name=self.name,
-            critical=self.critical,
-            defaults=self.defaults,
-        )
-
 
 def compose(
     *stages: AnalyticCostModel,
@@ -239,7 +171,7 @@ def compose(
     critical: tuple[str, ...] = (),
     defaults: dict[str, Any] | None = None,
 ) -> CompositeCostModel:
-    """Build a named dataflow composite: ``compose(a, b, c)`` == ``a | b | c``
-    plus a name, critical-path selection, and bound default config."""
+    """Build a named dataflow composite of ``stages``, with a name, a
+    critical-path selection and bound default config."""
     return CompositeCostModel(list(stages), name=name, critical=critical,
                               defaults=defaults)

@@ -269,8 +269,8 @@ class StragglerCostModel(AnalyticCostModel):
         }
 
 
-#: Term order of the step composite's critical path — matches the seed
-#: ``StepBreakdown.total`` addition order exactly.
+#: Term order of the step composite's critical path — the seed's
+#: handwritten step-total addition order exactly.
 STEP_CRITICAL = ("compute", "straggler", "mp_exchange", "comm_exposed", "io_exposed")
 
 

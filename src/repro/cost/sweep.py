@@ -11,7 +11,7 @@ path for paper-figure reproduction.
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any
 
@@ -24,7 +24,7 @@ __all__ = ["SweepResult", "sweep", "sweep_scalar"]
 
 
 @contextmanager
-def _sweep_span(telemetry: Any, name: str, model: Any, size: int):
+def _sweep_span(telemetry: Any, model: Any, size: int):
     """Wall-clock span around one sweep, timed with ``perf_counter``.
 
     Sweeps run outside any simulation, so span times are real seconds from
@@ -33,7 +33,7 @@ def _sweep_span(telemetry: Any, name: str, model: Any, size: int):
     """
     t0 = time.perf_counter()
     span = telemetry.begin(
-        name, "sweep", facility="cost", track=model.name,
+        "sweep", "sweep", facility="cost", track=model.name,
         time=0.0, model=model.name, points=size,
     )
     try:
@@ -63,10 +63,6 @@ class SweepResult:
         return tuple(len(v) for v in self.axes.values())
 
     @property
-    def size(self) -> int:
-        return int(np.prod(self.shape)) if self.axes else 1
-
-    @property
     def axis_names(self) -> tuple[str, ...]:
         return tuple(self.axes)
 
@@ -78,31 +74,9 @@ class SweepResult:
         """Critical-path total over the full grid."""
         return np.broadcast_to(np.asarray(self.breakdown.total), self.shape)
 
-    def point(self, *index: int) -> dict[str, float]:
-        """Axis coordinates at one grid index."""
-        if len(index) != len(self.axes):
-            raise ConfigurationError(
-                f"{self.model}: index {index} does not match axes "
-                f"{self.axis_names}"
-            )
-        return {
-            name: values[i].item()
-            for (name, values), i in zip(self.axes.items(), index)
-        }
-
     def at(self, *index: int) -> CostBreakdown:
         """Scalar breakdown at one grid index."""
         return self.breakdown.at(*index)
-
-    def argmin(self, term: str | None = None) -> tuple[int, ...]:
-        """Grid index minimising ``term`` (default: the critical-path total)."""
-        values = self.total() if term is None else self.term(term)
-        return tuple(int(i) for i in
-                     np.unravel_index(int(np.argmin(values)), self.shape))
-
-    def best(self, term: str | None = None) -> dict[str, float]:
-        """Axis coordinates of the minimising grid point."""
-        return self.point(*self.argmin(term))
 
     def crossover_along(
         self, axis: str, term_a: str, term_b: str
@@ -126,23 +100,6 @@ class SweepResult:
         coords = self.axes[axis][idx].astype(float)
         return np.where(np.any(mask, axis=-1), coords, np.nan)
 
-    def table(self, terms: tuple[str, ...] | None = None,
-              limit: int = 20) -> str:
-        """Flat text table of the first ``limit`` grid points."""
-        names = terms or tuple(self.breakdown)
-        header = [*self.axis_names, *names, "total"]
-        cols = [self.term(n).reshape(-1) for n in names]
-        axes_grid = np.meshgrid(*self.axes.values(), indexing="ij")
-        axis_cols = [g.reshape(-1) for g in axes_grid]
-        tot = self.total().reshape(-1)
-        lines = ["  ".join(f"{h:>12}" for h in header)]
-        for i in range(min(limit, tot.size)):
-            row = [*(c[i] for c in axis_cols), *(c[i] for c in cols), tot[i]]
-            lines.append("  ".join(f"{v:>12.6g}" for v in row))
-        if tot.size > limit:
-            lines.append(f"... ({tot.size - limit} more rows)")
-        return "\n".join(lines)
-
 
 def sweep(
     model: Any,
@@ -162,11 +119,6 @@ def sweep(
     get one span per stage (via ``evaluate_batch_staged``), so a slow sweep
     shows which stage's formulas the time went into.
 
-    A ``"machine"`` axis is special: its values are machine registry names
-    (or :class:`~repro.machine.spec.MachineSpec` objects), each resolved to
-    the model's ``machine_config`` overrides, with the remaining axes swept
-    per machine and the results stacked along a leading machine axis.
-
     >>> from repro.cost.models import ConvergenceCostModel
     >>> r = sweep(ConvergenceCostModel(), {"batch": [1024, 4096]},
     ...           min_samples=1.15e8, critical_batch=4096)
@@ -177,8 +129,6 @@ def sweep(
     """
     if not grid:
         raise ConfigurationError("sweep() needs at least one grid axis")
-    if "machine" in grid:
-        return _machine_sweep(model, grid, telemetry, fixed)
     axes = {name: np.asarray(values) for name, values in grid.items()}
     for name, values in axes.items():
         if values.ndim != 1 or values.size == 0:
@@ -192,7 +142,7 @@ def sweep(
         breakdown = model.evaluate_batch(**config)
     else:
         size = int(np.prod([len(v) for v in axes.values()]))
-        with _sweep_span(telemetry, "sweep", model, size):
+        with _sweep_span(telemetry, model, size):
             if hasattr(model, "evaluate_batch_staged"):
                 breakdown = model.evaluate_batch_staged(telemetry, **config)
             else:
@@ -200,73 +150,12 @@ def sweep(
     return SweepResult(model=model.name, axes=axes, breakdown=breakdown)
 
 
-def _machine_sweep(
-    model: Any,
-    grid: dict[str, Any],
-    telemetry: Any,
-    fixed: dict[str, Any],
-) -> SweepResult:
-    """One sweep per machine over the remaining axes, stacked along a
-    leading ``machine`` axis whose coordinates are the registry keys.
-
-    Each machine contributes its ``model.machine_config`` overrides (which
-    shadow any same-named ``fixed`` entries — the axis exists to vary
-    them).
-    """
-    from repro.machine.spec import resolve_machine
-
-    specs = [resolve_machine(m) for m in grid["machine"]]
-    if not specs:
-        raise ConfigurationError(
-            "sweep axis 'machine' must be a non-empty sequence"
-        )
-    keys = np.asarray([spec.key for spec in specs])
-    rest = {name: values for name, values in grid.items() if name != "machine"}
-    if rest:
-        subs = [
-            sweep(
-                model, rest, telemetry=telemetry,
-                **{**fixed, **model.machine_config(spec)},
-            )
-            for spec in specs
-        ]
-        first = subs[0]
-        terms = {
-            term: np.stack([s.term(term) for s in subs], axis=0)
-            for term in first.breakdown
-        }
-        axes = {"machine": keys, **first.axes}
-        inner = first.breakdown
-    else:
-        points = [
-            model.evaluate(**{**fixed, **model.machine_config(spec)})
-            for spec in specs
-        ]
-        inner = points[0]
-        terms = {
-            term: np.asarray([float(bd[term]) for bd in points])
-            for term in inner
-        }
-        axes = {"machine": keys}
-    breakdown = CostBreakdown(
-        model=inner.model,
-        terms=terms,
-        provenance=inner.provenance,
-        critical=inner.critical,
-    )
-    return SweepResult(model=model.name, axes=axes, breakdown=breakdown)
-
-
-def sweep_scalar(
-    model: Any, grid: dict[str, Any], telemetry: Any = None, **fixed: Any
-) -> SweepResult:
+def sweep_scalar(model: Any, grid: dict[str, Any], **fixed: Any) -> SweepResult:
     """Reference implementation: a Python loop of scalar ``evaluate`` calls.
 
     Produces the same ``SweepResult`` as :func:`sweep`, element-wise
     bit-identical; exists to validate (and benchmark against) the
-    vectorized path. ``telemetry`` wraps the loop in one wall-clock span
-    (no per-stage spans — the scalar path exists to be the plain
-    reference).
+    vectorized path.
     """
     if not grid:
         raise ConfigurationError("sweep_scalar() needs at least one grid axis")
@@ -275,25 +164,18 @@ def sweep_scalar(
     names = tuple(axes)
     term_grids: dict[str, np.ndarray] = {}
     first: CostBreakdown | None = None
-    size = int(np.prod(shape))
-    ctx = (
-        nullcontext()
-        if telemetry is None
-        else _sweep_span(telemetry, "sweep_scalar", model, size)
-    )
-    with ctx:
-        for flat_index in range(size):
-            index = np.unravel_index(flat_index, shape)
-            config = dict(fixed)
-            for name, i in zip(names, index):
-                config[name] = axes[name][i].item()
-            bd = model.evaluate(**config)
-            if first is None:
-                first = bd
-                for term in bd:
-                    term_grids[term] = np.empty(shape, dtype=float)
-            for term, value in bd.items():
-                term_grids[term][index] = value
+    for flat_index in range(int(np.prod(shape))):
+        index = np.unravel_index(flat_index, shape)
+        config = dict(fixed)
+        for name, i in zip(names, index):
+            config[name] = axes[name][i].item()
+        bd = model.evaluate(**config)
+        if first is None:
+            first = bd
+            for term in bd:
+                term_grids[term] = np.empty(shape, dtype=float)
+        for term, value in bd.items():
+            term_grids[term][index] = value
     assert first is not None
     breakdown = CostBreakdown(
         model=first.model,

@@ -10,8 +10,8 @@ This package provides:
   (networkx) matching Summit's three-level EDR fabric;
 - :mod:`repro.network.routing` — static vs. adaptive routing and link
   congestion accounting;
-- :mod:`repro.network.collectives` — cost models for allreduce (ring,
-  recursive doubling, tree), reduce-scatter, allgather and broadcast.
+- :mod:`repro.network.collectives` — allreduce cost models (ring,
+  recursive doubling, binomial tree) and the paper's ``M / (B/2)`` estimate.
 
 The package re-exports nothing: import from the submodules, so that a
 link or collective model never loads the networkx graph stack.

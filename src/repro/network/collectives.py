@@ -9,17 +9,18 @@ so for large ``p`` the achieved *algorithmic* bandwidth tends to ``B / 2`` —
 on Summit 25 GB/s injection becomes 12.5 GB/s, making a 100 MB ResNet-50
 gradient take ~8 ms and a 1.4 GB BERT-large gradient ~110 ms per step.
 
-All functions take the number of participants ``p``, the message size in
+The functions take the number of participants ``p``, the message size in
 bytes ``M``, and a :class:`~repro.network.link.LinkSpec` describing the
 injection link. The formulas themselves live in :mod:`repro.cost.kernels`
 (shared with the vectorized sweep path); this module is the LinkSpec-typed
-adapter.
+adapter for the two allreduce forms Section VI-B prices: the alpha-beta
+allreduce (ring by default, or the fastest of the ring, recursive-doubling
+and binomial-tree kernels) and the paper's closed form ``M / (B/2)``.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 
 from repro.cost import kernels
 from repro.errors import ConfigurationError
@@ -32,10 +33,6 @@ class AllreduceAlgorithm(enum.Enum):
     BINOMIAL_TREE = "binomial_tree"
 
 
-def _check(p: int, size_bytes: float) -> None:
-    kernels.check_participants(p, size_bytes)
-
-
 def ring_allreduce_time(p: int, size_bytes: float, link: LinkSpec) -> float:
     """Ring allreduce: reduce-scatter pass plus allgather pass.
 
@@ -43,29 +40,8 @@ def ring_allreduce_time(p: int, size_bytes: float, link: LinkSpec) -> float:
     rank's injection link twice, so the asymptotic algorithmic bandwidth is
     half the link bandwidth.
     """
-    _check(p, size_bytes)
+    kernels.check_participants(p, size_bytes)
     return kernels.ring_allreduce_time(
-        p, size_bytes, link.latency, link.total_bandwidth
-    )
-
-
-def recursive_doubling_allreduce_time(p: int, size_bytes: float, link: LinkSpec) -> float:
-    """Recursive doubling: log2(p) rounds, full message each round.
-
-    Latency-optimal (log p alpha terms) but moves ``log2(p) * M`` bytes, so
-    it loses to the ring for large messages. Non-power-of-two participant
-    counts pay one extra fold-in round.
-    """
-    _check(p, size_bytes)
-    return kernels.recursive_doubling_allreduce_time(
-        p, size_bytes, link.latency, link.total_bandwidth
-    )
-
-
-def binomial_tree_allreduce_time(p: int, size_bytes: float, link: LinkSpec) -> float:
-    """Binomial reduce to a root followed by binomial broadcast."""
-    _check(p, size_bytes)
-    return kernels.binomial_tree_allreduce_time(
         p, size_bytes, link.latency, link.total_bandwidth
     )
 
@@ -90,31 +66,6 @@ def allreduce_time(
     )
 
 
-def reduce_scatter_time(p: int, size_bytes: float, link: LinkSpec) -> float:
-    """Ring reduce-scatter: ``(p-1) alpha + (p-1)/p * M / B``."""
-    _check(p, size_bytes)
-    return kernels.reduce_scatter_time(
-        p, size_bytes, link.latency, link.total_bandwidth
-    )
-
-
-def allgather_time(p: int, size_bytes: float, link: LinkSpec) -> float:
-    """Ring allgather of a ``size_bytes`` total result."""
-    _check(p, size_bytes)
-    return kernels.allgather_time(
-        p, size_bytes, link.latency, link.total_bandwidth
-    )
-
-
-def broadcast_time(p: int, size_bytes: float, link: LinkSpec) -> float:
-    """Scatter + allgather broadcast (van de Geijn), bandwidth-optimal for
-    large messages: ~``2 M / B`` with ``log p + p`` latency terms."""
-    _check(p, size_bytes)
-    return kernels.broadcast_time(
-        p, size_bytes, link.latency, link.total_bandwidth
-    )
-
-
 def paper_allreduce_estimate(size_bytes: float, link: LinkSpec) -> float:
     """The paper's back-of-envelope allreduce time: message size over half
     the injection bandwidth, ignoring latency terms.
@@ -126,17 +77,3 @@ def paper_allreduce_estimate(size_bytes: float, link: LinkSpec) -> float:
     if size_bytes < 0:
         raise ConfigurationError(f"negative message size: {size_bytes}")
     return kernels.paper_allreduce_estimate(size_bytes, link.total_bandwidth)
-
-
-def algorithmic_bandwidth(p: int, size_bytes: float, link: LinkSpec) -> float:
-    """Achieved allreduce bytes/s (message size over ring-allreduce time).
-
-    Tends to ``link.total_bandwidth / 2`` as ``p`` and ``M`` grow — the
-    12.5 GB/s the paper quotes for Summit.
-    """
-    if size_bytes <= 0:
-        raise ConfigurationError("message size must be positive")
-    t = ring_allreduce_time(p, size_bytes, link)
-    if t == 0.0:
-        return math.inf
-    return size_bytes / t

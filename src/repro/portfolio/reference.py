@@ -19,7 +19,6 @@ the test suite.
 
 from __future__ import annotations
 
-from repro.machine.spec import SUMMIT
 from repro.portfolio.taxonomy import AdoptionStatus, Domain, MLMethod, Motif, Program
 
 # ---------------------------------------------------------------------------
@@ -218,22 +217,4 @@ EXTREME_SCALE_CLAIMS = {
         "max_global_batch": 5.8e6,
         "optimizer": "lamb",
     },
-}
-
-# ---------------------------------------------------------------------------
-# Section VI-B analytic claims (all `stated`).
-# ---------------------------------------------------------------------------
-
-SECTION_6B_CLAIMS = {
-    "resnet50_read_requirement": 20e12,  # bytes/s aggregate, full Summit
-    "gpfs_read_bandwidth": SUMMIT.fs_aggregate_read_bandwidth,
-    "nvme_aggregate_read_bandwidth": 27e12,  # the paper says "over 27 TB/s";
-    # the calibrated aggregate (SUMMIT.aggregate_nvme_read_bandwidth)
-    # is 6 GB/s x 4608 = 27.6 TB/s
-    "network_bandwidth": SUMMIT.injection_bandwidth,
-    "allreduce_algorithmic_bandwidth": SUMMIT.algorithmic_bandwidth,
-    "resnet50_allreduce_message": 100e6,  # "about 100MB"
-    "bert_large_allreduce_message": 1.4e9,
-    "resnet50_allreduce_time": 8e-3,  # "roughly 8 ms"
-    "bert_large_allreduce_time": 110e-3,  # "roughly ... 110 ms"
 }

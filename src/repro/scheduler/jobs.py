@@ -30,10 +30,18 @@ class Job:
     project: Project | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
-        # written so that NaN fails it; the full :func:`is_integer` check
-        # adds about 0.01 s per 83k jobs, some 1.5 % of generating a
-        # facility year, so only the scheduler and fault model make it
-        if not self.nodes >= 1:
+        # A Python int width pays one type test. Any other width must pass
+        # :func:`is_integer` (NaN, floats and bools do not) and is stored as
+        # an int, so a numpy width cannot turn the scheduler's node-second
+        # sums into numpy scalars.
+        if type(self.nodes) is not int:
+            if not is_integer(self.nodes, 1):
+                raise ConfigurationError(
+                    f"{self.job_id}: nodes must be >= 1 and an integer, "
+                    f"got {self.nodes!r}"
+                )
+            object.__setattr__(self, "nodes", int(self.nodes))
+        elif self.nodes < 1:
             raise ConfigurationError(f"{self.job_id}: nodes must be >= 1")
         if not math.isfinite(self.duration) or self.duration <= 0:
             raise ConfigurationError(
@@ -79,8 +87,8 @@ def is_integer(value, least: int) -> bool:
 def walltime_limit(nodes: int) -> float:
     """Walltime limit in seconds for a job of ``nodes`` nodes under
     Summit's queue policy."""
-    if nodes < 1:
-        raise ConfigurationError("nodes must be >= 1")
+    if not nodes >= 1:  # written so that NaN fails it
+        raise ConfigurationError(f"nodes must be >= 1, got {nodes!r}")
     for min_nodes, hours in SUMMIT_QUEUE_BINS:
         if nodes >= min_nodes:
             return hours * 3600.0
@@ -117,9 +125,11 @@ def synthetic_facility_year(
     rejected before any job is built; the length is estimated as the
     budget over the first block's mean node-seconds per job.
     """
-    # each check is written so that NaN fails it
-    if n_nodes < 1:
-        raise ConfigurationError("n_nodes must be >= 1")
+    if not is_integer(n_nodes, 1):
+        raise ConfigurationError(
+            f"n_nodes must be an integer >= 1, got {n_nodes!r}"
+        )
+    # each check below is written so that NaN fails it
     if not 0.0 < horizon < math.inf:
         raise ConfigurationError("horizon must be positive and finite")
     if not 0.0 < utilization_target <= 1.0:
@@ -151,11 +161,9 @@ def synthetic_facility_year(
         nodes = np.minimum(
             np.maximum(1, np.where(is_wide, wide, narrow)), n_nodes
         )
-        # Summit's queue bins, vectorized (matches walltime_limit exactly)
         limits = np.select(
-            [nodes >= 2765, nodes >= 922, nodes >= 92, nodes >= 46],
-            [24 * 3600.0, 24 * 3600.0, 12 * 3600.0, 6 * 3600.0],
-            2 * 3600.0,
+            [nodes >= min_nodes for min_nodes, _ in SUMMIT_QUEUE_BINS],
+            [hours * 3600.0 for _, hours in SUMMIT_QUEUE_BINS],
         )
         durations = np.clip(
             limits * rng.lognormal(mean=-1.2, sigma=0.6, size=block),

@@ -131,24 +131,3 @@ class DockingOracle:
         return self.true_affinity(g) + self._md_rng.normal(
             0, self.md_noise, size=g.shape[0]
         )
-
-    def enrichment(
-        self, selected: np.ndarray, library: CompoundLibrary, top_fraction: float = 0.01
-    ) -> float:
-        """Fraction of the library's true top-``top_fraction`` binders that
-        appear in ``selected`` (rows of genomes) — the pipeline's figure of
-        merit."""
-        if not 0 < top_fraction <= 1:
-            raise ConfigurationError("top_fraction must be in (0, 1]")
-        truth = self.true_affinity(library.genomes)
-        k = max(1, int(len(library) * top_fraction))
-        top_idx = set(np.argsort(truth)[-k:].tolist())
-        sel = self._check(selected)
-        # match selected genomes back to library rows
-        lib = library.genomes
-        found = 0
-        for row in sel:
-            matches = np.where((lib == row).all(axis=1))[0]
-            if any(int(m) in top_idx for m in matches):
-                found += 1
-        return found / k

@@ -65,13 +65,3 @@ class SharedFileSystem:
         return kernels.shared_pool_bandwidth(
             aggregate, self.per_client_read_bandwidth, n_clients
         )
-
-    def read_time(
-        self, size_bytes: float, n_clients: int = 1, random_access: bool = False
-    ) -> float:
-        """Seconds for each of ``n_clients`` to read ``size_bytes``."""
-        if size_bytes < 0:
-            raise ConfigurationError(f"negative read size: {size_bytes}")
-        if size_bytes == 0:
-            return 0.0
-        return size_bytes / self.read_bandwidth(n_clients, random_access)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro import units
 from repro.cost import kernels
 from repro.errors import ConfigurationError
 from repro.storage.burst_buffer import BurstBuffer
@@ -31,13 +30,6 @@ class IoRequirement:
     required_bandwidth: float  # bytes/s aggregate
     per_device_bandwidth: float  # bytes/s per accelerator
     n_devices: int
-
-    def summary(self) -> str:
-        return (
-            f"{units.format_rate(self.required_bandwidth)} aggregate "
-            f"({units.format_rate(self.per_device_bandwidth)}/device x "
-            f"{self.n_devices} devices)"
-        )
 
 
 def read_requirement(

@@ -6,12 +6,16 @@ gradient-accumulating) training step on a registry machine, a
 
 - compute time from the model's calibrated sustained FLOP rate;
 - gradient allreduce time from the hierarchical (NVLink intra-node +
-  InfiniBand inter-node) ring model of :mod:`repro.network.collectives`;
-- input-pipeline time from the storage models of :mod:`repro.storage`;
+  InfiniBand inter-node) allreduce kernels of :mod:`repro.cost.kernels`;
+- input-pipeline time from the storage rates of the machine's tiers;
 - configurable communication/computation and I/O overlap.
 
-The same machinery reproduces each Section IV-B scaling result and the
-Section VI-B communication-bound crossover.
+:func:`step_breakdown` (and ``TrainingJob.breakdown()``) returns the step
+composite's :class:`~repro.cost.CostBreakdown`: terms read by key
+(``b["samples"]``, ``b["comm_exposed"]``), the critical-path ``b.total``
+and shares such as ``b.fraction("comm_exposed")``. The same machinery
+reproduces each Section IV-B scaling result and the Section VI-B
+communication-bound crossover.
 """
 
 from repro.training.convergence import (
@@ -23,7 +27,7 @@ from repro.training.goodput import GoodputModel
 from repro.training.job import TrainingJob
 from repro.training.parallelism import DataSource, ParallelismPlan
 from repro.training.scaling import ScalingPoint, ScalingStudy
-from repro.training.step_time import StepBreakdown, step_breakdown
+from repro.training.step_time import step_breakdown
 
 __all__ = [
     "DataSource",
@@ -32,7 +36,6 @@ __all__ = [
     "ParallelismPlan",
     "ScalingPoint",
     "ScalingStudy",
-    "StepBreakdown",
     "TrainingJob",
     "step_breakdown",
     "steps_to_target",

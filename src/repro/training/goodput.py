@@ -104,13 +104,6 @@ class GoodputModel:
         """Young/Daly checkpoint + rework overhead at the optimal interval."""
         return self.plan().overhead_fraction(self.write_time(tier))
 
-    def goodput_fraction(self, tier: str = "nvme") -> float:
-        return 1.0 - self.overhead_fraction(tier)
-
-    def goodput_flops(self, tier: str = "nvme") -> float:
-        """Sustained FLOP/s after checkpoint + failure-rework derating."""
-        return self.job.sustained_flops() * self.goodput_fraction(tier)
-
     # -- empirical simulation -----------------------------------------------------
 
     def simulate(

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from repro.cost import CostBreakdown
 from repro.errors import CapacityError, ConfigurationError
 from repro.machine.gpu import Precision
 from repro.machine.spec import MachineSpec
 from repro.models.base import ModelSpec
 from repro.training.parallelism import DataSource, ParallelismPlan
-from repro.training.step_time import StepBreakdown, step_breakdown
+from repro.training.step_time import step_breakdown
 
 #: Bytes of optimizer state per parameter: FP32 master weights + two moment
 #: buffers (Adam/LAMB) on top of the FP16 weight/gradient copies.
@@ -63,7 +64,7 @@ class TrainingJob:
 
     # -- timing -------------------------------------------------------------------
 
-    def breakdown(self) -> StepBreakdown:
+    def breakdown(self) -> CostBreakdown:
         return step_breakdown(
             self.model,
             self.machine,
@@ -80,7 +81,7 @@ class TrainingJob:
     def throughput(self) -> float:
         """Global training throughput in samples/s."""
         b = self.breakdown()
-        return b.samples / b.total
+        return b["samples"] / b.total
 
     def sustained_flops(self) -> float:
         """Job-wide sustained FLOP/s including all overheads."""

@@ -165,6 +165,6 @@ def compare_strategies(
                      micro_batch_size=1),
     )
     return {
-        "data_parallel": dp.samples / dp.total,
+        "data_parallel": dp["samples"] / dp.total,
         "pipeline_hybrid": pipeline.throughput,
     }

@@ -107,7 +107,7 @@ class ScalingStudy:
         points = []
         for job in jobs:
             b = job.breakdown()
-            throughput = b.samples / b.total
+            throughput = b["samples"] / b.total
             per_gpu = throughput / job.n_gpus
             points.append(
                 ScalingPoint(
@@ -117,8 +117,8 @@ class ScalingStudy:
                     throughput=throughput,
                     sustained_flops=throughput * job.model.effective_flops_per_sample,
                     efficiency=per_gpu / base_per_gpu,
-                    comm_fraction=b.comm_fraction,
-                    io_fraction=b.io_fraction,
+                    comm_fraction=b.fraction("comm_exposed"),
+                    io_fraction=b.fraction("io_exposed"),
                     global_batch=job.global_batch(),
                 )
             )

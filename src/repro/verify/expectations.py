@@ -300,7 +300,7 @@ class VerifyContext:
             ),
             data_source=DataSource.MEMORY,
         )
-        return job.breakdown().comm_fraction
+        return job.breakdown().fraction("comm_exposed")
 
     @cached_property
     def staging_costs(self) -> tuple[float, float, float]:
@@ -770,9 +770,9 @@ def _section4b() -> list[Expectation]:
             "section4b.khan_comm_dominated",
             "Khan is the only communication-dominated app of the five",
             "Sec. IV-B", "structural", True,
-            lambda ctx: ctx.app_result("khan")["breakdown"].comm_fraction
+            lambda ctx: ctx.app_result("khan")["breakdown"].fraction("comm_exposed")
             == max(
-                ctx.app_result(k)["breakdown"].comm_fraction
+                ctx.app_result(k)["breakdown"].fraction("comm_exposed")
                 for k in ("kurth", "yang", "laanait", "khan", "blanchard")
             ),
             cmp="true",
@@ -782,9 +782,11 @@ def _section4b() -> list[Expectation]:
             "Blanchard (GPFS-fed) is the only I/O-penalised app",
             "Sec. IV-B / VI-B", "structural", True,
             lambda ctx: (
-                ctx.app_result("blanchard")["breakdown"].io_fraction > 0.05
+                ctx.app_result("blanchard")["breakdown"].fraction("io_exposed")
+                > 0.05
                 and all(
-                    ctx.app_result(k)["breakdown"].io_fraction < 0.01
+                    ctx.app_result(k)["breakdown"].fraction("io_exposed")
+                    < 0.01
                     for k in ("kurth", "yang", "laanait", "khan")
                 )
             ),

@@ -146,12 +146,13 @@ def _system_round_trip(spec: "MachineSpec") -> bool:
 
 def _crossover_monotone(spec: "MachineSpec") -> bool:
     """Crossover node count must be nonincreasing in message size."""
-    from repro.cost.crossover import crossover_nodes, machine_crossover_sweep
+    from repro.cost.crossover import crossover_nodes, crossover_sweep
 
-    result = machine_crossover_sweep(
+    result = crossover_sweep(
         np.array(_CHECK_SIZES),
         np.arange(2, min(_CHECK_RANK_MAX, spec.node_count) + 1),
-        machine=spec,
+        spec.injection_bandwidth,
+        latency=spec.injection_latency,
         compute_time=0.1,
     )
     nodes = crossover_nodes(result)
@@ -163,15 +164,12 @@ def _crossover_monotone(spec: "MachineSpec") -> bool:
 
 def _sweep_scalar_parity(spec: "MachineSpec") -> bool:
     """The vectorized crossover sweep equals scalar evaluation bit for bit."""
-    from repro.cost.crossover import (
-        DataParallelCrossoverModel,
-        machine_crossover_sweep,
-    )
+    from repro.cost.crossover import DataParallelCrossoverModel, crossover_sweep
 
     ranks = [2, 16, 64]
-    grid = machine_crossover_sweep(
-        np.array(_CHECK_SIZES), np.array(ranks), machine=spec,
-        compute_time=0.1,
+    grid = crossover_sweep(
+        np.array(_CHECK_SIZES), np.array(ranks), spec.injection_bandwidth,
+        latency=spec.injection_latency, compute_time=0.1,
     )
     model = DataParallelCrossoverModel()
     for i, size in enumerate(_CHECK_SIZES):

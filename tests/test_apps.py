@@ -126,7 +126,8 @@ class TestExtremeScaleApps:
         """Only the GPFS-fed app has exposed I/O; the NVMe/in-memory apps
         do not — the Section VI-B storage-hierarchy argument."""
         io_fractions = {
-            key: result["breakdown"].io_fraction for key, result in results.items()
+            key: result["breakdown"].fraction("io_exposed")
+            for key, result in results.items()
         }
         assert io_fractions["blanchard"] > 0.05
         for key in ("kurth", "yang", "laanait", "khan"):
@@ -135,7 +136,10 @@ class TestExtremeScaleApps:
     def test_khan_is_communication_dominated(self, results):
         """Khan's small WaveNet has the largest exposed-communication share
         of the five (small compute per step, unoverlapped)."""
-        comm = {k: r["breakdown"].comm_fraction for k, r in results.items()}
+        comm = {
+            k: r["breakdown"].fraction("comm_exposed")
+            for k, r in results.items()
+        }
         assert comm["khan"] == max(comm.values())
 
     def test_reported_dicts_match_reference(self):

@@ -35,8 +35,8 @@ from repro.models.catalog import resnet50
 from repro.network.collectives import (
     AllreduceAlgorithm,
     allreduce_time,
-    algorithmic_bandwidth,
     paper_allreduce_estimate,
+    ring_allreduce_time,
 )
 from repro.storage.checkpoint import CheckpointPlan
 from repro.storage.io_model import read_requirement
@@ -137,9 +137,9 @@ class TestGoldenStepRegression:
             data_source=app.data_source,
         )
         bd = _app_cost_model(key).evaluate(n_nodes=n_nodes)
+        assert dict(sb) == dict(bd)
         assert sb.total == bd.total
-        assert sb.comm == bd["comm"]
-        assert sb.samples == bd["samples"]
+        assert type(sb["samples"]) is type(bd["samples"])
 
 
 class TestGoldenCollectives:
@@ -172,7 +172,7 @@ class TestGoldenCollectives:
         assert paper_allreduce_estimate(1.4e9, INJECTION) == 0.112
 
     def test_algorithmic_bandwidth(self):
-        assert algorithmic_bandwidth(
+        assert BERT_GRADIENT_BYTES / ring_allreduce_time(
             4608, BERT_GRADIENT_BYTES, INJECTION
         ) == 11552137386.085955
 
@@ -246,16 +246,11 @@ class TestCostBreakdown:
             model="demo",
             terms={"a": np.array([1.0, 2.0]), "b": 10.0},
             critical=("a", "b"))
-        assert not bd.is_scalar
         assert bd.shape == (2,)
         point = bd.at(1)
-        assert point.is_scalar
+        assert point.shape == ()
         assert point["a"] == 2.0 and point["b"] == 10.0
         assert point.total == 12.0
-
-    def test_summary_marks_critical_terms(self):
-        text = self._bd().summary()
-        assert "demo" in text and "total" in text and "*" in text
 
 
 class _Double(AnalyticCostModel):
@@ -278,7 +273,7 @@ class _PlusOne(AnalyticCostModel):
 
 class TestCompositionAndProtocol:
     def test_dataflow_composition(self):
-        combined = _Double() | _PlusOne()
+        combined = compose(_Double(), _PlusOne())
         bd = combined.evaluate(x=5)
         assert bd["doubled"] == 10 and bd["plus_one"] == 11
 
@@ -297,9 +292,10 @@ class TestCompositionAndProtocol:
         from repro.telemetry import Telemetry
 
         with pytest.raises(ConfigurationError, match="twice"):
-            (_Double() | _Double()).evaluate(x=1)
+            compose(_Double(), _Double()).evaluate(x=1)
         with pytest.raises(ConfigurationError, match="twice"):
-            (_Double() | _Double()).evaluate_batch_staged(Telemetry(), x=1)
+            compose(_Double(), _Double()).evaluate_batch_staged(
+                Telemetry(), x=1)
 
     def test_evaluate_rejects_arrays(self):
         with pytest.raises(ConfigurationError, match="evaluate_batch"):
@@ -312,7 +308,7 @@ class TestCompositionAndProtocol:
     def test_staged_batch_adds_only_one_span_per_stage(self):
         from repro.telemetry import Telemetry
 
-        model = _Double() | _PlusOne()
+        model = compose(_Double(), _PlusOne())
         telemetry = Telemetry()
         staged = model.evaluate_batch_staged(telemetry, x=[1.0, 2.0])
         plain = model.evaluate_batch(x=[1.0, 2.0])
@@ -335,18 +331,13 @@ class TestSweepApi:
     def test_shape_and_axes(self):
         r = self._result()
         assert r.shape == (2, 3)
-        assert r.size == 6
         assert r.axis_names == ("message_bytes", "n_ranks")
 
     def test_point_and_at(self):
         r = self._result()
-        assert r.point(1, 2) == {"message_bytes": 1.4e9, "n_ranks": 4608}
+        assert r.axes["message_bytes"][1] == 1.4e9
+        assert r.axes["n_ranks"][2] == 4608
         assert r.at(1, 2)["comm"] == GOLDEN_ALLREDUCE[4608]["ring"]
-
-    def test_argmin_and_best(self):
-        r = self._result()
-        assert r.argmin("comm") == (0, 0)
-        assert r.best("comm") == {"message_bytes": 1e8, "n_ranks": 2}
 
     def test_crossover_along(self):
         r = self._result()
@@ -354,10 +345,6 @@ class TestSweepApi:
         assert cross.shape == (2,)
         assert math.isnan(cross[0])  # 100 MB never beats 50 ms compute
         assert cross[1] == 2.0  # 1.4 GB is comm-bound everywhere
-
-    def test_table_renders(self):
-        text = self._result().table(limit=3)
-        assert "n_ranks" in text and "more rows" in text
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigurationError):

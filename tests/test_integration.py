@@ -37,7 +37,7 @@ class TestDataParallelStoryline:
                 ),
                 data_source=DataSource.MEMORY,
             )
-            return job.breakdown().comm_fraction
+            return job.breakdown().fraction("comm_exposed")
 
         from repro.models import bert_large
 
@@ -56,8 +56,8 @@ class TestDataParallelStoryline:
         plan = ParallelismPlan(local_batch=128)
         small = TrainingJob(resnet50(), SUMMIT, 16, plan, DataSource.SHARED_FS)
         large = TrainingJob(resnet50(), SUMMIT, 4096, plan, DataSource.SHARED_FS)
-        assert small.breakdown().io_fraction < 0.05
-        assert large.breakdown().io_fraction > 0.30
+        assert small.breakdown().fraction("io_exposed") < 0.05
+        assert large.breakdown().fraction("io_exposed") > 0.30
 
     def test_nvme_removes_the_io_wall(self):
         plan = ParallelismPlan(local_batch=128)
@@ -166,10 +166,11 @@ class TestExtremeScaleAblation:
 
     def test_blanchard_without_accumulation_is_comm_heavier(self):
         app = get_app("blanchard")
-        base = app.job(app.peak_nodes).breakdown().comm_fraction
+        base = app.job(app.peak_nodes).breakdown().fraction("comm_exposed")
         degraded_plan = dataclasses.replace(app.plan, accumulation_steps=1)
         degraded = dataclasses.replace(app, plan=degraded_plan)
-        assert degraded.job(app.peak_nodes).breakdown().comm_fraction > base
+        worse = degraded.job(app.peak_nodes).breakdown()
+        assert worse.fraction("comm_exposed") > base
 
     def test_blanchard_accumulation_raises_throughput(self):
         app = get_app("blanchard")
@@ -178,7 +179,7 @@ class TestExtremeScaleAblation:
             plan = dataclasses.replace(app.plan, accumulation_steps=k)
             job = dataclasses.replace(app, plan=plan).job(app.peak_nodes)
             b = job.breakdown()
-            rates[k] = b.samples / b.total
+            rates[k] = b["samples"] / b.total
         assert rates[8] > rates[1]
 
     def test_kurth_overlap_hides_exposed_comm(self):
@@ -187,7 +188,7 @@ class TestExtremeScaleAblation:
         for fraction in (0.0, 0.5, 0.9):
             plan = dataclasses.replace(app.plan, overlap_fraction=fraction)
             job = dataclasses.replace(app, plan=plan).job(app.peak_nodes)
-            exposed.append(job.breakdown().comm_exposed)
+            exposed.append(job.breakdown()["comm_exposed"])
         assert exposed == sorted(exposed, reverse=True)
 
     def test_pinned_ring_hits_the_latency_wall_for_small_gradients(self):
@@ -201,7 +202,7 @@ class TestExtremeScaleAblation:
                                 allreduce_algorithm=algo),
                 DataSource.MEMORY,
             )
-            comm[algo] = job.breakdown().comm
+            comm[algo] = job.breakdown()["comm"]
         assert comm[AllreduceAlgorithm.RING] > comm[None]
 
     def test_yang_without_model_parallelism_needs_more_memory(self):
@@ -211,8 +212,8 @@ class TestExtremeScaleAblation:
         app = get_app("yang")
         dp_plan = dataclasses.replace(app.plan, model_shards=1)
         dp = dataclasses.replace(app, plan=dp_plan)
-        mp_comm = app.job(512).breakdown().comm
-        dp_comm = dp.job(512).breakdown().comm
+        mp_comm = app.job(512).breakdown()["comm"]
+        dp_comm = dp.job(512).breakdown()["comm"]
         assert dp_comm > mp_comm
 
 

@@ -1,7 +1,6 @@
 """Tests for the machine registry: Summit builders built from the spec,
 Summit byte-identity goldens, constructor checks and property tests over
-random valid MachineSpecs, the ``machine`` sweep axis, and the ``--machine``
-CLI surface."""
+random valid MachineSpecs, and the ``--machine`` CLI surface."""
 
 import dataclasses
 import json
@@ -15,11 +14,11 @@ from hypothesis import strategies as st
 
 from repro import units
 from repro.cli import main
-from repro.cost import sweep
+from repro.cost import step_cost_model
 from repro.cost.crossover import (
     DataParallelCrossoverModel,
     crossover_nodes,
-    machine_crossover_sweep,
+    crossover_sweep,
 )
 from repro.errors import ConfigurationError
 from repro.machine.gpu import GpuSpec, Precision
@@ -38,11 +37,18 @@ from repro.machine.spec import (
 from repro.models.catalog import get_model
 from repro.scheduler.jobs import SUMMIT_QUEUE_BINS
 from repro.training.parallelism import DataSource, ParallelismPlan
-from repro.training.step_time import step_cost
 
 from .hypothesis_settings import QUICK_SETTINGS, STANDARD_SETTINGS
 
 GOLDEN = pathlib.Path(__file__).parent / "goldens" / "conformance_summit_seed0.json"
+
+
+def _crossover(sizes, ranks, spec, compute_time):
+    """The Section VI-B crossover surface on ``spec``'s injection fabric."""
+    return crossover_sweep(
+        sizes, ranks, spec.injection_bandwidth,
+        latency=spec.injection_latency, compute_time=compute_time,
+    )
 
 
 class TestRegistry:
@@ -67,8 +73,7 @@ class TestRegistry:
         for name in machine_names():
             spec = get_machine(name)
             ranks = np.arange(2, min(4096, spec.node_count) + 1)
-            cross = crossover_nodes(machine_crossover_sweep(
-                sizes, ranks, machine=spec, compute_time=0.05))
+            cross = crossover_nodes(_crossover(sizes, ranks, spec, 0.05))
             bert[name] = cross[1]
         summit = get_machine("summit")
         assert summit.injection_bandwidth == SUMMIT.injection_bandwidth
@@ -247,14 +252,8 @@ class TestMachineSpecProperties:
         )
         ranks = np.arange(2, min(spec.node_count, 512) + 1)
         sizes = np.array([1e8, 1e9])
-        lo = crossover_nodes(
-            machine_crossover_sweep(sizes, ranks, machine=spec,
-                                    compute_time=0.05)
-        )
-        hi = crossover_nodes(
-            machine_crossover_sweep(sizes, ranks, machine=faster,
-                                    compute_time=0.05)
-        )
+        lo = crossover_nodes(_crossover(sizes, ranks, spec, 0.05))
+        hi = crossover_nodes(_crossover(sizes, ranks, faster, 0.05))
         lo = np.where(np.isnan(lo), np.inf, lo)
         hi = np.where(np.isnan(hi), np.inf, hi)
         assert np.all(hi >= lo)
@@ -269,10 +268,10 @@ class TestMachineSpecProperties:
         plan = ParallelismPlan(local_batch=32)
         model = get_model("resnet50")
         # data from memory: the random spec may have no NVMe tier
-        slow_bd = step_cost(
+        slow_bd = step_cost_model(
             model, spec, plan, data_source=DataSource.MEMORY
         ).evaluate(n_nodes=16)
-        fast_bd = step_cost(
+        fast_bd = step_cost_model(
             model, faster, plan, data_source=DataSource.MEMORY
         ).evaluate(n_nodes=16)
         assert fast_bd["compute"] <= slow_bd["compute"]
@@ -281,20 +280,19 @@ class TestMachineSpecProperties:
     @QUICK_SETTINGS
     @given(spec=machine_specs())
     def test_sweep_scalar_bit_parity_per_machine(self, spec):
-        """The machine sweep axis is bitwise the scalar evaluate path."""
+        """A crossover sweep on the machine's fabric is bitwise the scalar
+        evaluate path."""
         model = DataParallelCrossoverModel()
         ranks = [2, 16, 64]
-        result = sweep(
-            model, {"machine": [spec], "n_ranks": np.array(ranks)},
-            message_bytes=1e9, compute_time=0.05,
-        )
-        overrides = model.machine_config(spec)
+        result = _crossover(1e9, np.array(ranks), spec, 0.05)
         for j, p in enumerate(ranks):
             scalar = model.evaluate(
-                message_bytes=1e9, compute_time=0.05, n_ranks=p, **overrides
+                message_bytes=1e9, compute_time=0.05, n_ranks=p,
+                latency=spec.injection_latency,
+                bandwidth=spec.injection_bandwidth,
             )
             for term, value in scalar.terms.items():
-                assert result.term(term)[0, j] == value
+                assert result.term(term)[j] == value
 
     @QUICK_SETTINGS
     @given(spec=machine_specs())
@@ -303,42 +301,6 @@ class TestMachineSpecProperties:
         from repro.verify.machines import run_machine_conformance
 
         assert run_machine_conformance(spec, seed=0).passed
-
-
-class TestMachineSweepAxis:
-    def test_machine_axis_stacks_registry_entries(self):
-        model = DataParallelCrossoverModel()
-        ranks = np.arange(2, 10)
-        result = sweep(
-            model, {"machine": ["summit", "frontier-like"], "n_ranks": ranks},
-            message_bytes=1e9, compute_time=0.05,
-        )
-        assert list(result.axes) == ["machine", "n_ranks"]
-        assert result.term("comm").shape == (2, len(ranks))
-        solo = sweep(
-            model, {"n_ranks": ranks}, message_bytes=1e9, compute_time=0.05,
-            **model.machine_config(SUMMIT),
-        )
-        np.testing.assert_array_equal(
-            result.term("comm")[0], solo.term("comm")
-        )
-
-    def test_machine_only_axis(self):
-        model = DataParallelCrossoverModel()
-        result = sweep(
-            model, {"machine": ["summit", "tpu-pod-like"]},
-            message_bytes=1e9, compute_time=0.05, n_ranks=64,
-        )
-        comm = result.term("comm")
-        assert comm.shape == (2,)
-        # the pod's 100 GB/s injection beats Summit's 2 x 12.5 GB/s
-        assert comm[1] < comm[0]
-
-    def test_unknown_machine_in_axis_raises(self):
-        model = DataParallelCrossoverModel()
-        with pytest.raises(ConfigurationError):
-            sweep(model, {"machine": ["aurora"]},
-                  message_bytes=1e9, compute_time=0.05, n_ranks=64)
 
 
 class TestMachineCli:

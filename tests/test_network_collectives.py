@@ -9,14 +9,8 @@ from hypothesis import strategies as st
 from repro.errors import ConfigurationError
 from repro.network.collectives import (
     AllreduceAlgorithm,
-    algorithmic_bandwidth,
-    allgather_time,
     allreduce_time,
-    binomial_tree_allreduce_time,
-    broadcast_time,
     paper_allreduce_estimate,
-    recursive_doubling_allreduce_time,
-    reduce_scatter_time,
     ring_allreduce_time,
 )
 from repro.machine import SUMMIT
@@ -40,7 +34,7 @@ class TestPaperEstimates:
     def test_algorithmic_bandwidth_is_half_injection(self):
         # "the algorithm (ring-based allreduce) bandwidth being half of
         # network bandwidth, i.e., 12.5 GB/s"
-        bw = algorithmic_bandwidth(4608, 10e9, LINK)  # bandwidth regime
+        bw = 10e9 / ring_allreduce_time(4608, 10e9, LINK)  # bandwidth regime
         assert bw == pytest.approx(12.5e9, rel=0.05)
 
     def test_negative_size_rejected(self):
@@ -77,23 +71,27 @@ class TestRingAllreduce:
         assert ring_allreduce_time(p, 1e6, LINK) < ring_allreduce_time(p, 2e6, LINK)
 
 
+RD = AllreduceAlgorithm.RECURSIVE_DOUBLING
+TREE = AllreduceAlgorithm.BINOMIAL_TREE
+
+
 class TestOtherAlgorithms:
     def test_recursive_doubling_power_of_two(self):
-        t = recursive_doubling_allreduce_time(8, 1e6, LINK)
+        t = allreduce_time(8, 1e6, LINK, RD)
         assert t == pytest.approx(3 * (LINK.latency + 1e6 / 25e9))
 
     def test_recursive_doubling_non_power_pays_extra_round(self):
-        t8 = recursive_doubling_allreduce_time(8, 1e6, LINK)
-        t9 = recursive_doubling_allreduce_time(9, 1e6, LINK)
+        t8 = allreduce_time(8, 1e6, LINK, RD)
+        t9 = allreduce_time(9, 1e6, LINK, RD)
         assert t9 > t8
 
     def test_tree_is_two_phase(self):
-        t = binomial_tree_allreduce_time(8, 1e6, LINK)
+        t = allreduce_time(8, 1e6, LINK, TREE)
         assert t == pytest.approx(2 * 3 * (LINK.latency + 1e6 / 25e9))
 
     def test_single_rank_free_everywhere(self):
-        for fn in (recursive_doubling_allreduce_time, binomial_tree_allreduce_time):
-            assert fn(1, 1e9, LINK) == 0.0
+        for algorithm in (RD, TREE):
+            assert allreduce_time(1, 1e9, LINK, algorithm) == 0.0
 
 
 class TestAlgorithmSelection:
@@ -115,34 +113,12 @@ class TestAlgorithmSelection:
                 ) * (1 + 1e-12)
 
     def test_explicit_algorithm_dispatch(self):
-        t = allreduce_time(16, 1e6, LINK, AllreduceAlgorithm.BINOMIAL_TREE)
-        assert t == pytest.approx(binomial_tree_allreduce_time(16, 1e6, LINK))
+        t = allreduce_time(16, 1e6, LINK, TREE)
+        assert t == pytest.approx(2 * 4 * (LINK.latency + 1e6 / 25e9))
 
     def test_invalid_p_rejected(self):
         with pytest.raises(ConfigurationError):
             ring_allreduce_time(0, 1e6, LINK)
-
-
-class TestOtherCollectives:
-    def test_reduce_scatter_half_of_ring_allreduce_bandwidth(self):
-        p, m = 64, 1e9
-        rs = reduce_scatter_time(p, m, LINK)
-        ar = ring_allreduce_time(p, m, LINK)
-        assert rs == pytest.approx(ar / 2)
-
-    def test_allgather_equals_reduce_scatter_cost(self):
-        assert allgather_time(32, 1e8, LINK) == pytest.approx(
-            reduce_scatter_time(32, 1e8, LINK)
-        )
-
-    def test_broadcast_large_message_about_2x_bandwidth(self):
-        m = 10e9
-        t = broadcast_time(1024, m, LINK)
-        assert t == pytest.approx(2 * m / LINK.total_bandwidth, rel=0.05)
-
-    def test_collectives_free_for_single_rank(self):
-        for fn in (reduce_scatter_time, allgather_time, broadcast_time):
-            assert fn(1, 1e9, LINK) == 0.0
 
 
 class TestCommunicationBoundCrossover:

@@ -750,24 +750,30 @@ class TestSchedulerFaults:
         )
 
     def test_numpy_job_widths_keep_times_plain(self):
-        """A failure time drawn for a numpy-integer width is a plain float,
-        as for an int width, so the start and end times that failures move
-        print the same."""
+        """Numpy-integer job widths give the same result, printed the same,
+        as int widths: failure times, start and end times, utilization and
+        delivered node-hours stay plain floats, with faults on and off."""
         import numpy as np
 
-        faults = FaultModel(
-            node_mtbf_seconds=2 * YEAR, checkpoint_interval=3600.0, seed=0
+        rng = np.random.default_rng(5)
+        widths = rng.integers(1, 17, size=60)
+        durations = rng.uniform(600.0, 7200.0, size=60).tolist()
+        submits = np.sort(rng.uniform(0.0, 86400.0, size=60)).tolist()
+
+        def stream(width):
+            return [
+                Job(f"j{i}", width(n), d, s, uses_ai=i % 3 == 0)
+                for i, (n, d, s) in enumerate(zip(widths, durations, submits))
+            ]
+
+        faulty = FaultModel(
+            node_mtbf_seconds=2 * 86400.0, checkpoint_interval=1800.0, seed=0
         )
-        plain = Scheduler(4608).run(_jobs(), faults=faults)
-        numpy_widths = Scheduler(4608).run(
-            [Job(j.job_id, np.int64(j.nodes), j.duration, j.submit_time,
-                 j.uses_ai) for j in _jobs()],
-            faults=faults,
-        )
-        assert plain.n_failures > 0
-        assert numpy_widths.n_failures == plain.n_failures
-        assert repr(numpy_widths.start_times) == repr(plain.start_times)
-        assert repr(numpy_widths.end_times) == repr(plain.end_times)
+        for faults in (faulty, None):
+            plain = Scheduler(16).run(stream(int), faults=faults)
+            numpy_widths = Scheduler(16).run(stream(np.int64), faults=faults)
+            assert (plain.n_failures > 0) == (faults is not None)
+            assert repr(numpy_widths) == repr(plain)
 
 
 # -- report and goodput wiring ------------------------------------------------------

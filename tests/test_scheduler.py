@@ -46,6 +46,16 @@ class TestJob:
         with pytest.raises(ConfigurationError, match="nodes must be >= 1"):
             Job("j", nodes=math.nan, duration=1.0, submit_time=0.0)
 
+    @pytest.mark.parametrize("nodes", [2.5, 2.0, True, "2"])
+    def test_non_integer_width_rejected(self, nodes):
+        # 2.5 used to construct a job on two and a half nodes
+        with pytest.raises(ConfigurationError, match="an integer"):
+            Job("j", nodes=nodes, duration=1.0, submit_time=0.0)
+
+    def test_numpy_width_stored_as_int(self):
+        job = Job("j", nodes=np.int64(3), duration=1.0, submit_time=0.0)
+        assert type(job.nodes) is int and job.nodes == 3
+
     @pytest.mark.parametrize("duration", [math.nan, math.inf, -math.inf])
     def test_non_finite_duration_rejected(self, duration):
         with pytest.raises(ConfigurationError, match="finite"):
@@ -70,6 +80,18 @@ class TestWalltimeLimits:
 
     def test_capability_bin_24_hours(self):
         assert walltime_limit(SUMMIT_QUEUE_BINS[0][0]) == 24 * 3600.0
+
+    @pytest.mark.parametrize("nodes", [math.nan, 0, -1])
+    def test_invalid_width_rejected(self, nodes):
+        # NaN used to fall through every bin to an AssertionError
+        with pytest.raises(ConfigurationError, match="nodes must be >= 1"):
+            walltime_limit(nodes)
+
+    def test_generated_limits_follow_the_bins(self):
+        """Every job of a generated year fits its width's walltime bin."""
+        for job in synthetic_facility_year(seed=3, n_nodes=4608,
+                                           horizon=3 * 86400.0):
+            assert 300.0 <= job.duration <= walltime_limit(job.nodes)
 
 
 class TestPriorityKey:
@@ -276,6 +298,22 @@ class TestFacilityYearInputs:
         monkeypatch.setattr(np.random, "default_rng", no_draws)
         with pytest.raises(ConfigurationError):
             synthetic_facility_year(n_nodes=64, **{name: value})
+
+    @pytest.mark.parametrize("n_nodes", [2.5, 64.0, True, math.nan, 0])
+    def test_width_must_be_a_positive_integer(self, n_nodes, monkeypatch):
+        # 2.5 used to build jobs of float widths, True a 1-node stream
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew from the generator before checking")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        with pytest.raises(ConfigurationError,
+                           match="n_nodes must be an integer >= 1"):
+            synthetic_facility_year(n_nodes=n_nodes, horizon=86400.0)
+
+    def test_numpy_width_builds_the_same_stream(self):
+        day = 86400.0
+        assert synthetic_facility_year(n_nodes=np.int64(64), horizon=day) \
+            == synthetic_facility_year(n_nodes=64, horizon=day)
 
     @pytest.mark.parametrize("n_nodes, horizon", [
         (1, 1e300),  # finite budget, ~3e296 jobs: used to never return

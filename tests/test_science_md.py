@@ -244,13 +244,6 @@ class TestDocking:
         oracle.docking_score(lib.genomes)
         assert oracle.md_calls == 0
 
-    def test_enrichment_of_true_top_is_one(self, setup):
-        lib, oracle = setup
-        truth = oracle.true_affinity(lib.genomes)
-        k = max(1, int(0.01 * len(lib)))
-        top = lib.genomes[np.argsort(truth)[-k:]]
-        assert oracle.enrichment(top, lib, top_fraction=0.01) == 1.0
-
     def test_wrong_genome_length_rejected(self, setup):
         _, oracle = setup
         with pytest.raises(ConfigurationError):

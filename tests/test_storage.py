@@ -29,14 +29,6 @@ class TestSharedFileSystem:
         rnd = GPFS.read_bandwidth(4608, random_access=True)
         assert rnd == pytest.approx(seq * GPFS.random_read_derate)
 
-    def test_read_time_scales_with_size(self):
-        t1 = GPFS.read_time(1e9, n_clients=100)
-        t2 = GPFS.read_time(2e9, n_clients=100)
-        assert t2 == pytest.approx(2 * t1)
-
-    def test_zero_read_free(self):
-        assert GPFS.read_time(0) == 0.0
-
     def test_invalid_client_count(self):
         with pytest.raises(ConfigurationError):
             GPFS.read_bandwidth(0)
@@ -135,10 +127,6 @@ class TestIoModel:
         # 1445 samples/s/GPU x 500 kB x 27648 GPUs ~ 20 TB/s
         req = read_requirement(1445, 500e3, 27648)
         assert req.required_bandwidth == pytest.approx(20e12, rel=0.01)
-
-    def test_summary_mentions_devices(self):
-        req = read_requirement(1000, 1e6, 64)
-        assert "64 devices" in req.summary()
 
     def test_gpfs_infeasible_nvme_feasible_at_full_summit(self):
         req = read_requirement(1445, 500e3, 27648)

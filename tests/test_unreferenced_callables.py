@@ -1,9 +1,9 @@
 """No function, method or class defined in ``src/`` is dead code.
 
-Two gates, both skipping names defined more than once and the names the
-interpreter or a dispatcher looks up by string: dunder methods, the
-server's ``_op_*`` handlers (``service/server.py``) and the campaign
-state's ``_apply_*`` reducers (``service/state.py``).
+Two gates, both skipping the names the interpreter or a dispatcher looks
+up by string: dunder methods, the server's ``_op_*`` handlers
+(``service/server.py``) and the campaign state's ``_apply_*`` reducers
+(``service/state.py``).
 
 - ``test_every_src_callable_is_referenced`` counts words: the name must
   occur somewhere other than its own definition, in ``src/``, a test, an
@@ -16,6 +16,16 @@ state's ``_apply_*`` reducers (``service/state.py``).
   or a word in ``.github/`` (CI's inline Python). Package ``__init__.py``
   files do not count, because a re-export is not a use; nor do
   docstrings, comments or ``__all__`` strings.
+
+  A module-level function or class whose name is defined more than once
+  in ``src/`` (a *twin*) needs a use resolved to its own module: a
+  ``from M import name`` (following re-exports, such as a package
+  ``__init__``'s), an ``alias.name`` with ``alias`` bound to module ``M``,
+  or a bare ``name`` inside ``M``. A same-named identifier elsewhere is
+  no use of it. Methods and nested functions with a twin name are
+  skipped; CI's inline Python imports no twin.
+
+The word gate skips every name defined more than once.
 """
 
 import ast
@@ -99,6 +109,125 @@ EXTENDED_STUDIES = (
 AWAITING_DECISION = ()
 
 
+def _src_modules() -> dict[str, tuple[str, ast.Module]]:
+    """Dotted module name -> (``src/repro``-relative file, syntax tree)."""
+    package = ROOT / "src" / "repro"
+    modules = {}
+    for path in package.rglob("*.py"):
+        parts = path.relative_to(ROOT / "src").with_suffix("").parts
+        if parts[-1] == "__init__":
+            parts = parts[:-1]
+        modules[".".join(parts)] = (
+            path.relative_to(package).as_posix(),
+            ast.parse(path.read_text()),
+        )
+    return modules
+
+
+def _resolver(modules):
+    """The module-level definitions, and ``resolve(module, name)``: the
+    ``(module, name)`` definition that ``from module import name`` binds,
+    ``(submodule, None)`` for a submodule, or ``None`` outside ``src/``."""
+    defined = {
+        (module, node.name)
+        for module, (_, tree) in modules.items()
+        for node in tree.body
+        if isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        )
+    }
+    imported = {
+        (module, alias.asname or alias.name): (node.module, alias.name)
+        for module, (_, tree) in modules.items()
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 0
+        for alias in node.names
+    }
+
+    def resolve(module, name):
+        seen = set()
+        while (module, name) not in defined:
+            if f"{module}.{name}" in modules:
+                return f"{module}.{name}", None
+            if (module, name) in seen or (module, name) not in imported:
+                return None
+            seen.add((module, name))
+            module, name = imported[(module, name)]
+        return module, name
+
+    return defined, resolve
+
+
+def _module_bound(expr, bound, modules):
+    """The module an ``a.b.c`` expression names, or ``None``."""
+    if isinstance(expr, ast.Name):
+        return bound.get(expr.id)
+    if isinstance(expr, ast.Attribute):
+        base = _module_bound(expr.value, bound, modules)
+        if base is not None and f"{base}.{expr.attr}" in modules:
+            return f"{base}.{expr.attr}"
+    return None
+
+
+def _resolved_uses(modules, resolve) -> set[tuple[str, str]]:
+    """``(module, name)`` pairs that non-test code uses, resolved through
+    imports, module aliases and the module's own bare names."""
+    src = ROOT / "src"
+    uses = set()
+    for tree in CALLER_TREES:
+        for path in (ROOT / tree).rglob("*.py"):
+            if path.name == "__init__.py":
+                continue
+            syntax = ast.parse(path.read_text())
+            own = None
+            if tree == "src":
+                own = ".".join(path.relative_to(src).with_suffix("").parts)
+            bound = {}  # local name -> dotted module
+            for node in ast.walk(syntax):
+                if isinstance(node, ast.Import):
+                    for alias in node.names:
+                        top = alias.name.split(".")[0]
+                        bound[alias.asname or top] = (
+                            alias.name if alias.asname else top
+                        )
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    for alias in node.names:
+                        target = resolve(node.module, alias.name)
+                        if target is None:
+                            continue
+                        if target[1] is None:
+                            bound[alias.asname or alias.name] = target[0]
+                        else:
+                            uses.add(target)
+            for node in ast.walk(syntax):
+                if isinstance(node, ast.Attribute):
+                    module = _module_bound(node.value, bound, modules)
+                    target = module and resolve(module, node.attr)
+                    if target and target[1] is not None:
+                        uses.add(target)
+                elif own and isinstance(node, ast.Name):
+                    uses.add((own, node.id))
+    return uses
+
+
+def _unreached_twins() -> list[str]:
+    """Module-level twins with no resolved non-test use."""
+    modules = _src_modules()
+    defined, resolve = _resolver(modules)
+    twins = {
+        name for name, files in _src_definitions().items() if len(files) > 1
+    }
+    uses = _resolved_uses(modules, resolve)
+    return sorted(
+        f"{modules[module][0]}:{name}"
+        for module, name in defined
+        if name in twins
+        and not DISPATCHED_BY_NAME.search(name)
+        and (module, name) not in uses
+        and modules[module][0] not in EXTENDED_STUDIES
+    )
+
+
 def _non_test_uses() -> set[str]:
     uses = set()
     for tree in CALLER_TREES:
@@ -127,7 +256,7 @@ def test_no_src_callable_is_reached_only_from_tests():
         and not DISPATCHED_BY_NAME.search(name)
         and name not in uses
         and files[0] not in EXTENDED_STUDIES
-    )
+    ) + _unreached_twins()
     unreached = [f for f in flagged if f not in AWAITING_DECISION]
     assert not unreached, f"defined in src/ but used only by tests: {unreached}"
     decided = [f for f in AWAITING_DECISION if f not in flagged]
